@@ -12,7 +12,9 @@
 // Repeat submissions are served from a content-addressed result cache
 // (keyed on document hash + configuration fingerprint), concurrent
 // identical submissions collapse into one lint, and /metrics exposes
-// the serving stack in Prometheus text format.
+// the serving stack in Prometheus text format. -cache-off only stops
+// storing results: ETag/304, the collapsing of identical submissions
+// and diff= requests still apply.
 //
 // Usage:
 //
@@ -20,7 +22,8 @@
 //	                [-pedantic] [-x vendors] [-V version]
 //	                [-max-upload bytes] [-concurrency n] [-queue-wait d]
 //	                [-lint-budget d] [-fetch-timeout d] [-drain-timeout d]
-//	                [-cache-size bytes] [-cache-off] [-metrics=false]
+//	                [-cache-size bytes] [-cache-off (store no results)]
+//	                [-metrics=false]
 package main
 
 import (
@@ -63,7 +66,7 @@ func main() {
 	cacheSize := flag.Int("cache-size", resultcache.DefaultMaxBytes,
 		"result cache budget, in bytes")
 	cacheOff := flag.Bool("cache-off", false,
-		"disable the result cache and singleflight dedupe (every submission lints)")
+		"store no results, so every submission lints (ETag/304, singleflight and diff= still apply)")
 	metricsOn := flag.Bool("metrics", true, "serve Prometheus metrics at /metrics")
 	pprofAddr := flag.String("pprof-addr", "",
 		"serve net/http/pprof on this SEPARATE address (e.g. 127.0.0.1:8018); empty disables profiling entirely")

@@ -58,8 +58,8 @@ type levelResult struct {
 	ThroughputRPS    float64 `json:"throughput_rps"`
 
 	// Cache outcomes, classified from the X-Weblint-Cache response
-	// header (all zero against a -cache-off gateway, which sends no
-	// header). The split percentiles are the cache's headline number:
+	// header (never a hit against a -cache-off gateway, which stores
+	// nothing). The split percentiles are the cache's headline number:
 	// a hit never lints, so HitP50Ms should sit an order of magnitude
 	// under MissP50Ms.
 	CacheHits      int64   `json:"cache_hits"`

@@ -43,8 +43,13 @@ func TestSiegeClassifies429(t *testing.T) {
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
-	// A document big enough that lints overlap under 8 connections.
-	docs := []string{corpus.GenerateSized(1, 256<<10, corpus.Uniform(0.05))}
+	// Documents big enough that lints overlap under 8 connections, and
+	// one per connection: concurrent submissions of one document would
+	// coalesce into a single lint and never contend for the slot.
+	docs := make([]string, 8)
+	for i := range docs {
+		docs[i] = corpus.GenerateSized(int64(i+1), 256<<10, corpus.Uniform(0.05))
+	}
 	client := &http.Client{Timeout: 10 * time.Second}
 	res := siege(client, srv.URL+"/", docs, 8, 64, "html")
 

@@ -58,26 +58,26 @@ func main() {
 }
 
 type cli struct {
-	short    bool
-	terse    bool
-	verbose  bool
-	format   string
-	failOn   string
-	enable   string
-	disable  string
-	pedantic bool
-	exts     string
-	htmlVer  string
-	rcFile   string
-	noRC     bool
-	recurse  bool
-	urlMode  bool
-	list     bool
-	version  bool
-	jobs          int
-	fix           bool
-	fixDry        bool
-	fixDiffTo     string
+	short          bool
+	terse          bool
+	verbose        bool
+	format         string
+	failOn         string
+	enable         string
+	disable        string
+	pedantic       bool
+	exts           string
+	htmlVer        string
+	rcFile         string
+	noRC           bool
+	recurse        bool
+	urlMode        bool
+	list           bool
+	version        bool
+	jobs           int
+	fix            bool
+	fixDry         bool
+	fixDiffTo      string
 	baseline       string
 	baselineWrite  string
 	baselineUpdate string

@@ -26,10 +26,10 @@ func TestIndexAnyFixed(t *testing.T) {
 		{"x", '"', '\'', '>'},
 		{">", '"', '\'', '>'},
 		{"no match here at all", 'q', 'z', 'Q'},
-		{"........>", '"', '\'', '>'},        // match in the 8-byte word
-		{".........>", '"', '\'', '>'},       // match in the tail
-		{"\">'", '"', '\'', '>'},             // all three present: first wins
-		{"'\">", '"', '\'', '>'},             // order of targets irrelevant
+		{"........>", '"', '\'', '>'},  // match in the 8-byte word
+		{".........>", '"', '\'', '>'}, // match in the tail
+		{"\">'", '"', '\'', '>'},       // all three present: first wins
+		{"'\">", '"', '\'', '>'},       // order of targets irrelevant
 		{strings.Repeat(".", 8) + "'", 'a', 'b', '\''},
 		{strings.Repeat(".", 7) + "'", 'a', 'b', '\''},
 		{strings.Repeat("\x80\xff", 16) + ">", '"', '\'', '>'}, // high bytes set

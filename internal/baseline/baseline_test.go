@@ -171,7 +171,7 @@ func TestSuppressionForwarding(t *testing.T) {
 	counting := sum.Sink(nil)
 	f := NewFilter(New(), counting, nil)
 	r := NewRecorder(f, nil)
-	warn.ReplaySuppressed(r, []string{"img-alt", "img-alt"})
+	(&warn.Recorder{SuppressedIDs: []string{"img-alt", "img-alt"}}).Replay(r)
 	if sum.Suppressed["img-alt"] != 2 {
 		t.Fatalf("suppressions not forwarded through recorder+filter: %v", sum.Suppressed)
 	}

@@ -27,7 +27,8 @@ import (
 //
 // Not captured, by design:
 //   - opts, spec, em wiring, file: fixed for the session (Reset-time).
-//   - slab: an allocation pool; Restore rebuilds entries on the heap.
+//   - slab: an allocation pool; Restore rebuilds entries on the heap
+//     and truncates it, since nothing live points into it any more.
 //   - attrSeen: per-tag scratch, cleared at each use.
 //   - relocateTok/relocateFixes: scoped to a single startTag call,
 //     always nil/empty at token boundaries.
@@ -166,9 +167,15 @@ func restoreMap[V any](dst, src map[string]V) map[string]V {
 // reports through has its inline-directive overlay restored too.
 // Scratch state scoped to a single token (attrSeen, relocation
 // diversion) is cleared.
+//
+// The rebuilt stacks are the only holders of open entries, so the slab
+// is recycled here as Reset recycles it: a long-lived Session restores
+// once per edit, and without this the slab would grow by every element
+// each re-lint window opens.
 func (c *Checker) Restore(s *Snapshot) {
 	c.stack = append(c.stack[:0], cloneOpens(s.stack)...)
 	c.pending = append(c.pending[:0], cloneOpens(s.pending)...)
+	c.slab = c.slab[:0]
 	c.openTop = restoreMap(c.openTop, s.openTop)
 	c.pendingTop = restoreMap(c.pendingTop, s.pendingTop)
 	c.accum = append(c.accum[:0], s.accum...)

@@ -56,12 +56,11 @@ type Result struct {
 	Index int
 	// Name is the document name messages carry.
 	Name string
-	// Messages are the diagnostics, in source order.
-	Messages []warn.Message
-	// Suppressed are the IDs of emissions dropped because their
-	// message was disabled, in emission order; RunTo replays them so
-	// per-rule suppression stats survive the ordered-delivery hop.
-	Suppressed []string
+	// Recorder holds the job's finding stream: Messages in source
+	// order, and the IDs of emissions dropped because their message was
+	// disabled, which RunTo replays so per-rule suppression stats
+	// survive the ordered-delivery hop. It is empty when Err is set.
+	warn.Recorder
 	// Err is set when the document could not be obtained (unreadable
 	// file, failed fetch) or the check panicked. The engine itself
 	// never stops on an errored job — every job runs and delivers —
@@ -150,13 +149,7 @@ func (e *Engine) RunTo(jobs []Job, sink warn.Sink) error {
 			firstErr = r.Err
 			return false
 		}
-		warn.ReplaySuppressed(sink, r.Suppressed)
-		for _, m := range r.Messages {
-			if !sink.Write(m) {
-				return false
-			}
-		}
-		return true
+		return r.Replay(sink)
 	})
 	return firstErr
 }
@@ -216,39 +209,36 @@ func (e *Engine) lintJob(idx int, j Job) (res Result) {
 	res.Name = j.Name
 	defer func() {
 		if p := recover(); p != nil {
+			res.Recorder = warn.Recorder{}
 			res.Err = fmt.Errorf("engine: check of %s panicked: %v", res.Name, p)
 		}
 	}()
 	l := e.linter()
-	// Check into a Recorder rather than through the slice APIs: it
-	// collects the same messages (sorted below, matching CheckFile's
-	// contract) and additionally captures suppressed-emission IDs for
-	// per-rule stats.
-	var rec warn.Recorder
+	// Check into the result's Recorder rather than through the slice
+	// APIs: it collects the same messages (sorted below, matching
+	// CheckFile's contract) and additionally captures suppressed-emission
+	// IDs for per-rule stats. A read or fetch error fails before the
+	// check runs, so it records nothing.
 	switch {
 	case j.Src != nil:
 		if res.Name == "" {
 			res.Name = "-"
 		}
-		l.CheckBytesTo(res.Name, j.Src, &rec)
+		l.CheckBytesTo(res.Name, j.Src, &res.Recorder)
 	case j.Path != "":
 		if res.Name == "" {
 			res.Name = j.Path
 		}
-		res.Err = l.CheckFileTo(j.Path, &rec)
+		res.Err = l.CheckFileTo(j.Path, &res.Recorder)
 	case j.URL != "":
 		if res.Name == "" {
 			res.Name = j.URL
 		}
-		res.Err = l.CheckURLTo(j.URL, &rec)
+		res.Err = l.CheckURLTo(j.URL, &res.Recorder)
 	default:
 		res.Err = errors.New("engine: job has no source (Src, Path or URL)")
 	}
-	if res.Err == nil {
-		warn.SortByLine(rec.Messages)
-		res.Messages = rec.Messages
-		res.Suppressed = rec.SuppressedIDs
-	}
+	warn.SortByLine(res.Messages)
 	return res
 }
 

@@ -335,21 +335,66 @@ func TestSingleflightCollapsesBurst(t *testing.T) {
 	}
 }
 
-// TestCacheOffMatchesDirectPath: without a Cache the handler is the
-// pre-cache gateway — no ETag, no X-Weblint-Cache, same report.
+// TestCacheOffMatchesDirectPath: a handler without a Cache takes the
+// same content-addressed path as a cached one and only stores nothing.
+// Both answer the same report under the same ETag; cache-off never
+// answers "hit" (a repeat lints again), yet If-None-Match still
+// answers 304.
 func TestCacheOffMatchesDirectPath(t *testing.T) {
-	direct := NewHandler(nil)
+	off := NewHandler(nil)
 	cached := cachedHandler()
 
-	d := postValues(direct, url.Values{"html": {brokenPage}})
+	d := postValues(off, url.Values{"html": {brokenPage}})
 	c := postValues(cached, url.Values{"html": {brokenPage}})
 	if d.Code != http.StatusOK || c.Code != http.StatusOK {
-		t.Fatalf("codes: direct=%d cached=%d", d.Code, c.Code)
+		t.Fatalf("codes: cache-off=%d cached=%d", d.Code, c.Code)
 	}
-	if d.Header().Get("ETag") != "" || d.Header().Get("X-Weblint-Cache") != "" {
-		t.Error("direct path leaked cache headers")
+	etag := d.Header().Get("ETag")
+	if etag == "" || etag != c.Header().Get("ETag") {
+		t.Errorf("ETag: cache-off %q, cached %q, want one content address", etag, c.Header().Get("ETag"))
 	}
 	if d.Body.String() != c.Body.String() {
-		t.Error("direct and cached paths rendered different reports")
+		t.Error("cache-off and cached handlers rendered different reports")
+	}
+	if got := postValues(off, url.Values{"html": {brokenPage}}).Header().Get("X-Weblint-Cache"); got != "miss" {
+		t.Errorf("cache-off repeat X-Weblint-Cache = %q, want miss", got)
+	}
+
+	req := httptest.NewRequest("POST", "/", strings.NewReader(url.Values{"html": {brokenPage}}.Encode()))
+	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	req.Header.Set("If-None-Match", etag)
+	rec := httptest.NewRecorder()
+	off.ServeHTTP(rec, req)
+	if rec.Code != http.StatusNotModified {
+		t.Errorf("cache-off If-None-Match got %d, want 304", rec.Code)
+	}
+}
+
+// TestCacheOffAnswersLikeCacheOn: every format renders by replaying one
+// recorded finding stream, so a cache-off handler, a cache-on miss and
+// a cache-on hit answer the same bytes.
+func TestCacheOffAnswersLikeCacheOn(t *testing.T) {
+	for _, format := range []string{"html", "json", "sarif", "baseline", "fixed"} {
+		form := url.Values{"html": {brokenPage}, "format": {format}}
+		off := postValues(NewHandler(nil), form)
+		if off.Code != http.StatusOK {
+			t.Fatalf("format=%s cache-off: %d", format, off.Code)
+		}
+		on := cachedHandler()
+		for _, disp := range []string{"miss", "hit"} {
+			got := postValues(on, form)
+			if got.Code != http.StatusOK || got.Header().Get("X-Weblint-Cache") != disp {
+				t.Errorf("format=%s cache-on: %d %q, want 200 %s", format, got.Code, got.Header().Get("X-Weblint-Cache"), disp)
+				continue
+			}
+			if got.Header().Get("Content-Type") != off.Header().Get("Content-Type") {
+				t.Errorf("format=%s cache-on %s Content-Type %q, cache-off %q",
+					format, disp, got.Header().Get("Content-Type"), off.Header().Get("Content-Type"))
+			}
+			if got.Body.String() != off.Body.String() {
+				t.Errorf("format=%s: cache-on %s body differs from cache-off\non:\n%s\noff:\n%s",
+					format, disp, got.Body.String(), off.Body.String())
+			}
+		}
 	}
 }

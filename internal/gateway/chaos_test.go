@@ -25,9 +25,10 @@ import (
 // process-globally, so these tests do not run in parallel.
 
 // TestSaturationShedsAndRecovers: with one lint slot held busy by an
-// injected slow lint, a second submission waits out the admission
-// queue and is shed with 429 + Retry-After; once the slot frees, the
-// gateway serves normally again.
+// injected slow lint, a submission of a different document (the same
+// one would coalesce with the holder) waits out the admission queue
+// and is shed with 429 + Retry-After; once the slot frees, the gateway
+// serves normally again.
 func TestSaturationShedsAndRecovers(t *testing.T) {
 	defer faultinject.Reset()
 
@@ -54,7 +55,7 @@ func TestSaturationShedsAndRecovers(t *testing.T) {
 	}
 
 	start := time.Now()
-	rec := postValues(h, url.Values{"html": {brokenPage}})
+	rec := postValues(h, url.Values{"html": {"<p>other doc</p>"}})
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("status = %d under saturation, want 429", rec.Code)
 	}
@@ -124,6 +125,42 @@ func TestPanicContainment(t *testing.T) {
 	defer hz.Body.Close()
 	if hz.StatusCode != http.StatusOK {
 		t.Fatalf("healthz = %d after a contained panic, want 200", hz.StatusCode)
+	}
+}
+
+// TestPanickedFlightRetires: a check that panics as a singleflight
+// leader must retire its flight. Its own request answers 500, and the
+// next submission of the same document lints afresh well inside the
+// budget instead of waiting on the dead flight until 504.
+func TestPanickedFlightRetires(t *testing.T) {
+	defer faultinject.Reset()
+
+	h := cachedHandler()
+	h.LintBudget = 2 * time.Second
+	srv := httptest.NewServer(h.Mux(nil, func(any) {}))
+	defer srv.Close()
+
+	faultinject.Arm("gateway.lint", faultinject.Fault{Panic: "check exploded", Count: 1})
+	resp, err := http.PostForm(srv.URL+"/", url.Values{"html": {brokenPage}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("panicking request got %d, want 500", resp.StatusCode)
+	}
+
+	start := time.Now()
+	resp, err = http.PostForm(srv.URL+"/", url.Values{"html": {brokenPage}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("resubmission after the panic got %d, want 200", resp.StatusCode)
+	}
+	if took := time.Since(start); took > h.LintBudget/2 {
+		t.Fatalf("resubmission took %v against a %v budget", took, h.LintBudget)
 	}
 }
 

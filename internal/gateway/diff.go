@@ -211,16 +211,13 @@ func (h *Handler) submitDiff(w http.ResponseWriter, r *http.Request) {
 		le[i] = lint.Edit{Start: ed.Start, End: ed.End, Text: ed.Text}
 	}
 	e.sess.Apply(le)
-	// Serve the emission-order stream, not the sorted view: cached
-	// full-submission results replay in emission order, and a diff
-	// response must be byte-identical to what submitting the edited
-	// document would produce.
-	msgs := e.sess.MessagesInOrder()
 	e.text = e.sess.Text()
 
 	newKey := resultcache.KeyOf(h.Linter.ConfigFingerprint(), []byte(e.text))
 	h.bases().rekey(e, newKey)
 
-	res := resultcache.NewResult(msgs, e.sess.SuppressedInOrder())
-	h.serveResult(w, r, e.name, []byte(e.text), format, res, `"`+newKey.Hex()+`"`, "diff")
+	// Serve the emission-order recording, not the sorted view: a diff
+	// response must be byte-identical to what submitting the edited
+	// document would produce, and that replays a recorded stream too.
+	h.serveResult(w, r, e.name, []byte(e.text), format, e.sess.Recording(), `"`+newKey.Hex()+`"`, "diff")
 }

@@ -143,3 +143,23 @@ func TestDiffRespectsUploadLimit(t *testing.T) {
 		t.Fatalf("oversize diff: %d, want 413", got.Code)
 	}
 }
+
+// TestDiffWithCacheOff: a gateway that stores no results still issues
+// content-hash ETags and retains bases, so diff= works against it.
+func TestDiffWithCacheOff(t *testing.T) {
+	h := NewHandler(nil)
+	base := diffPage()
+	etag := postValues(h, url.Values{"html": {base}, "format": {"json"}}).Header().Get("ETag")
+
+	const ins = "<P>new & more</P>\n"
+	off := strings.Index(base, "</BODY>")
+	raw, _ := json.Marshal([]diffEdit{{Start: off, End: off, Text: ins}})
+	drec := postValues(h, url.Values{"diff": {etag}, "edits": {string(raw)}, "format": {"json"}})
+	full := postValues(h, url.Values{"html": {base[:off] + ins + base[off:]}, "format": {"json"}})
+	if drec.Code != http.StatusOK || drec.Header().Get("X-Weblint-Cache") != "diff" {
+		t.Fatalf("diff against a cache-off gateway: %d %q", drec.Code, drec.Header().Get("X-Weblint-Cache"))
+	}
+	if drec.Body.String() != full.Body.String() {
+		t.Fatalf("diff response differs from full submission\ndiff:\n%s\nfull:\n%s", drec.Body.String(), full.Body.String())
+	}
+}

@@ -19,6 +19,7 @@ import (
 	"html/template"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -72,7 +73,7 @@ type Handler struct {
 	Limiter *serve.Limiter
 	// LintBudget bounds each submission's lint, fetch included
 	// (0 = unlimited). An over-budget lint is cancelled through the
-	// sink seam and answered with 504.
+	// sink seam and answered with 504, in every format.
 	LintBudget time.Duration
 	// Fetcher retrieves check-by-URL submissions. Nil means a hardened
 	// default: timeouts, a redirect cap, a body cap of MaxUpload, and
@@ -80,14 +81,13 @@ type Handler struct {
 	// not fetch the operator's intranet on a visitor's behalf. Supply
 	// a fetch.Client with AllowPrivate to loosen it.
 	Fetcher *fetch.Client
-	// Cache, when non-nil, switches submissions onto the
-	// content-addressed result path: the finding stream is cached
-	// under (document SHA-256, config fingerprint), concurrent
-	// identical submissions are collapsed into one lint slot, and lint
-	// responses carry a content-hash ETag plus an X-Weblint-Cache
-	// header (hit, miss or coalesced). Nil keeps the direct path:
-	// every submission lints, no cache headers — byte-for-byte the
-	// pre-cache gateway.
+	// Cache, when non-nil, stores each completed finding stream under
+	// (document SHA-256, config fingerprint), so a repeat submission
+	// replays it (X-Weblint-Cache: hit) instead of linting. Nil
+	// (-cache-off) only stops storing results, so a repeat lints again:
+	// responses still carry the content-hash ETag and X-Weblint-Cache,
+	// If-None-Match still answers 304, concurrent identical submissions
+	// still collapse into one lint slot, and diff= requests still work.
 	Cache *resultcache.Cache
 	// Metrics, when non-nil, records request outcomes, cache traffic,
 	// admission waits, lint durations and per-rule tallies; Mux then
@@ -187,121 +187,47 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // request and are checked zero-copy; the seed paid an io.ReadAll
 // allocation plus a string conversion copy per submission.
 //
-// With a Cache configured, submissions take the content-addressed
-// path (submitCached); otherwise every submission lints directly. A
-// diff= field (base-document ETag plus edits=) takes the diff-granular
-// path instead — see diff.go — which exists only on the cached path,
-// where ETags are issued.
+// A diff= field (base-document ETag plus edits=) takes the
+// diff-granular path — see diff.go; every other submission takes the
+// content-addressed path, submit.
 func (h *Handler) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if h.Cache != nil {
-		// Diff requests are small urlencoded forms; multipart bodies
-		// can't be sniffed for the field without consuming the upload
-		// stream, and are never diffs.
-		if ct := r.Header.Get("Content-Type"); !strings.HasPrefix(ct, "multipart/form-data") {
-			r.Body = http.MaxBytesReader(w, r.Body, h.maxUpload()+uploadSlack)
-			if r.PostFormValue("diff") != "" {
-				h.submitDiff(w, r)
-				return
-			}
-		}
-		h.submitCached(w, r)
-		return
-	}
-	h.submitDirect(w, r)
-}
-
-// submitDirect is the cache-less submission path. The request passes
-// through the serving-layer defences in order: admission control (429
-// + Retry-After once every lint slot has been busy for the whole
-// admission wait), the per-request lint budget (504 when the deadline
-// cancels the check through the sink seam), and the document-size
-// limit (413, never a silent truncation).
-func (h *Handler) submitDirect(w http.ResponseWriter, r *http.Request) {
-	if h.Limiter != nil {
-		release, err := h.acquireSlot(r.Context())
-		if err != nil {
-			if errors.Is(err, serve.ErrSaturated) {
-				w.Header().Set("Retry-After", h.Limiter.RetryAfter())
-				http.Error(w, "gateway is at capacity; retry shortly", http.StatusTooManyRequests)
-			}
-			// Otherwise the client gave up while queued; it is not
-			// listening for an answer.
-			return
-		}
-		defer release()
-	}
-
-	ctx := r.Context()
-	if h.LintBudget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, h.LintBudget)
-		defer cancel()
-	}
-
-	// Chaos seam: tests inject slow lints, lint failures and panics
-	// here; in production this is one atomic load.
-	if err := faultinject.FireCtx(ctx, "gateway.lint"); err != nil {
-		if ctx.Err() != nil {
-			h.renderError(w, http.StatusGatewayTimeout, "lint budget exceeded for this document")
-			return
-		}
-		h.renderError(w, http.StatusInternalServerError, "lint failed: "+err.Error())
-		return
-	}
-
 	r.Body = http.MaxBytesReader(w, r.Body, h.maxUpload()+uploadSlack)
-
-	buf := bufpool.Get()
-	defer bufpool.Put(buf)
-	name, src, err := h.extractInput(ctx, r, buf)
-	if err != nil {
-		h.inputError(ctx, w, err)
-		return
+	// Diff requests are small urlencoded forms; multipart bodies can't
+	// be sniffed for the field without consuming the upload stream, and
+	// are never diffs (extractInput streams them).
+	if !strings.HasPrefix(r.Header.Get("Content-Type"), "multipart/form-data") {
+		if err := r.ParseForm(); err != nil {
+			h.inputError(r.Context(), w, fmt.Errorf("parsing form: %w", err))
+			return
+		}
+		if r.PostForm.Get("diff") != "" {
+			h.submitDiff(w, r)
+			return
+		}
 	}
-	if len(bytes.TrimSpace(src)) == 0 {
-		h.renderForm(w, "no HTML provided: enter a URL, paste HTML, or upload a file")
-		return
-	}
-
-	check := h.timedCheck(ctx, name, src)
-	if format := r.FormValue("format"); format != "" && format != "html" {
-		h.serveMachine(w, r, name, src, format, check)
-		return
-	}
-
-	var rec warn.Collector
-	if check(&rec) != nil {
-		h.renderError(w, http.StatusGatewayTimeout, "lint budget exceeded for this document")
-		return
-	}
-	msgs := rec.Messages
-	warn.SortByLine(msgs)
-	h.renderReport(w, name, bytestr.String(src), msgs)
+	h.submit(w, r)
 }
 
-// submitCached is the content-addressed submission path. The document
-// is read and keyed before any lint slot is taken: a cache hit, or a
-// 304 against the content-hash ETag, costs no admission at all. On a
-// miss the lint runs inside the singleflight group, so a burst of N
-// identical submissions pays one slot in the Limiter and one lint —
-// the leader's result is shared, and every response says which way it
-// went in X-Weblint-Cache (hit, miss or coalesced).
+// submit serves a submission. The document is read and keyed before
+// any lint slot is taken: a 304 against the content-hash ETag, or a
+// cache hit, costs no admission at all. Otherwise the lint runs inside
+// the singleflight group, so a burst of N identical submissions pays
+// one slot in the Limiter and one lint — the leader's result is shared,
+// and every response says which way it went in X-Weblint-Cache (hit,
+// miss or coalesced). Without a Cache nothing is stored or looked up;
+// everything else is the same.
 //
-// Only completed checks are cached: saturation (429), over-budget
-// lints (504), oversize documents (413) and cancelled checks never
-// produce a cache entry. One behavioural difference from the direct
-// path is deliberate: format=json answers an over-budget check with
-// 504 instead of a partial stream, because here the check completes
-// before rendering begins — strictly more honest for CI clients.
-func (h *Handler) submitCached(w http.ResponseWriter, r *http.Request) {
+// The check completes before rendering begins, so no format ever ships
+// a partial result: saturation answers 429, an over-budget check 504,
+// an oversize document 413, and none of them — nor a cancelled check —
+// leaves a cache entry.
+func (h *Handler) submit(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	if h.LintBudget > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, h.LintBudget)
 		defer cancel()
 	}
-
-	r.Body = http.MaxBytesReader(w, r.Body, h.maxUpload()+uploadSlack)
 
 	buf := bufpool.Get()
 	defer bufpool.Put(buf)
@@ -337,13 +263,15 @@ func (h *Handler) submitCached(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if res, ok := h.Cache.Get(key); ok {
-		h.serveResult(w, r, name, src, format, res, etag, "hit")
-		return
+	if h.Cache != nil {
+		if rec, ok := h.Cache.Get(key); ok {
+			h.serveResult(w, r, name, src, format, rec, etag, "hit")
+			return
+		}
 	}
 
-	res, shared, err := h.flights().Do(ctx, key, func() (*resultcache.Result, error) {
-		return h.lintForCache(ctx, name, src, key)
+	rec, shared, err := h.flights().Do(ctx, key, func() (*warn.Recorder, error) {
+		return h.check(ctx, name, src, key)
 	})
 	if err != nil {
 		h.lintError(w, format, err)
@@ -353,15 +281,15 @@ func (h *Handler) submitCached(w http.ResponseWriter, r *http.Request) {
 	if shared {
 		status = "coalesced"
 	}
-	h.serveResult(w, r, name, src, format, res, etag, status)
+	h.serveResult(w, r, name, src, format, rec, etag, status)
 }
 
-// lintForCache runs one admission-controlled, budget-bounded lint and
-// stores the completed finding stream. It runs as a singleflight
-// leader: any error — saturation, budget, fault — is returned, never
-// cached, and the Group decides whether waiters share it (they do,
-// except the leader's own cancellation).
-func (h *Handler) lintForCache(ctx context.Context, name string, src []byte, key resultcache.Key) (*resultcache.Result, error) {
+// check runs one admission-controlled, budget-bounded lint and, with a
+// Cache, stores the completed finding stream. It runs as a
+// singleflight leader: any error — saturation, budget, fault — is
+// returned, never cached, and the Group decides whether waiters share
+// it (they do, except the leader's own cancellation).
+func (h *Handler) check(ctx context.Context, name string, src []byte, key resultcache.Key) (*warn.Recorder, error) {
 	if h.Limiter != nil {
 		release, err := h.acquireSlot(ctx)
 		if err != nil {
@@ -375,7 +303,8 @@ func (h *Handler) lintForCache(ctx context.Context, name string, src []byte, key
 		defer release()
 	}
 
-	// Chaos seam, same as the direct path.
+	// Chaos seam: tests inject slow lints, lint failures and panics
+	// here; in production this is one atomic load.
 	if err := faultinject.FireCtx(ctx, "gateway.lint"); err != nil {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
@@ -383,10 +312,10 @@ func (h *Handler) lintForCache(ctx context.Context, name string, src []byte, key
 		return nil, &lintFault{err: err}
 	}
 
-	var rec warn.Recorder
-	var sink warn.Sink = &rec
+	rec := &warn.Recorder{}
+	var sink warn.Sink = rec
 	if h.Metrics != nil {
-		sink = h.Metrics.Findings.Sink(&rec)
+		sink = h.Metrics.Findings.Sink(rec)
 	}
 	start := time.Now()
 	err := h.Linter.CheckBytesToCtx(ctx, name, src, sink)
@@ -395,12 +324,13 @@ func (h *Handler) lintForCache(ctx context.Context, name string, src []byte, key
 	}
 	if err != nil {
 		// The budget cut the check: a partial stream must not be
-		// cached — it would replay as the document's truth forever.
+		// rendered or cached — it would pass as the document's truth.
 		return nil, err
 	}
-	res := resultcache.NewResult(rec.Messages, rec.SuppressedIDs)
-	h.Cache.Put(key, res)
-	return res, nil
+	if h.Cache != nil {
+		h.Cache.Put(key, rec)
+	}
+	return rec, nil
 }
 
 // lintFault wraps a non-cancellation lint failure (injected faults,
@@ -420,45 +350,28 @@ func (h *Handler) acquireSlot(ctx context.Context) (func(), error) {
 	return release, err
 }
 
-// timedCheck returns the live-lint checkFunc for the direct path:
-// one CheckBytesToCtx over src into the caller's sink, with lint
-// duration and per-rule tallies recorded when metrics are on.
-func (h *Handler) timedCheck(ctx context.Context, name string, src []byte) checkFunc {
-	return func(sink warn.Sink) error {
-		if h.Metrics != nil {
-			sink = h.Metrics.Findings.Sink(sink)
-		}
-		start := time.Now()
-		err := h.Linter.CheckBytesToCtx(ctx, name, src, sink)
-		if h.Metrics != nil {
-			h.Metrics.LintDuration.Observe(time.Since(start).Seconds())
-		}
-		return err
-	}
-}
-
-// serveResult renders a completed finding stream — fresh from a lint
-// or replayed from the cache — in the requested format, with the
-// content-hash ETag and the X-Weblint-Cache disposition on every
-// response. Cache traffic counters increment exactly when these
-// headers ship, so the server-side hit/miss/coalesced counts
-// reconcile one-to-one with what clients observe.
-func (h *Handler) serveResult(w http.ResponseWriter, r *http.Request, name string, src []byte, format string, res *resultcache.Result, etag, status string) {
+// serveResult renders a completed finding stream — fresh from a lint,
+// shared by a singleflight leader, or replayed from the cache — in the
+// requested format, with the content-hash ETag and the X-Weblint-Cache
+// disposition on every response. Cache traffic counters increment
+// exactly when these headers ship, so the server-side
+// hit/miss/coalesced counts reconcile one-to-one with what clients
+// observe. rec may be shared with other requests and is only replayed.
+func (h *Handler) serveResult(w http.ResponseWriter, r *http.Request, name string, src []byte, format string, rec *warn.Recorder, etag, status string) {
 	h.cacheHeaders(w, etag, status)
-	if format != "html" {
-		check := func(sink warn.Sink) error {
-			res.Replay(sink)
-			return nil
-		}
-		h.serveMachine(w, r, name, src, format, check)
-		return
+	switch format {
+	case "html":
+		// The HTML report sorts by line; sort a private copy.
+		msgs := slices.Clone(rec.Messages)
+		warn.SortByLine(msgs)
+		h.renderReport(w, name, bytestr.String(src), msgs)
+	case "fixed":
+		h.serveFixed(w, src, rec)
+	case "baseline":
+		h.serveBaseline(w, name, src, rec)
+	default:
+		h.serveMachine(w, r, name, src, format, rec)
 	}
-	// The HTML report sorts by line; the cached stream is shared and
-	// immutable, so replay into a private collector and sort the copy.
-	var rec warn.Collector
-	res.Replay(&rec)
-	warn.SortByLine(rec.Messages)
-	h.renderReport(w, name, bytestr.String(src), rec.Messages)
 }
 
 // cacheHeaders stamps the content-hash validator and the cache
@@ -479,9 +392,10 @@ func (h *Handler) cacheHeaders(w http.ResponseWriter, etag, status string) {
 	}
 }
 
-// lintError answers a failed cached-path lint: saturation as 429 +
-// Retry-After, a blown budget as 504, an internal fault as 500. The
-// caller's own cancellation gets no answer — nobody is listening.
+// lintError answers a failed lint: saturation as 429 + Retry-After, a
+// blown budget as 504, an internal fault or a crashed shared check as
+// 500. The caller's own cancellation gets no answer — nobody is
+// listening.
 func (h *Handler) lintError(w http.ResponseWriter, format string, err error) {
 	var fault *lintFault
 	switch {
@@ -496,6 +410,12 @@ func (h *Handler) lintError(w http.ResponseWriter, format string, err error) {
 			return
 		}
 		h.renderError(w, http.StatusGatewayTimeout, "lint budget exceeded for this document")
+	case errors.Is(err, context.Canceled):
+		// The client hung up; nobody is listening.
+	default:
+		// resultcache.ErrLeaderPanicked: the check this request waited
+		// on crashed (its own request answered 500 through Recover).
+		h.renderError(w, http.StatusInternalServerError, "lint failed: "+err.Error())
 	}
 }
 
@@ -538,47 +458,26 @@ func etagMatches(header, etag string) bool {
 	return false
 }
 
-// checkFunc delivers one document's finding stream into a sink: a
-// live lint on the direct path, a cache replay on a hit. The renderers
-// below are written against this seam, which is what lets one cached
-// entry serve every format. A non-nil error means the stream was cut
-// (the lint budget expired); replays never error.
-type checkFunc func(sink warn.Sink) error
-
-// serveMachine answers a submission with machine-readable diagnostics
-// (format=json or format=sarif), the auto-remediated document
-// (format=fixed), or a recorded finding baseline (format=baseline):
-// json streams each finding from the check into the response as it
-// arrives; sarif is a single JSON document, so that renderer
-// necessarily buffers the findings until Close (bounded in practice by
-// MaxUpload on the submission); fixed collects the stream, applies the
-// machine-applicable fixes, and returns the rewritten document.
+// serveMachine answers a submission with machine-readable diagnostics:
+// format=json writes one JSON object per finding as the stream replays;
+// sarif is a single JSON document, so that renderer buffers the
+// findings until Close (bounded in practice by MaxUpload on the
+// submission).
 //
-// A json or sarif request may carry a baseline= form field holding a
-// previously recorded baseline document: findings it covers are
-// filtered out, so the response contains only NEW findings — the
-// gateway side of the CI contract that a baselined corpus fails only
-// on regressions. The X-Weblint-New-Findings header carries the new
-// finding count for sarif (which buffers until Close; json has
-// already streamed by the time the count is known, and its trailing
-// summary line counts the new findings anyway).
-func (h *Handler) serveMachine(w http.ResponseWriter, r *http.Request, name string, src []byte, format string, check checkFunc) {
+// The request may carry a baseline= form field holding a previously
+// recorded baseline document: findings it covers are filtered out, so
+// the response contains only NEW findings — the gateway side of the CI
+// contract that a baselined corpus fails only on regressions. The
+// X-Weblint-New-Findings header carries the new finding count for
+// sarif (which writes nothing until Close; json's trailing summary
+// line counts the new findings anyway).
+func (h *Handler) serveMachine(w http.ResponseWriter, r *http.Request, name string, src []byte, format string, rec *warn.Recorder) {
 	var rd render.Renderer
-	switch format {
-	case "json":
+	if format == "json" {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		rd = render.NewJSON(w)
-	case "sarif":
+	} else {
 		rd = render.NewSARIF(w)
-	case "fixed":
-		h.serveFixed(w, src, check)
-		return
-	case "baseline":
-		h.serveBaseline(w, name, src, check)
-		return
-	default:
-		http.Error(w, "unknown format "+format+" (expected html, json, sarif, baseline or fixed)", http.StatusBadRequest)
-		return
 	}
 
 	var sink warn.Sink = rd
@@ -592,36 +491,24 @@ func (h *Handler) serveMachine(w http.ResponseWriter, r *http.Request, name stri
 		filt = baseline.NewFilter(base, rd, baseline.StaticSource(name, bytestr.String(src)))
 		sink = filt
 	}
-	err := check(sink)
+	rec.Replay(sink)
 	if format == "sarif" {
-		// SARIF buffers until Close, so an over-budget check can still
-		// get an honest status instead of a silently partial document.
-		if err != nil {
-			http.Error(w, "lint budget exceeded for this document", http.StatusGatewayTimeout)
-			return
-		}
 		// Headers must precede the body; SARIF only writes at Close.
 		w.Header().Set("Content-Type", "application/sarif+json")
 		if filt != nil {
 			w.Header().Set("X-Weblint-New-Findings", strconv.Itoa(filt.New))
 		}
 	}
-	// json has already streamed whatever was produced before a budget
-	// cut; Close writes its trailing summary of exactly that.
 	_ = rd.Close()
 }
 
 // serveBaseline responds with a baseline document recording every
 // finding — the artifact a later baseline= diff request consumes.
-func (h *Handler) serveBaseline(w http.ResponseWriter, name string, src []byte, check checkFunc) {
-	rec := baseline.NewRecorder(nil, baseline.StaticSource(name, bytestr.String(src)))
-	if check(rec) != nil {
-		// A partial baseline would "pay down" findings never checked.
-		http.Error(w, "lint budget exceeded for this document", http.StatusGatewayTimeout)
-		return
-	}
+func (h *Handler) serveBaseline(w http.ResponseWriter, name string, src []byte, rec *warn.Recorder) {
+	b := baseline.NewRecorder(nil, baseline.StaticSource(name, bytestr.String(src)))
+	rec.Replay(b)
 	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(rec.File().Encode())
+	_, _ = w.Write(b.File().Encode())
 }
 
 // serveFixed applies the machine-applicable fixes from the finding
@@ -629,14 +516,9 @@ func (h *Handler) serveBaseline(w http.ResponseWriter, name string, src []byte, 
 // skipped fix counts ride in X-Weblint-Fixes-Applied and
 // X-Weblint-Fixes-Skipped headers so clients can tell a clean
 // document from an unfixable one without diffing.
-func (h *Handler) serveFixed(w http.ResponseWriter, src []byte, check checkFunc) {
+func (h *Handler) serveFixed(w http.ResponseWriter, src []byte, rec *warn.Recorder) {
 	var ap fixit.Applier
-	if check(&ap) != nil {
-		// Applying only the fixes found before the cut would hand back
-		// a half-repaired document presented as the fixed one.
-		http.Error(w, "lint budget exceeded for this document", http.StatusGatewayTimeout)
-		return
-	}
+	rec.Replay(&ap)
 	fixed, rep := ap.Apply(bytestr.String(src))
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	w.Header().Set("X-Weblint-Fixes-Applied", strconv.Itoa(rep.Applied))
@@ -654,7 +536,9 @@ var errTooLarge = errors.New("document exceeds the upload limit")
 // returned bytes are valid until buf is recycled — i.e. for the rest
 // of the request — and must not be mutated. A document over MaxUpload
 // fails with errTooLarge (paste, upload) or fetch.ErrBodyTooLarge
-// (check-by-URL); no input path ever lints a truncated prefix.
+// (check-by-URL); no input path ever lints a truncated prefix. A
+// urlencoded form arrives parsed (see handleSubmit); a multipart one is
+// streamed here.
 func (h *Handler) extractInput(ctx context.Context, r *http.Request, buf *bytes.Buffer) (name string, src []byte, err error) {
 	ct := r.Header.Get("Content-Type")
 	if strings.HasPrefix(ct, "multipart/form-data") {
@@ -665,8 +549,6 @@ func (h *Handler) extractInput(ctx context.Context, r *http.Request, buf *bytes.
 		if src != nil {
 			return name, src, nil
 		}
-	} else if err := r.ParseForm(); err != nil {
-		return "", nil, fmt.Errorf("parsing form: %w", err)
 	}
 
 	if u := strings.TrimSpace(r.FormValue("url")); u != "" {

@@ -110,31 +110,38 @@ func TestObserveStateNilArguments(t *testing.T) {
 	}
 }
 
-// TestDirectPathMetrics: metrics work without a cache too — the
-// direct path records durations and outcomes, just no cache counters.
+// TestDirectPathMetrics: metrics work without a cache too. Nothing is
+// stored, so every submission — a repeat included — lints and ships
+// X-Weblint-Cache: miss, and the counters, durations and rule tallies
+// say exactly that.
 func TestDirectPathMetrics(t *testing.T) {
 	h := NewHandler(nil)
 	h.Metrics = NewMetrics()
 	srv := httptest.NewServer(h.Mux(nil, nil))
 	defer srv.Close()
 
-	resp, err := http.PostForm(srv.URL+"/", url.Values{"html": {brokenPage}})
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		resp, err := http.PostForm(srv.URL+"/", url.Values{"html": {brokenPage}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if got := resp.Header.Get("X-Weblint-Cache"); got != "miss" {
+			t.Fatalf("submission %d X-Weblint-Cache = %q, want miss", i, got)
+		}
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
 
-	if h.Metrics.LintDuration.Count() != 1 {
-		t.Fatalf("lint duration observations = %d, want 1", h.Metrics.LintDuration.Count())
+	if h.Metrics.LintDuration.Count() != 2 {
+		t.Fatalf("lint duration observations = %d, want 2", h.Metrics.LintDuration.Count())
 	}
-	if h.Metrics.Responses.Value("200") != 1 {
-		t.Fatalf("200 count = %d, want 1", h.Metrics.Responses.Value("200"))
+	if h.Metrics.Responses.Value("200") != 2 {
+		t.Fatalf("200 count = %d, want 2", h.Metrics.Responses.Value("200"))
 	}
-	if h.Metrics.CacheMisses.Value() != 0 {
-		t.Fatal("direct path incremented cache counters")
+	if m, hits := h.Metrics.CacheMisses.Value(), h.Metrics.CacheHits.Value(); m != 2 || hits != 0 {
+		t.Fatalf("cache counters: misses=%d hits=%d, want 2/0", m, hits)
 	}
 	if len(h.Metrics.Findings.Fired()) == 0 {
-		t.Fatal("direct path did not tally rule findings")
+		t.Fatal("cache-off gateway did not tally rule findings")
 	}
 }

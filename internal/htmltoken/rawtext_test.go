@@ -138,8 +138,8 @@ func TestRawTextUnterminatedStartTagDoesNotEnterRawMode(t *testing.T) {
 
 // TestResetBytesAndRelease pins the pool contract: ResetBytes aliases
 // the slice without copying, and Release drops every reference into
-// the last document (source, attr spares, intern-cache keys) while
-// keeping the tokenizer reusable.
+// the last document (source, attr spares) while keeping the tokenizer
+// reusable.
 func TestResetBytesAndRelease(t *testing.T) {
 	tk := New("")
 	tk.ResetBytes([]byte(`<IMG SRC="a.gif" ALT="x">text`))
@@ -155,6 +155,24 @@ func TestResetBytesAndRelease(t *testing.T) {
 	tk.Reset("<P>hi")
 	if !tk.NextInto(&tok) || tok.Type != StartTag || tok.Name != "P" {
 		t.Fatalf("post-Release token = %+v", tok)
+	}
+}
+
+// TestInternCacheSurvivesBufferReuse: a pooled tokenizer meets its
+// next document in a recycled buffer. A name cached from the last
+// document must not read the new bytes written over it: <TT> rewritten
+// in place to <TD> tokenizes as td.
+func TestInternCacheSurvivesBufferReuse(t *testing.T) {
+	buf := []byte("<TT>x</TT>")
+	tk := New("")
+	tk.ResetBytes(buf)
+	var tok Token
+	for tk.NextInto(&tok) {
+	}
+	copy(buf, "<TD>x</TD>")
+	tk.ResetBytes(buf)
+	if !tk.NextInto(&tok) || tok.Name != "TD" || tok.Lower != "td" {
+		t.Fatalf("rewritten buffer's first tag: Name %q Lower %q, want TD/td", tok.Name, tok.Lower)
 	}
 }
 

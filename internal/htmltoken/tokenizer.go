@@ -68,10 +68,11 @@ type Tokenizer struct {
 	// internCache is a small direct-mapped cache in front of
 	// internLower for non-lower-case names. Documents repeat the same
 	// handful of upper-case tag and attribute spellings (<TD>, HREF,
-	// ...) thousands of times; a hit here is a length/byte compare
-	// instead of a map hash per name. Entries alias the current
-	// source document — Release clears them.
-	internCache [internCacheSize]struct{ name, canon string }
+	// ...) thousands of times; a hit here is a case-folding compare
+	// instead of a map hash per name. Entries hold only canonical
+	// lower-case names, never a substring of a checked document: the
+	// source may be a recycled buffer that a later document overwrites.
+	internCache [internCacheSize]string
 
 	// RawTextElements configures which elements switch the tokenizer
 	// into raw-text mode. Defaults to DefaultRawTextElements.
@@ -179,26 +180,24 @@ func (t *Tokenizer) Release() {
 		buf[i] = Attr{}
 	}
 	t.attrBuf = t.attrBuf[:0]
-	clear(t.internCache[:])
 }
 
 const internCacheSize = 32
 
 // internName is internLower through the tokenizer's direct-mapped
 // cache. Lower-case names resolve without touching the cache (they
-// are returned as-is); canonical strings stored on a miss never alias
-// the document, but the cache keys do.
+// are returned as-is). A cached canonical name is its own key — s hits
+// when it folds to it — and never aliases the document.
 func (t *Tokenizer) internName(s string) string {
 	if ascii.IsLower(s) {
 		return s
 	}
 	e := &t.internCache[(uint(s[0])*2+uint(len(s)))%internCacheSize]
-	if e.name == s {
-		return e.canon
+	if ascii.EqualFold(s, *e) {
+		return *e
 	}
-	canon := internLower(s)
-	e.name, e.canon = s, canon
-	return canon
+	*e = internLower(s)
+	return *e
 }
 
 // Tokenize scans the whole of src and returns all tokens. The returned
@@ -546,11 +545,11 @@ func rawNeedleFor(lower string) string {
 // whether odd quotes were detected, and whether the tag was
 // unterminated at end of input.
 //
-// The scan is event-driven: outside a quote only '"', '\'' and '>'
-// matter, inside a quote only the closing quote, '>' and '\n' do, so
-// each IndexAny3 call jumps straight to the next such byte. Successive
-// searches cover disjoint ranges of the source, keeping the whole scan
-// linear even on pathological quote soup.
+// The scan is event-driven: outside a quote only the two quote bytes
+// and '>' matter, inside a quote only the closing quote, '>' and a
+// newline do, so each IndexAny3 call jumps straight to the next such
+// byte. Successive searches cover disjoint ranges of the source,
+// keeping the whole scan linear even on pathological quote soup.
 func (t *Tokenizer) scanToGT(off int) (end int, oddQuotes, unterminated bool) {
 	src := t.src
 	firstGT := -1

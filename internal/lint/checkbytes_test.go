@@ -135,6 +135,39 @@ func TestCheckFilePooledRead(t *testing.T) {
 	})
 }
 
+// TestCheckFileRecycledBufferMatchesFresh: two same-sized files read
+// through the pooled buffer land on the same bytes, and the second
+// must not be checked with names cached from the first (<TT> read back
+// as the <TD> now in its place, dropping required-context). The
+// reference is a fresh Linter, since a polluted one's CheckString goes
+// wrong the same way.
+func TestCheckFileRecycledBufferMatchesFresh(t *testing.T) {
+	dir := t.TempDir()
+	first := filepath.Join(dir, "first.html")
+	second := filepath.Join(dir, "second.html")
+	const tt = "<HTML><BODY><TT>x</TT></BODY></HTML>"
+	td := strings.ReplaceAll(tt, "TT", "TD")
+	if err := os.WriteFile(first, []byte(tt), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(second, []byte(td), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	l := MustNew(Options{})
+	if _, err := l.CheckFile(first); err != nil {
+		t.Fatal(err)
+	}
+	got, err := l.CheckFile(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := MustNew(Options{}).CheckString(second, td)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("CheckFile over a recycled buffer differs from a fresh check:\n got %v\nwant %v", got, want)
+	}
+}
+
 // TestCheckReaderError: a failing reader still reports its error.
 func TestCheckReaderError(t *testing.T) {
 	l := MustNew(Options{})

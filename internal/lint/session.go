@@ -161,37 +161,26 @@ func (s *Session) Stats() SessionStats { return s.stats }
 // Messages renders the current findings, byte-identical to what
 // Linter.CheckString would return for the session's text.
 func (s *Session) Messages() []warn.Message {
-	msgs := s.MessagesInOrder()
+	msgs := s.Recording().Messages
 	warn.SortByLine(msgs)
 	return msgs
 }
 
-// MessagesInOrder renders the current findings in emission order — the
-// order a live check delivers through warn.Sink, which splices
-// preserve — for consumers that replay streams rather than sorted
-// reports (the gateway's cached results are emission-ordered).
-func (s *Session) MessagesInOrder() []warn.Message {
-	msgs := make([]warn.Message, 0, len(s.events))
+// Recording renders the current finding stream into a fresh Recorder,
+// exactly as a live check of the session's text would record it: the
+// messages in emission order — which splices preserve — and the IDs
+// of suppressed emissions. The gateway replays it like a cached
+// result.
+func (s *Session) Recording() *warn.Recorder {
+	rec := &warn.Recorder{Collector: warn.Collector{Messages: make([]warn.Message, 0, len(s.events))}}
 	for i := range s.events {
-		if s.events[i].Suppressed {
-			continue
-		}
-		msgs = append(msgs, s.events[i].Message())
-	}
-	return msgs
-}
-
-// SuppressedInOrder returns the IDs of suppressed emissions in
-// emission order — exactly what a live check's SuppressionObserver
-// would see for the session's current text.
-func (s *Session) SuppressedInOrder() []string {
-	var ids []string
-	for i := range s.events {
-		if s.events[i].Suppressed {
-			ids = append(ids, s.events[i].ID)
+		if ev := &s.events[i]; ev.Suppressed {
+			rec.ObserveSuppressed(ev.ID)
+		} else {
+			rec.Messages = append(rec.Messages, ev.Message())
 		}
 	}
-	return ids
+	return rec
 }
 
 // Apply applies edits in order — each against the result of the

@@ -39,11 +39,12 @@ func checkEquivalent(t testing.TB, l *Linter, s *Session, label string) {
 	}
 	var rec warn.Recorder
 	l.CheckStringTo(s.Name(), s.Text(), &rec)
-	if gotStream := renderMsgs(s.MessagesInOrder()); gotStream != renderMsgs(rec.Messages) {
+	stream := s.Recording()
+	if gotStream := renderMsgs(stream.Messages); gotStream != renderMsgs(rec.Messages) {
 		t.Fatalf("%s: emission-order stream diverges\nincremental:\n%s\nfrom-scratch:\n%s",
 			label, gotStream, renderMsgs(rec.Messages))
 	}
-	if gotSup, wantSup := strings.Join(s.SuppressedInOrder(), ","), strings.Join(rec.SuppressedIDs, ","); gotSup != wantSup {
+	if gotSup, wantSup := strings.Join(stream.SuppressedIDs, ","), strings.Join(rec.SuppressedIDs, ","); gotSup != wantSup {
 		t.Fatalf("%s: suppressed-emission stream diverges\nincremental: %s\nfrom-scratch: %s", label, gotSup, wantSup)
 	}
 }

@@ -2,12 +2,12 @@
 // cache: at fleet scale most traffic is repeat documents — CI re-runs,
 // crawler revisits, unchanged pages — and the cheapest lint is the one
 // that never runs. Entries are keyed on (SHA-256 of the document
-// bytes, configuration fingerprint) and hold the *finding stream* —
-// the emitted messages plus the suppressed-emission IDs, exactly what
-// a live check delivers through warn.Sink — not rendered bytes, so one
-// cached entry replays through any renderer: HTML report, JSON Lines,
-// SARIF, baseline recording, fix application and baseline= diffs all
-// ride the same entry.
+// bytes, configuration fingerprint) and each holds a *warn.Recorder:
+// the *finding stream* — the emitted messages plus the
+// suppressed-emission IDs, exactly what a live check delivers through
+// warn.Sink — not rendered bytes, so one cached entry replays through
+// any renderer: HTML report, JSON Lines, SARIF, baseline recording,
+// fix application and baseline= diffs all ride the same entry.
 //
 // The cache is a bounded, sharded LRU: shards are picked by key byte,
 // each shard is an independent mutex + hash map + intrusive recency
@@ -49,60 +49,20 @@ func KeyOf(configFP string, doc []byte) Key {
 // keys imply byte-identical responses.
 func (k Key) Hex() string { return hex.EncodeToString(k[:]) }
 
-// Result is one cached finding stream: the messages in emission order
-// and the suppressed-emission IDs, i.e. everything a warn.Sink chain
-// observes from a live check. A Result is immutable once constructed
-// and safe to replay concurrently; consumers that need to reorder
-// (the HTML report sorts by line) must copy first.
-type Result struct {
-	msgs       []warn.Message
-	suppressed []string
-	size       int
-}
-
-// NewResult builds a Result from a completed check's stream. The
-// caller hands over ownership of both slices.
-func NewResult(msgs []warn.Message, suppressed []string) *Result {
-	r := &Result{msgs: msgs, suppressed: suppressed}
-	r.size = r.computeSize()
-	return r
-}
-
-// Replay delivers the stream into sink exactly like a live check:
-// suppression observations first (mirroring warn.Recorder.Replay),
-// then each message in emission order. It reports whether the sink
-// accepted the whole stream.
-func (r *Result) Replay(sink warn.Sink) bool {
-	warn.ReplaySuppressed(sink, r.suppressed)
-	for _, m := range r.msgs {
-		if !sink.Write(m) {
-			return false
-		}
-	}
-	return true
-}
-
-// Len returns the number of cached messages.
-func (r *Result) Len() int { return len(r.msgs) }
-
-// Size is the entry's approximate memory footprint in bytes, used for
-// the cache's byte budget.
-func (r *Result) Size() int { return r.size }
-
-// computeSize approximates the heap bytes the entry pins: slice
+// sizeOf approximates the heap bytes a cached stream pins: slice
 // headers and struct overhead plus every owned string. Precision does
 // not matter — the budget is a bound, not an accounting system — but
 // the estimate must scale with the real footprint so a pathological
 // million-finding document cannot hide behind a flat per-entry cost.
-func (r *Result) computeSize() int {
+func sizeOf(rec *warn.Recorder) int {
 	const (
-		entryOverhead = 160 // entry + Result + map slot, roughly
+		entryOverhead = 160 // entry + Recorder + map slot, roughly
 		msgOverhead   = 96  // warn.Message struct
 		editOverhead  = 40  // warn.Edit struct
 	)
 	n := entryOverhead
-	for i := range r.msgs {
-		m := &r.msgs[i]
+	for i := range rec.Messages {
+		m := &rec.Messages[i]
 		n += msgOverhead + len(m.ID) + len(m.File) + len(m.Text)
 		if m.Fix != nil {
 			n += 48 + len(m.Fix.Label)
@@ -111,7 +71,7 @@ func (r *Result) computeSize() int {
 			}
 		}
 	}
-	for _, id := range r.suppressed {
+	for _, id := range rec.SuppressedIDs {
 		n += 16 + len(id)
 	}
 	return n
@@ -140,7 +100,8 @@ type shard struct {
 
 type entry struct {
 	key        Key
-	res        *Result
+	rec        *warn.Recorder
+	size       int // sizeOf(rec), fixed at Put
 	prev, next *entry
 }
 
@@ -171,8 +132,10 @@ func New(maxBytes int) *Cache {
 
 func (c *Cache) shard(k Key) *shard { return &c.shards[k[0]&(shardCount-1)] }
 
-// Get returns the cached result for k, refreshing its recency.
-func (c *Cache) Get(k Key) (*Result, bool) {
+// Get returns the cached finding stream for k, refreshing its
+// recency. The Recorder is shared with every other reader: replay it,
+// never modify it.
+func (c *Cache) Get(k Key) (*warn.Recorder, bool) {
 	s := c.shard(k)
 	s.mu.Lock()
 	e := s.entries[k]
@@ -181,17 +144,20 @@ func (c *Cache) Get(k Key) (*Result, bool) {
 		return nil, false
 	}
 	s.moveToFront(e)
-	res := e.res
+	rec := e.rec
 	s.mu.Unlock()
-	return res, true
+	return rec, true
 }
 
-// Put stores res under k, evicting least-recently-used entries until
-// the shard fits its budget. A result larger than the whole shard
-// budget is not stored at all: caching it would evict everything else
-// for an entry that cannot stay resident anyway.
-func (c *Cache) Put(k Key, res *Result) {
-	if res.Size() > c.perShard {
+// Put stores a completed check's finding stream under k, evicting
+// least-recently-used entries until the shard fits its budget. The
+// cache takes ownership of rec; nobody may modify it afterwards. A
+// stream larger than the whole shard budget is not stored at all:
+// caching it would evict everything else for an entry that cannot
+// stay resident anyway.
+func (c *Cache) Put(k Key, rec *warn.Recorder) {
+	size := sizeOf(rec)
+	if size > c.perShard {
 		return
 	}
 	s := c.shard(k)
@@ -203,10 +169,10 @@ func (c *Cache) Put(k Key, res *Result) {
 		s.mu.Unlock()
 		return
 	}
-	e := &entry{key: k, res: res}
+	e := &entry{key: k, rec: rec, size: size}
 	s.entries[k] = e
 	s.pushFront(e)
-	s.bytes += res.Size()
+	s.bytes += size
 	for s.bytes > c.perShard && s.tail != nil && s.tail != e {
 		s.evict(s.tail)
 	}
@@ -276,5 +242,5 @@ func (s *shard) moveToFront(e *entry) {
 func (s *shard) evict(e *entry) {
 	s.unlink(e)
 	delete(s.entries, e.key)
-	s.bytes -= e.res.Size()
+	s.bytes -= e.size
 }

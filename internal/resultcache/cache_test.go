@@ -12,6 +12,11 @@ func msg(id, text string) warn.Message {
 	return warn.Message{ID: id, Category: warn.Warning, File: "t.html", Line: 1, Col: 1, Text: text}
 }
 
+// stream builds a recorded finding stream.
+func stream(msgs []warn.Message, suppressed []string) *warn.Recorder {
+	return &warn.Recorder{Collector: warn.Collector{Messages: msgs}, SuppressedIDs: suppressed}
+}
+
 func TestKeyOfSeparatesConfigAndDocument(t *testing.T) {
 	doc := []byte("<html></html>")
 	k1 := KeyOf("fp-a", doc)
@@ -36,10 +41,13 @@ func TestKeyOfSeparatesConfigAndDocument(t *testing.T) {
 }
 
 func TestReplayMatchesRecorderContract(t *testing.T) {
-	res := NewResult(
+	c := New(1 << 20)
+	k := KeyOf("fp", []byte("doc"))
+	c.Put(k, stream(
 		[]warn.Message{msg("heading-order", "a"), msg("img-alt", "b")},
 		[]string{"upper-case", "upper-case"},
-	)
+	))
+	res, _ := c.Get(k)
 	var rec warn.Recorder
 	if !res.Replay(&rec) {
 		t.Fatal("Replay reported a refused stream")
@@ -70,17 +78,17 @@ func TestGetPutAndRecency(t *testing.T) {
 	if _, ok := c.Get(k); ok {
 		t.Fatal("empty cache reported a hit")
 	}
-	res := NewResult([]warn.Message{msg("x", "y")}, nil)
+	res := stream([]warn.Message{msg("x", "y")}, nil)
 	c.Put(k, res)
 	got, ok := c.Get(k)
 	if !ok || got != res {
 		t.Fatal("Put/Get round trip failed")
 	}
-	if c.Len() != 1 || c.Bytes() != res.Size() {
-		t.Fatalf("Len/Bytes = %d/%d, want 1/%d", c.Len(), c.Bytes(), res.Size())
+	if c.Len() != 1 || c.Bytes() != sizeOf(res) {
+		t.Fatalf("Len/Bytes = %d/%d, want 1/%d", c.Len(), c.Bytes(), sizeOf(res))
 	}
 	// Re-putting the same key keeps the incumbent.
-	c.Put(k, NewResult(nil, nil))
+	c.Put(k, stream(nil, nil))
 	if got, _ := c.Get(k); got != res {
 		t.Fatal("duplicate Put replaced the incumbent entry")
 	}
@@ -108,9 +116,9 @@ func forceShard(t *testing.T, n int) []Key {
 
 func TestLRUEvictionRespectsRecency(t *testing.T) {
 	keys := forceShard(t, 3)
-	res := NewResult([]warn.Message{msg("rule", "some finding text")}, nil)
+	res := stream([]warn.Message{msg("rule", "some finding text")}, nil)
 	// Budget two entries per shard (total = 16 shards × 2 × size).
-	c := New(2 * res.Size() * shardCount)
+	c := New(2 * sizeOf(res) * shardCount)
 
 	c.Put(keys[0], res)
 	c.Put(keys[1], res)
@@ -139,7 +147,7 @@ func TestOversizeResultIsNotStored(t *testing.T) {
 		big = append(big, msg("rule", "a long finding message that pads the entry well past the shard budget"))
 	}
 	k := KeyOf("fp", []byte("huge"))
-	c.Put(k, NewResult(big, nil))
+	c.Put(k, stream(big, nil))
 	if _, ok := c.Get(k); ok {
 		t.Fatal("oversize result was cached")
 	}
@@ -150,22 +158,22 @@ func TestOversizeResultIsNotStored(t *testing.T) {
 
 func TestBytesAccountingAfterEviction(t *testing.T) {
 	keys := forceShard(t, 8)
-	res := NewResult([]warn.Message{msg("rule", "finding")}, nil)
-	c := New(3 * res.Size() * shardCount)
+	res := stream([]warn.Message{msg("rule", "finding")}, nil)
+	c := New(3 * sizeOf(res) * shardCount)
 	for _, k := range keys {
 		c.Put(k, res)
 	}
 	if c.Len() != 3 {
 		t.Fatalf("Len = %d, want the 3 the budget allows", c.Len())
 	}
-	if want := 3 * res.Size(); c.Bytes() != want {
+	if want := 3 * sizeOf(res); c.Bytes() != want {
 		t.Fatalf("Bytes = %d after evictions, want %d", c.Bytes(), want)
 	}
 }
 
 func TestCacheConcurrentAccess(t *testing.T) {
 	c := New(1 << 16) // small: forces constant eviction under load
-	res := NewResult([]warn.Message{msg("rule", "finding")}, []string{"supp"})
+	res := stream([]warn.Message{msg("rule", "finding")}, []string{"supp"})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"sync"
+
+	"weblint/internal/warn"
 )
 
 // Group collapses concurrent duplicate work: when N submissions with
@@ -21,7 +23,9 @@ import (
 // impatient client cannot poison everyone behind it. Non-cancellation
 // leader errors (saturation, lint budget, faults) are shared: every
 // waiter fails the same way, which is exactly what would have happened
-// had they each run alone, minus the duplicate work.
+// had they each run alone, minus the duplicate work. A leader whose fn
+// panics retires its flight on the way out, and its waiters fail with
+// ErrLeaderPanicked: one crashing check never strands the key.
 type Group struct {
 	mu      sync.Mutex
 	flights map[Key]*flight
@@ -29,9 +33,13 @@ type Group struct {
 
 type flight struct {
 	done chan struct{}
-	res  *Result
+	res  *warn.Recorder
 	err  error
 }
+
+// ErrLeaderPanicked is what waiters receive when the leader's fn
+// panicked. The panic itself continues up the leader's own stack.
+var ErrLeaderPanicked = errors.New("resultcache: the shared check panicked")
 
 // NewGroup returns an empty singleflight group.
 func NewGroup() *Group {
@@ -44,7 +52,7 @@ func NewGroup() *Group {
 // the gateway surfaces it as X-Weblint-Cache: coalesced.
 //
 // fn must honour ctx; Do does not interrupt a running fn.
-func (g *Group) Do(ctx context.Context, key Key, fn func() (*Result, error)) (res *Result, shared bool, err error) {
+func (g *Group) Do(ctx context.Context, key Key, fn func() (*warn.Recorder, error)) (res *warn.Recorder, shared bool, err error) {
 	for {
 		g.mu.Lock()
 		if f := g.flights[key]; f != nil {
@@ -65,13 +73,21 @@ func (g *Group) Do(ctx context.Context, key Key, fn func() (*Result, error)) (re
 		f := &flight{done: make(chan struct{})}
 		g.flights[key] = f
 		g.mu.Unlock()
+		g.lead(key, f, fn)
+		return f.res, false, f.err
+	}
+}
 
-		f.res, f.err = fn()
-
+// lead runs fn as key's leader and retires the flight however fn ends.
+// f.err reads ErrLeaderPanicked until fn returns, so a panic leaves
+// exactly that for the waiters the deferred retirement wakes.
+func (g *Group) lead(key Key, f *flight, fn func() (*warn.Recorder, error)) {
+	f.err = ErrLeaderPanicked
+	defer func() {
 		g.mu.Lock()
 		delete(g.flights, key)
 		g.mu.Unlock()
 		close(f.done)
-		return f.res, false, f.err
-	}
+	}()
+	f.res, f.err = fn()
 }

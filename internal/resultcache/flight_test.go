@@ -14,7 +14,7 @@ import (
 func TestDoCollapsesConcurrentCallers(t *testing.T) {
 	g := NewGroup()
 	k := KeyOf("fp", []byte("doc"))
-	res := NewResult([]warn.Message{msg("rule", "finding")}, nil)
+	res := stream([]warn.Message{msg("rule", "finding")}, nil)
 
 	var calls atomic.Int64
 	gate := make(chan struct{})
@@ -28,7 +28,7 @@ func TestDoCollapsesConcurrentCallers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r, wasShared, err := g.Do(context.Background(), k, func() (*Result, error) {
+			r, wasShared, err := g.Do(context.Background(), k, func() (*warn.Recorder, error) {
 				calls.Add(1)
 				once.Do(func() { close(started) })
 				<-gate
@@ -69,7 +69,7 @@ func TestDoSharesLeaderError(t *testing.T) {
 
 	gate := make(chan struct{})
 	started := make(chan struct{})
-	go g.Do(context.Background(), k, func() (*Result, error) {
+	go g.Do(context.Background(), k, func() (*warn.Recorder, error) {
 		close(started)
 		<-gate
 		return nil, boom
@@ -78,7 +78,7 @@ func TestDoSharesLeaderError(t *testing.T) {
 
 	errc := make(chan error, 1)
 	go func() {
-		_, shared, err := g.Do(context.Background(), k, func() (*Result, error) {
+		_, shared, err := g.Do(context.Background(), k, func() (*warn.Recorder, error) {
 			t.Error("follower ran fn despite an active flight")
 			return nil, nil
 		})
@@ -100,7 +100,7 @@ func TestDoFollowerOwnCancellation(t *testing.T) {
 	gate := make(chan struct{})
 	started := make(chan struct{})
 	defer close(gate)
-	go g.Do(context.Background(), k, func() (*Result, error) {
+	go g.Do(context.Background(), k, func() (*warn.Recorder, error) {
 		close(started)
 		<-gate
 		return nil, nil
@@ -109,7 +109,7 @@ func TestDoFollowerOwnCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := g.Do(ctx, k, func() (*Result, error) { return nil, nil })
+	_, _, err := g.Do(ctx, k, func() (*warn.Recorder, error) { return nil, nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled follower got %v, want context.Canceled", err)
 	}
@@ -121,11 +121,11 @@ func TestDoFollowerOwnCancellation(t *testing.T) {
 func TestDoLeaderCancelPromotesFollower(t *testing.T) {
 	g := NewGroup()
 	k := KeyOf("fp", []byte("doc"))
-	res := NewResult(nil, nil)
+	res := &warn.Recorder{}
 
 	gate := make(chan struct{})
 	started := make(chan struct{})
-	go g.Do(context.Background(), k, func() (*Result, error) {
+	go g.Do(context.Background(), k, func() (*warn.Recorder, error) {
 		close(started)
 		<-gate
 		return nil, context.Canceled
@@ -135,7 +135,7 @@ func TestDoLeaderCancelPromotesFollower(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		r, _, err := g.Do(context.Background(), k, func() (*Result, error) {
+		r, _, err := g.Do(context.Background(), k, func() (*warn.Recorder, error) {
 			return res, nil
 		})
 		if err != nil {
@@ -163,7 +163,7 @@ func TestDoDistinctKeysDoNotCollapse(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			k := KeyOf("fp", []byte{byte(i)})
-			g.Do(context.Background(), k, func() (*Result, error) {
+			g.Do(context.Background(), k, func() (*warn.Recorder, error) {
 				calls.Add(1)
 				time.Sleep(5 * time.Millisecond)
 				return nil, nil
@@ -173,5 +173,54 @@ func TestDoDistinctKeysDoNotCollapse(t *testing.T) {
 	wg.Wait()
 	if calls.Load() != 4 {
 		t.Fatalf("distinct keys ran fn %d times, want 4", calls.Load())
+	}
+}
+
+// TestDoLeaderPanicRetiresFlight: a leader whose fn panics must still
+// retire its flight. The panic reaches the leader's own caller, a
+// waiter fails with ErrLeaderPanicked instead of hanging, and the next
+// call for the key runs fn afresh.
+func TestDoLeaderPanicRetiresFlight(t *testing.T) {
+	g := NewGroup()
+	k := KeyOf("fp", []byte("doc"))
+	gate := make(chan struct{})
+	started := make(chan struct{})
+	leaderPanic := make(chan any, 1)
+	go func() {
+		defer func() { leaderPanic <- recover() }()
+		g.Do(context.Background(), k, func() (*warn.Recorder, error) {
+			close(started)
+			<-gate
+			panic("check exploded")
+		})
+	}()
+	<-started
+
+	errc := make(chan error, 1)
+	go func() {
+		_, _, err := g.Do(context.Background(), k, func() (*warn.Recorder, error) {
+			return &warn.Recorder{}, nil // reached only if the flight retired first
+		})
+		errc <- err
+	}()
+	time.Sleep(5 * time.Millisecond)
+	close(gate)
+	if p := <-leaderPanic; p == nil {
+		t.Fatal("the leader's panic did not reach its caller")
+	}
+	select {
+	case err := <-errc:
+		if err != nil && !errors.Is(err, ErrLeaderPanicked) {
+			t.Fatalf("waiter got %v, want ErrLeaderPanicked", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("waiter hung on a panicked flight")
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	res, shared, err := g.Do(ctx, k, func() (*warn.Recorder, error) { return &warn.Recorder{}, nil })
+	if err != nil || shared || res == nil {
+		t.Fatalf("call after the panic: res=%v shared=%v err=%v, want a fresh run", res, shared, err)
 	}
 }

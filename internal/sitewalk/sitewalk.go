@@ -180,13 +180,11 @@ func Walk(root string, o Options) (*Report, error) {
 				walkErr = res.err
 				return false
 			}
-			if o.Sink != nil {
-				warn.ReplaySuppressed(o.Sink, res.suppressed)
-			}
-			for _, m := range res.msgs {
-				if !emit(m) {
-					return false
-				}
+			if o.Sink == nil {
+				rep.Messages = append(rep.Messages, res.Messages...)
+			} else if !res.Replay(o.Sink) {
+				rep.Cancelled = true
+				return false
 			}
 			anchors[res.page] = res.anchors
 			for _, t := range res.refs {
@@ -279,11 +277,12 @@ type fragRef struct {
 // pageResult carries everything the merge phase needs from one page.
 // It deliberately holds only extracted strings, never the source.
 type pageResult struct {
-	page     string
-	err        error
-	msgs       []warn.Message  // lint messages, then bad-link messages
-	suppressed []string        // disabled-rule emission IDs, in order
-	anchors    map[string]bool // fragment anchors defined in the page
+	page string
+	err  error
+	// Recorder holds the lint messages, then bad-link messages, and the
+	// disabled-rule emission IDs in order.
+	warn.Recorder
+	anchors  map[string]bool // fragment anchors defined in the page
 	refs     []string        // local pages this page references
 	external []string        // external URLs found
 	fragRefs []fragRef
@@ -312,13 +311,10 @@ func checkPage(root, page string, o *Options, pageSet map[string]bool) pageResul
 		return res
 	}
 	src := buf.Bytes()
-	// Lint into a Recorder (sorted below, matching CheckBytes) so
+	// Lint into the Recorder (sorted below, matching CheckBytes) so
 	// per-rule suppression stats survive into the ordered merge.
-	var rec warn.Recorder
-	o.Linter.CheckBytesTo(page, src, &rec)
-	warn.SortByLine(rec.Messages)
-	res.msgs = rec.Messages
-	res.suppressed = rec.SuppressedIDs
+	o.Linter.CheckBytesTo(page, src, &res.Recorder)
+	warn.SortByLine(res.Messages)
 	var links []linkcheck.Link
 	links, res.anchors = linkcheck.ScanBytes(src)
 
@@ -349,7 +345,7 @@ func checkPage(root, page string, o *Options, pageSet map[string]bool) pageResul
 			continue
 		}
 		if !o.SkipLocalLinks && !existsLocal(root, target) {
-			res.msgs = append(res.msgs, warn.Message{
+			res.Messages = append(res.Messages, warn.Message{
 				ID: "bad-link", Category: warn.Error,
 				File: page, Line: link.Line,
 				Text: "target for anchor \"" + link.URL + "\" not found",

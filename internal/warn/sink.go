@@ -88,24 +88,14 @@ type SuppressionObserver interface {
 	ObserveSuppressed(id string)
 }
 
-// ReplaySuppressed forwards recorded suppressed-emission IDs into sink
-// when it cares; a sink without SuppressionObserver ignores them.
-func ReplaySuppressed(sink Sink, ids []string) {
-	if len(ids) == 0 {
-		return
-	}
-	if o, ok := sink.(SuppressionObserver); ok {
-		for _, id := range ids {
-			o.ObserveSuppressed(id)
-		}
-	}
-}
-
 // Recorder is a Collector that additionally records suppressed
-// emission IDs, in emission order. Buffered delivery paths (the batch
-// engine, the sequential CLI) check into a Recorder and later Replay
-// it into the real sink, so per-rule suppression stats survive the
-// buffering hop.
+// emission IDs, in emission order: a finished check's whole finding
+// stream. Every buffered delivery path holds one — engine and site-walk
+// results, the sequential CLI, the gateway's result cache and
+// singleflight, Session.Recording — and later Replays it into the real
+// sink, so per-rule suppression stats survive the buffering hop. A
+// shared Recorder (a cache entry) is read-only: replay it, and copy its
+// Messages before reordering them.
 type Recorder struct {
 	Collector
 	// SuppressedIDs are the IDs of suppressed emissions, in order.
@@ -117,10 +107,15 @@ func (r *Recorder) ObserveSuppressed(id string) {
 	r.SuppressedIDs = append(r.SuppressedIDs, id)
 }
 
-// Replay forwards the recorded suppressions and then every collected
-// message into sink, reporting whether the stream may continue.
+// Replay forwards the recorded suppressions — when sink is a
+// SuppressionObserver — and then every collected message into sink,
+// reporting whether the stream may continue.
 func (r *Recorder) Replay(sink Sink) bool {
-	ReplaySuppressed(sink, r.SuppressedIDs)
+	if o, ok := sink.(SuppressionObserver); ok {
+		for _, id := range r.SuppressedIDs {
+			o.ObserveSuppressed(id)
+		}
+	}
 	for _, m := range r.Messages {
 		if !sink.Write(m) {
 			return false

@@ -328,12 +328,12 @@ type Emitter struct {
 	base      *Set            // read-only enablement baseline
 	overlay   map[string]bool // copy-on-write runtime overrides
 	catalog   Catalog
-	collect   Collector // default destination: accumulate in order
-	sink      Sink      // current destination; &collect unless SetSink
-	cancelled bool      // the sink returned false; emit nothing more
+	collect   Collector    // default destination: accumulate in order
+	sink      Sink         // current destination; &collect unless SetSink
+	cancelled bool         // the sink returned false; emit nothing more
 	extCancel *atomic.Bool // external cancel flag, polled by Cancelled
-	buf       []byte    // scratch buffer for message formatting
-	eventSink func(Event) // structured emission recorder, see SetEventSink
+	buf       []byte       // scratch buffer for message formatting
+	eventSink func(Event)  // structured emission recorder, see SetEventSink
 }
 
 // NewEmitter returns an Emitter filtering through set. A nil set means
