@@ -12,6 +12,7 @@ package weblint
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -31,6 +32,7 @@ import (
 	"weblint/internal/htmlspec"
 	"weblint/internal/htmltoken"
 	"weblint/internal/lint"
+	"weblint/internal/render"
 	"weblint/internal/robot"
 	"weblint/internal/sitewalk"
 	"weblint/internal/validator"
@@ -85,6 +87,32 @@ func BenchmarkE3Formatters(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkE3SARIF measures the SARIF renderer over the findings of
+// the E13 error-dense document, recorded once. Each iteration replays
+// them into a fresh renderer, with the timer stopped, and times Close,
+// which encodes the whole log: its ns/finding is the renderer's serial
+// tail per finding, and its allocs/op must not grow with the findings.
+func BenchmarkE3SARIF(b *testing.B) {
+	var rec warn.Recorder
+	l := lint.MustNew(lint.Options{})
+	l.CheckStringTo("dense.html", corpus.GenerateSized(7, 1<<20, corpus.Uniform(0.25)), &rec)
+	if len(rec.Messages) == 0 {
+		b.Fatal("error-dense corpus produced no messages")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		r := render.NewSARIF(io.Discard)
+		rec.Replay(r)
+		b.StartTimer()
+		if err := r.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rec.Messages)), "ns/finding")
 }
 
 // BenchmarkE4ConfigLoad measures configuration parsing and the

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -10,6 +11,11 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"weblint/internal/corpus"
+	"weblint/internal/lint"
+	"weblint/internal/render"
+	"weblint/internal/warn"
 )
 
 // warningsOnly produces only warning-category findings (doctype-first,
@@ -326,4 +332,54 @@ func TestSuppressionStats(t *testing.T) {
 	}
 	_, out, _ = runCLI(t, "", "-norc", "-R", "-d", "img-alt", "-format", "json", dir)
 	check(out, 4)
+}
+
+// writeCounter is a stdout that counts the writes it receives.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestStdoutBuffered: the renderer writes to stdout through a 64 KiB
+// buffer, so a document with thousands of findings reaches stdout in a
+// handful of writes rather than one per finding, and every byte still
+// arrives before run returns.
+func TestStdoutBuffered(t *testing.T) {
+	src := corpus.GenerateSized(7, 512<<10, corpus.Uniform(0.25))
+	path := writeTemp(t, "dense.html", src)
+	var rec warn.Recorder
+	lint.MustNew(lint.Options{}).CheckStringTo(path, src, &rec)
+	warn.SortByLine(rec.Messages)
+	if len(rec.Messages) < 1000 {
+		t.Fatalf("only %d findings; the test needs thousands", len(rec.Messages))
+	}
+	for _, style := range []string{"lint", "json", "sarif"} {
+		var want bytes.Buffer
+		r, err := render.New(style, &want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.Replay(r)
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		var stdout writeCounter
+		var stderr bytes.Buffer
+		if code := run([]string{"-norc", "-format", style, path}, strings.NewReader(""), &stdout, &stderr); code != 1 {
+			t.Fatalf("%s: exit %d, stderr %q", style, code, stderr.String())
+		}
+		if !bytes.Equal(stdout.Bytes(), want.Bytes()) {
+			t.Errorf("%s: stdout differs from the renderer's output (%d bytes, want %d)", style, stdout.Len(), want.Len())
+		}
+		if limit := stdout.Len()/(64<<10) + 2; stdout.writes > limit {
+			t.Errorf("%s: %d writes for %d findings (%d bytes), want at most %d",
+				style, stdout.writes, len(rec.Messages), stdout.Len(), limit)
+		}
+	}
 }

@@ -29,6 +29,7 @@
 package main
 
 import (
+	"bufio"
 	"cmp"
 	"flag"
 	"fmt"
@@ -204,8 +205,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	// wrap the chain: the filter forwards only findings the baseline
 	// does not cover (so the renderer and the summary see just the new
 	// ones), and the recorder — outermost, so it sees everything —
-	// captures the full run for -baseline-write.
-	renderer, err := render.New(style, stdout)
+	// captures the full run for -baseline-write. The renderer writes
+	// through a buffer: the line renderers write once per finding,
+	// which unbuffered is one write(2) each.
+	out := bufio.NewWriterSize(stdout, 64<<10)
+	renderer, err := render.New(style, out)
 	if err != nil {
 		fmt.Fprintf(stderr, "weblint: %v\n", err)
 		return 2
@@ -239,6 +243,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	// document with the findings seen so far beats a truncated one.
 	if cerr := renderer.Close(); cerr != nil && opErr == nil {
 		opErr = cerr
+	}
+	if ferr := out.Flush(); ferr != nil && opErr == nil {
+		opErr = ferr
 	}
 	if opErr != nil {
 		fmt.Fprintf(stderr, "weblint: %v\n", opErr)

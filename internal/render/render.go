@@ -10,10 +10,12 @@
 //
 // Renderers are streaming where the format allows it: the line-based
 // renderers (including json) write each message as it arrives and
-// buffer nothing. SARIF is a single JSON document, so that renderer
-// accumulates results and writes the log at Close. Either way the
-// producer drives them identically: Write each message, then Close
-// exactly once.
+// buffer nothing. SARIF is a single JSON document whose rules table,
+// which precedes the results, needs every referenced ID first, so that
+// renderer records the messages and writes the log at Close — streamed
+// in chunks of at most 32 KiB, holding the recorded messages plus one
+// chunk rather than the whole document. Either way the producer drives
+// them identically: Write each message, then Close exactly once.
 package render
 
 import (
@@ -21,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 
 	"weblint/internal/warn"
 )
@@ -185,223 +186,4 @@ func (r *jsonRenderer) Close() error {
 		}
 	}
 	return r.err
-}
-
-// SARIF 2.1.0 document shapes (the subset weblint emits).
-type sarifLog struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name           string      `json:"name"`
-	Version        string      `json:"version,omitempty"`
-	InformationURI string      `json:"informationUri,omitempty"`
-	Rules          []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID                   string           `json:"id"`
-	ShortDescription     *sarifText       `json:"shortDescription,omitempty"`
-	FullDescription      *sarifText       `json:"fullDescription,omitempty"`
-	DefaultConfiguration *sarifRuleConfig `json:"defaultConfiguration,omitempty"`
-}
-
-type sarifText struct {
-	Text string `json:"text"`
-}
-
-type sarifRuleConfig struct {
-	Level string `json:"level"`
-}
-
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	RuleIndex int             `json:"ruleIndex"`
-	Level     string          `json:"level"`
-	Message   sarifText       `json:"message"`
-	Locations []sarifLocation `json:"locations"`
-	Fixes     []sarifFix      `json:"fixes,omitempty"`
-}
-
-// SARIF fix objects: a description plus artifact changes whose
-// replacements carry byte-offset deletedRegions (weblint edits are
-// byte spans over the checked document).
-type sarifFix struct {
-	Description sarifText             `json:"description"`
-	Changes     []sarifArtifactChange `json:"artifactChanges"`
-}
-
-type sarifArtifactChange struct {
-	ArtifactLocation sarifArtifact      `json:"artifactLocation"`
-	Replacements     []sarifReplacement `json:"replacements"`
-}
-
-type sarifReplacement struct {
-	DeletedRegion   sarifByteRegion `json:"deletedRegion"`
-	InsertedContent *sarifText      `json:"insertedContent,omitempty"`
-}
-
-type sarifByteRegion struct {
-	ByteOffset int `json:"byteOffset"`
-	ByteLength int `json:"byteLength"`
-}
-
-// sarifFixes converts a message's optional fix.
-func sarifFixes(m warn.Message) []sarifFix {
-	if m.Fix == nil {
-		return nil
-	}
-	reps := make([]sarifReplacement, len(m.Fix.Edits))
-	for i, e := range m.Fix.Edits {
-		reps[i] = sarifReplacement{
-			DeletedRegion: sarifByteRegion{ByteOffset: e.Start, ByteLength: e.End - e.Start},
-		}
-		if e.Text != "" {
-			reps[i].InsertedContent = &sarifText{Text: e.Text}
-		}
-	}
-	return []sarifFix{{
-		Description: sarifText{Text: m.Fix.Label},
-		Changes: []sarifArtifactChange{{
-			ArtifactLocation: sarifArtifact{URI: m.File},
-			Replacements:     reps,
-		}},
-	}}
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysical `json:"physicalLocation"`
-}
-
-type sarifPhysical struct {
-	ArtifactLocation sarifArtifact `json:"artifactLocation"`
-	Region           *sarifRegion  `json:"region,omitempty"`
-}
-
-type sarifArtifact struct {
-	URI string `json:"uri"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn,omitempty"`
-}
-
-// sarifLevel maps weblint's categories onto SARIF result levels:
-// errors are "error", warnings "warning", and style comments "note".
-func sarifLevel(c warn.Category) string {
-	switch c {
-	case warn.Error:
-		return "error"
-	case warn.Warning:
-		return "warning"
-	case warn.Style:
-		return "note"
-	}
-	return "none"
-}
-
-// sarifRenderer accumulates the stream and writes one SARIF log at
-// Close. The rules table contains exactly the message definitions the
-// stream referenced, sorted by ID, so two runs over the same stream
-// produce byte-identical logs.
-type sarifRenderer struct {
-	w    io.Writer
-	msgs []warn.Message
-}
-
-// NewSARIF returns a renderer producing a SARIF 2.1.0 log. SARIF is a
-// single JSON document, so the log is written at Close; everything
-// else about driving the renderer matches the streaming ones.
-func NewSARIF(w io.Writer) Renderer {
-	return &sarifRenderer{w: w}
-}
-
-func (r *sarifRenderer) Write(m warn.Message) bool {
-	r.msgs = append(r.msgs, m)
-	return true
-}
-
-func (r *sarifRenderer) Close() error {
-	// Rules: the distinct IDs referenced, sorted for determinism.
-	idSet := map[string]int{}
-	var ids []string
-	for _, m := range r.msgs {
-		if _, ok := idSet[m.ID]; !ok {
-			idSet[m.ID] = 0
-			ids = append(ids, m.ID)
-		}
-	}
-	sort.Strings(ids)
-	rules := make([]sarifRule, len(ids))
-	for i, id := range ids {
-		idSet[id] = i
-		rule := sarifRule{ID: id}
-		if d := warn.Lookup(id); d != nil {
-			rule.DefaultConfiguration = &sarifRuleConfig{Level: sarifLevel(d.Category)}
-			if d.Format != "" {
-				rule.ShortDescription = &sarifText{Text: d.Format}
-			}
-			if d.Explain != "" {
-				rule.FullDescription = &sarifText{Text: d.Explain}
-			}
-		}
-		rules[i] = rule
-	}
-
-	results := make([]sarifResult, len(r.msgs))
-	for i, m := range r.msgs {
-		res := sarifResult{
-			RuleID:    m.ID,
-			RuleIndex: idSet[m.ID],
-			Level:     sarifLevel(m.Category),
-			Message:   sarifText{Text: m.Text},
-			Fixes:     sarifFixes(m),
-		}
-		region := &sarifRegion{StartLine: m.Line, StartColumn: m.Col}
-		if region.StartLine < 1 {
-			// SARIF requires startLine >= 1; document-level messages
-			// anchor at the top.
-			region.StartLine = 1
-		}
-		res.Locations = []sarifLocation{{
-			PhysicalLocation: sarifPhysical{
-				ArtifactLocation: sarifArtifact{URI: m.File},
-				Region:           region,
-			},
-		}}
-		results[i] = res
-	}
-
-	log := sarifLog{
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Version: "2.1.0",
-		Runs: []sarifRun{{
-			Tool: sarifTool{Driver: sarifDriver{
-				Name:           "weblint",
-				Version:        "2.0",
-				InformationURI: "https://www.usenix.org/conference/1998-usenix-annual-technical-conference",
-				Rules:          rules,
-			}},
-			Results: results,
-		}},
-	}
-	out, err := json.MarshalIndent(log, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	_, err = r.w.Write(out)
-	return err
 }
