@@ -474,10 +474,10 @@ func BenchmarkE8SiteWalkParallel(b *testing.B) {
 }
 
 // BenchmarkE7CheckFile measures a warm whole-file check. With the
-// pooled read buffer and the zero-copy CheckBytes bridge, a warm 1 MB
-// CheckFile no longer allocates for the document at all; the seed
-// paid an os.ReadFile allocation plus a full string(data) copy — two
-// megabytes of garbage per check at this size.
+// pooled read buffer (lint.ReadFile) and a zero-copy view of it, a
+// warm 1 MB CheckFile no longer allocates for the document at all; the
+// seed paid an os.ReadFile allocation plus a full string(data) copy —
+// two megabytes of garbage per check at this size.
 func BenchmarkE7CheckFile(b *testing.B) {
 	for _, size := range []int{16 << 10, 1 << 20} {
 		src := corpus.GenerateSized(99, size, corpus.ErrorRates{})

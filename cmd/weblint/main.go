@@ -30,7 +30,9 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"cmp"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -42,6 +44,7 @@ import (
 	"strings"
 
 	"weblint/internal/baseline"
+	"weblint/internal/bufpool"
 	"weblint/internal/bytestr"
 	"weblint/internal/config"
 	"weblint/internal/engine"
@@ -414,7 +417,7 @@ func runFix(c *cli, files []string, linter *lint.Linter, stdout, stderr io.Write
 			if r.err != nil {
 				return r
 			}
-			msgs := linter.CheckBytes(path, r.data)
+			msgs := linter.CheckString(path, bytestr.String(r.data))
 			r.fixed, r.rep = fixit.Apply(bytestr.String(r.data), msgs)
 			return r
 		},
@@ -503,27 +506,17 @@ func checkArgs(c *cli, files []string, linter *lint.Linter, stdin io.Reader, sin
 	}
 
 	for _, arg := range files {
+		var read func(*bytes.Buffer) error
 		switch {
 		case arg == "-":
-			ok, err := checkOne(sink, func(rec warn.Sink) error {
-				return linter.CheckReaderTo("-", stdin, rec)
-			})
-			if err != nil {
-				return err
-			}
-			if !ok {
+			read = func(buf *bytes.Buffer) error {
+				if _, err := buf.ReadFrom(stdin); err != nil {
+					return fmt.Errorf("reading stdin: %w", err)
+				}
 				return nil
 			}
 		case c.urlMode:
-			ok, err := checkOne(sink, func(rec warn.Sink) error {
-				return linter.CheckURLTo(arg, rec)
-			})
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
+			read = func(buf *bytes.Buffer) error { return lint.ReadURL(context.Background(), arg, buf) }
 		default:
 			st, err := os.Stat(arg)
 			if err != nil {
@@ -551,31 +544,34 @@ func checkArgs(c *cli, files []string, linter *lint.Linter, stdin io.Reader, sin
 					// further arguments would be wasted I/O.
 					return nil
 				}
-			} else {
-				ok, err := checkOne(sink, func(rec warn.Sink) error {
-					return linter.CheckFileTo(arg, rec)
-				})
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return nil
-				}
+				continue
 			}
+			read = func(buf *bytes.Buffer) error { return lint.ReadFile(arg, buf) }
+		}
+		ok, err := checkOne(linter, sink, arg, read)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return nil
 		}
 	}
 	return nil
 }
 
-// checkOne runs a single document check into a Recorder and replays
-// it — suppression stats included — into sink in sorted order (the
-// per-document output contract the slice APIs keep). The bool result
-// reports whether the sink accepts more.
-func checkOne(sink warn.Sink, check func(warn.Sink) error) (bool, error) {
-	var rec warn.Recorder
-	if err := check(&rec); err != nil {
+// checkOne reads one document with read into a pooled buffer, checks
+// it into a Recorder under name, and replays it — suppression stats
+// included — into sink in sorted order (the per-document output
+// contract CheckString keeps). The bool result reports whether the
+// sink accepts more.
+func checkOne(l *lint.Linter, sink warn.Sink, name string, read func(*bytes.Buffer) error) (bool, error) {
+	buf := bufpool.Get()
+	defer bufpool.Put(buf)
+	if err := read(buf); err != nil {
 		return false, err
 	}
+	var rec warn.Recorder
+	l.Check(context.Background(), name, buf.Bytes(), &rec)
 	warn.SortByLine(rec.Messages)
 	return rec.Replay(sink), nil
 }

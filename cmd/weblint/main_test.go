@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"weblint/internal/fetch"
 )
 
 const section42 = `<HTML>
@@ -99,14 +101,41 @@ func TestCleanFileExitsZero(t *testing.T) {
 	}
 }
 
+// TestStdinDash: "-" checks stdin, and its messages are named "-".
 func TestStdinDash(t *testing.T) {
-	code, out, _ := runCLI(t, section42, "-norc", "-s", "-")
+	code, out, _ := runCLI(t, section42, "-norc", "-t", "-")
 	if code != 1 {
 		t.Errorf("exit code = %d", code)
 	}
-	if !strings.Contains(out, "line 1: first element was not DOCTYPE") {
-		t.Errorf("stdin output = %q", out)
+	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
+	if len(lines) != 7 || lines[0] != "-:1:doctype-first" {
+		t.Errorf("stdin output = %q, want the 7 section 4.2 findings named -", out)
 	}
+}
+
+// TestStdinReadError: a failing stdin read is an operational error
+// (exit 2), and nothing read before the failure is checked.
+func TestStdinReadError(t *testing.T) {
+	var out, errb bytes.Buffer
+	code := run([]string{"-norc", "-"}, &failReader{data: []byte(section42)}, &out, &errb)
+	if code != 2 || !strings.Contains(errb.String(), "reading stdin") {
+		t.Errorf("code = %d, stderr = %q; want 2 and the read error", code, errb.String())
+	}
+	if out.Len() != 0 {
+		t.Errorf("partial stdin was checked: %q", out.String())
+	}
+}
+
+// failReader returns its data, then fails.
+type failReader struct{ data []byte }
+
+func (f *failReader) Read(p []byte) (int, error) {
+	if len(f.data) > 0 {
+		n := copy(p, f.data)
+		f.data = f.data[n:]
+		return n, nil
+	}
+	return 0, os.ErrClosed
 }
 
 func TestEnableDisableFlags(t *testing.T) {
@@ -232,6 +261,24 @@ func TestURLMode(t *testing.T) {
 	}
 	if !strings.Contains(out, "line 1: first element was not DOCTYPE") {
 		t.Errorf("URL mode output = %q", out)
+	}
+}
+
+// TestURLModeBodyCap: -u refuses a body over the fetch size cap with
+// exit 2 instead of checking it or a truncated prefix.
+func TestURLModeBodyCap(t *testing.T) {
+	body := section42 + strings.Repeat(" ", int(fetch.New(fetch.Options{}).MaxBody())+1-len(section42))
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.WriteString(w, body)
+	}))
+	defer srv.Close()
+
+	code, out, stderr := runCLI(t, "", "-norc", "-u", srv.URL+"/big.html")
+	if code != 2 || !strings.Contains(stderr, fetch.ErrBodyTooLarge.Error()) {
+		t.Errorf("code = %d, stderr = %q; want 2 and the size-limit error", code, stderr)
+	}
+	if out != "" {
+		t.Errorf("over-cap body was checked: %q", out)
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package bufpool pools whole-document read buffers for the intake
-// paths: lint.CheckReader/CheckFile and the gateway's upload and
-// fetch-by-URL handlers. Every one of those used to pay a fresh
-// io.ReadAll allocation (and growth copies) per request; with the pool
-// a warm server reads each document into recycled memory.
+// paths: lint.CheckFile, the batch engine's and the CLI's file and URL
+// reads, sitewalk, and the gateway's upload and fetch-by-URL handlers.
+// Every one of those used to pay a fresh io.ReadAll allocation (and
+// growth copies) per request; with the pool a warm server reads each
+// document into recycled memory.
 package bufpool
 
 import (

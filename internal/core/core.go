@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"weblint/internal/ascii"
-	"weblint/internal/bytestr"
 	"weblint/internal/htmlspec"
 	"weblint/internal/htmltoken"
 	"weblint/internal/plugin"
@@ -306,13 +305,6 @@ func Check(src string, em *warn.Emitter, opts Options) {
 	c := New(em, opts)
 	tz := htmltoken.New(src)
 	c.Run(tz)
-}
-
-// CheckBytes is Check over a byte slice, without copying it. The
-// caller must not mutate src while the call is in progress; after it
-// returns, every emitted message owns its text and src may be reused.
-func CheckBytes(src []byte, em *warn.Emitter, opts Options) {
-	Check(bytestr.String(src), em, opts)
 }
 
 // Run feeds every token from tz through the checker and finishes the

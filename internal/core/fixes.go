@@ -17,8 +17,8 @@ import (
 // check has already fired — and must obey two rules:
 //
 //  1. Replacement text never aliases the checked source (messages own
-//     everything they carry; CheckBytes callers may recycle the
-//     buffer the moment the check returns).
+//     everything they carry; lint.Linter.Check callers may recycle
+//     the buffer the moment the check returns).
 //  2. Applying the fix must make the finding disappear on a re-lint
 //     WITHOUT introducing any new finding. Where that cannot be
 //     guaranteed (a close tag whose insertion would expose an

@@ -1,5 +1,5 @@
 // Package engine implements weblint's parallel batch-lint engine: a
-// bounded worker pool that takes a stream of lint jobs (a path, a URL,
+// bounded worker pool that takes a batch of lint jobs (a path, a URL,
 // or in-memory bytes), checks them on GOMAXPROCS workers through one
 // shared Linter, and streams results back in deterministic input
 // order.
@@ -25,11 +25,13 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 
+	"weblint/internal/bufpool"
 	"weblint/internal/lint"
 	"weblint/internal/warn"
 )
@@ -37,12 +39,13 @@ import (
 // Job names one document for the engine. Exactly one of Src, Path and
 // URL should be set; they are consulted in that order.
 type Job struct {
-	// Name labels the document in messages. When empty it defaults to
-	// Path or URL.
+	// Name labels the document in messages and in Result.Name, whatever
+	// its source. When empty it defaults to Path or URL, or "-" for Src.
 	Name string
-	// Path is a file to read from disk.
+	// Path is a file to read from disk (lint.ReadFile).
 	Path string
-	// URL is a page to retrieve over HTTP.
+	// URL is a page to retrieve over HTTP (lint.ReadURL); a body over
+	// the fetch size cap fails the job.
 	URL string
 	// Src is an in-memory document, checked zero-copy; it must not be
 	// mutated until the job's Result has been delivered.
@@ -71,7 +74,7 @@ type Result struct {
 
 // Engine is a reusable batch-lint configuration. The zero value lints
 // with a default Linter on GOMAXPROCS workers; an Engine may be shared
-// and its Run/Stream methods called concurrently.
+// and its Run methods called concurrently.
 type Engine struct {
 	// Linter checks the documents; nil means a default Linter,
 	// constructed once on first use.
@@ -154,56 +157,10 @@ func (e *Engine) RunTo(jobs []Job, sink warn.Sink) error {
 	return firstErr
 }
 
-// Stream lints jobs as they arrive on the channel and delivers results
-// on the returned channel in input order. The result channel is closed
-// once the input channel has been closed and every job delivered.
-//
-// The caller must either drain the result channel or call cancel
-// (idempotent, safe to defer): a consumer that simply stops reading
-// would otherwise wedge the collector and leak the pool. After cancel,
-// remaining input is drained unprocessed and the result channel is
-// closed once in-flight jobs finish. The jobs channel must still be
-// closed by the caller — cancel releases the workers, but a drain
-// goroutine stays parked on jobs until it closes.
-func (e *Engine) Stream(jobs <-chan Job) (results <-chan Result, cancel func()) {
-	out := make(chan Result)
-	quit := make(chan struct{})
-	var once sync.Once
-	cancel = func() { once.Do(func() { close(quit) }) }
-	seq := make(chan indexed[Job])
-	go func() {
-		defer close(seq)
-		i := 0
-		for j := range jobs {
-			select {
-			case seq <- indexed[Job]{i, j}:
-				i++
-			case <-quit:
-				// Unblock the caller's feeder before bowing out.
-				for range jobs {
-				}
-				return
-			}
-		}
-	}()
-	go func() {
-		defer close(out)
-		Ordered(e.workers(), e.window(), seq,
-			func(sj indexed[Job]) Result { return e.lintJob(sj.i, sj.r) },
-			func(r Result) bool {
-				select {
-				case out <- r:
-					return true
-				case <-quit:
-					return false
-				}
-			})
-	}()
-	return out, cancel
-}
-
 // lintJob checks one job, recovering panics into Result.Err so a
-// poisoned document cannot wedge the pool.
+// poisoned document cannot wedge the pool. Path and URL jobs are read
+// into a pooled buffer first; a read or fetch error fails before the
+// check runs, so it records nothing.
 func (e *Engine) lintJob(idx int, j Job) (res Result) {
 	res.Index = idx
 	res.Name = j.Name
@@ -213,49 +170,52 @@ func (e *Engine) lintJob(idx int, j Job) (res Result) {
 			res.Err = fmt.Errorf("engine: check of %s panicked: %v", res.Name, p)
 		}
 	}()
-	l := e.linter()
-	// Check into the result's Recorder rather than through the slice
-	// APIs: it collects the same messages (sorted below, matching
-	// CheckFile's contract) and additionally captures suppressed-emission
-	// IDs for per-rule stats. A read or fetch error fails before the
-	// check runs, so it records nothing.
-	switch {
-	case j.Src != nil:
-		if res.Name == "" {
-			res.Name = "-"
+	src := j.Src
+	if src == nil {
+		buf := bufpool.Get()
+		defer bufpool.Put(buf)
+		switch {
+		case j.Path != "":
+			if res.Name == "" {
+				res.Name = j.Path
+			}
+			res.Err = lint.ReadFile(j.Path, buf)
+		case j.URL != "":
+			if res.Name == "" {
+				res.Name = j.URL
+			}
+			res.Err = lint.ReadURL(context.TODO(), j.URL, buf)
+		default:
+			res.Err = errors.New("engine: job has no source (Src, Path or URL)")
 		}
-		l.CheckBytesTo(res.Name, j.Src, &res.Recorder)
-	case j.Path != "":
-		if res.Name == "" {
-			res.Name = j.Path
+		if res.Err != nil {
+			return res
 		}
-		res.Err = l.CheckFileTo(j.Path, &res.Recorder)
-	case j.URL != "":
-		if res.Name == "" {
-			res.Name = j.URL
-		}
-		res.Err = l.CheckURLTo(j.URL, &res.Recorder)
-	default:
-		res.Err = errors.New("engine: job has no source (Src, Path or URL)")
+		src = buf.Bytes()
+	} else if res.Name == "" {
+		res.Name = "-"
 	}
+	// Check into the result's Recorder: it collects the messages (sorted
+	// below, matching CheckString's contract) and additionally captures
+	// suppressed-emission IDs for per-rule stats.
+	e.linter().Check(context.TODO(), res.Name, src, &res.Recorder)
 	warn.SortByLine(res.Messages)
 	return res
 }
 
-// Ordered is the fan-out/fan-in core: it runs fn over the jobs channel
-// on `workers` goroutines and calls emit with every result, in input
+// OrderedSlice is the fan-out/fan-in core: it runs fn over jobs on
+// `workers` goroutines and calls emit with every result, in input
 // order, from the calling goroutine. Each job gets a one-slot result
 // cell; cells enter a queue in dispatch order and the caller drains
 // them in that order, so emission overlaps the computation of later
 // jobs but never reorders. window bounds how many jobs may be past
 // dispatch and not yet emitted.
 //
-// Returning false from emit cancels the run: dispatch stops (a job or
-// two already racing past the window may still run), in-flight jobs
-// finish and are discarded, and any remaining input is drained
-// unprocessed so the feeding goroutine is never stranded. Ordered
-// returns when the workers have exited.
-func Ordered[J, R any](workers, window int, jobs <-chan J, fn func(J) R, emit func(R) bool) {
+// Returning false from emit cancels the run: dispatch stops (a job
+// already racing past the window may still run), in-flight jobs finish
+// and are discarded. OrderedSlice returns when the workers have
+// exited.
+func OrderedSlice[J, R any](workers, window int, jobs []J, fn func(int, J) R, emit func(int, R) bool) {
 	if workers < 1 {
 		workers = 1
 	}
@@ -263,7 +223,7 @@ func Ordered[J, R any](workers, window int, jobs <-chan J, fn func(J) R, emit fu
 		window = workers
 	}
 	type task struct {
-		j    J
+		i    int
 		cell chan R
 	}
 	tasks := make(chan task)
@@ -276,13 +236,13 @@ func Ordered[J, R any](workers, window int, jobs <-chan J, fn func(J) R, emit fu
 		go func() {
 			defer wg.Done()
 			for t := range tasks {
-				t.cell <- fn(t.j)
+				t.cell <- fn(t.i, jobs[t.i])
 			}
 		}()
 	}
 	go func() {
 	dispatch:
-		for j := range jobs {
+		for i := range jobs {
 			// The unconditional check first: once stop is closed, at
 			// most one more job (already past this line) dispatches,
 			// even when the window also has room.
@@ -297,42 +257,19 @@ func Ordered[J, R any](workers, window int, jobs <-chan J, fn func(J) R, emit fu
 				break dispatch
 			case order <- cell: // blocks when the window is full
 			}
-			tasks <- task{j, cell}
+			tasks <- task{i, cell}
 		}
 		close(tasks)
-		// Unblock the feeder: after a cancel there may be unread input.
-		for range jobs {
-		}
 		wg.Wait()
 		close(order)
 	}()
-	stopped := false
+	i, stopped := 0, false
 	for cell := range order {
 		r := <-cell
-		if !stopped && !emit(r) {
+		if !stopped && !emit(i, r) {
 			stopped = true
 			close(stop)
 		}
+		i++
 	}
-}
-
-// indexed pairs a value with its input position.
-type indexed[R any] struct {
-	i int
-	r R
-}
-
-// OrderedSlice is Ordered over a slice, passing each element's index
-// through to fn and emit.
-func OrderedSlice[J, R any](workers, window int, jobs []J, fn func(int, J) R, emit func(int, R) bool) {
-	ch := make(chan int)
-	go func() {
-		for i := range jobs {
-			ch <- i
-		}
-		close(ch)
-	}()
-	Ordered(workers, window, ch,
-		func(i int) indexed[R] { return indexed[R]{i, fn(i, jobs[i])} },
-		func(out indexed[R]) bool { return emit(out.i, out.r) })
 }

@@ -1,7 +1,12 @@
 package engine
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,6 +16,7 @@ import (
 	"time"
 
 	"weblint/internal/corpus"
+	"weblint/internal/fetch"
 	"weblint/internal/lint"
 	"weblint/internal/plugin"
 	"weblint/internal/warn"
@@ -43,7 +49,7 @@ func TestRunDeterministicOrder(t *testing.T) {
 
 	want := make([][]warn.Message, len(docs))
 	for i, d := range docs {
-		want[i] = l.CheckBytes(fmt.Sprintf("doc%d.html", i), d)
+		want[i] = l.CheckString(fmt.Sprintf("doc%d.html", i), string(d))
 	}
 
 	jobs := make([]Job, len(docs))
@@ -73,68 +79,6 @@ func TestRunDeterministicOrder(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestStreamOrder checks the channel-fed interface delivers in input
-// order too.
-func TestStreamOrder(t *testing.T) {
-	docs := genDocs(60)
-	l := lint.MustNew(lint.Options{})
-	for _, workers := range adversarialWorkerCounts {
-		eng := &Engine{Linter: l, Workers: workers}
-		jobs := make(chan Job)
-		go func() {
-			for i, d := range docs {
-				jobs <- Job{Name: fmt.Sprintf("doc%d.html", i), Src: d}
-			}
-			close(jobs)
-		}()
-		results, cancel := eng.Stream(jobs)
-		defer cancel()
-		i := 0
-		for r := range results {
-			if r.Index != i {
-				t.Fatalf("workers=%d: result %d has Index %d", workers, i, r.Index)
-			}
-			i++
-		}
-		if i != len(docs) {
-			t.Fatalf("workers=%d: got %d results, want %d", workers, i, len(docs))
-		}
-	}
-}
-
-// TestStreamCancel: abandoning a stream after cancel() must unwind the
-// feeder, dispatcher and workers — the result channel closes and the
-// jobs feed is drained rather than stranded.
-func TestStreamCancel(t *testing.T) {
-	docs := genDocs(8)
-	eng := &Engine{Linter: lint.MustNew(lint.Options{}), Workers: 2}
-	jobs := make(chan Job)
-	fed := make(chan struct{})
-	go func() {
-		defer close(fed)
-		for i := 0; i < 500; i++ {
-			jobs <- Job{Name: fmt.Sprintf("doc%d.html", i), Src: docs[i%len(docs)]}
-		}
-		close(jobs)
-	}()
-	results, cancel := eng.Stream(jobs)
-	got := 0
-	for range results {
-		got++
-		if got == 3 {
-			cancel()
-		}
-	}
-	select {
-	case <-fed:
-	case <-time.After(5 * time.Second):
-		t.Fatal("jobs feeder stranded after cancel")
-	}
-	if got < 3 {
-		t.Fatalf("got %d results before cancel", got)
 	}
 }
 
@@ -223,21 +167,19 @@ func TestPanicDoesNotWedgePool(t *testing.T) {
 
 // TestCancellation: returning false from emit stops dispatch — with
 // a big batch, only a handful of jobs past the cancellation point may
-// run, and Run still returns cleanly (no stranded feeder or workers).
+// run, and Run still returns cleanly (no stranded dispatcher or
+// workers).
 func TestCancellation(t *testing.T) {
 	var ran atomic.Int32
-	jobs := make(chan int)
-	go func() {
-		for i := 0; i < 1000; i++ {
-			jobs <- i
-		}
-		close(jobs)
-	}()
+	jobs := make([]int, 1000)
 	emitted := 0
-	Ordered(2, 4, jobs, func(i int) int {
+	OrderedSlice(2, 4, jobs, func(i, _ int) int {
 		ran.Add(1)
 		return i
-	}, func(v int) bool {
+	}, func(i, v int) bool {
+		if v != i {
+			t.Fatalf("result %d emitted at index %d", v, i)
+		}
 		emitted++
 		return emitted < 3 // cancel after the third result
 	})
@@ -292,13 +234,7 @@ func TestOrderedWindowBound(t *testing.T) {
 	const window = 4
 	release := make(chan struct{})
 	started := make(chan int, 64)
-	jobs := make(chan int)
-	go func() {
-		for i := 0; i < 20; i++ {
-			jobs <- i
-		}
-		close(jobs)
-	}()
+	jobs := make([]int, 20)
 	go func() {
 		// With job 0 wedged, at most window+1 jobs can start: the
 		// collector holds job 0's cell while the order queue holds the
@@ -315,13 +251,13 @@ func TestOrderedWindowBound(t *testing.T) {
 		close(release)
 	}()
 	var got []int
-	Ordered(window, window, jobs, func(i int) int {
+	OrderedSlice(window, window, jobs, func(i, _ int) int {
 		started <- i
 		if i == 0 {
 			<-release
 		}
 		return i * i
-	}, func(v int) bool {
+	}, func(_, v int) bool {
 		got = append(got, v)
 		return true
 	})
@@ -332,5 +268,59 @@ func TestOrderedWindowBound(t *testing.T) {
 	}
 	if len(got) != 20 {
 		t.Fatalf("emitted %d results, want 20", len(got))
+	}
+}
+
+// TestJobNameLabelsEverySource: Job.Name labels the messages of file
+// and URL jobs too, not only Result.Name.
+func TestJobNameLabelsEverySource(t *testing.T) {
+	const page = "<HTML><BODY><IMG SRC=\"x.gif\"></BODY></HTML>"
+	path := filepath.Join(t.TempDir(), "page.html")
+	if err := os.WriteFile(path, []byte(page), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, page)
+	}))
+	defer srv.Close()
+
+	jobs := []Job{
+		{Name: "site/page.html", Path: path},
+		{Name: "site/remote.html", URL: srv.URL + "/page.html"},
+	}
+	for _, r := range (&Engine{Workers: 2}).RunAll(jobs) {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Name, r.Err)
+		}
+		want := jobs[r.Index].Name
+		if r.Name != want || len(r.Messages) == 0 {
+			t.Fatalf("job %d: Name %q with %d messages, want %q with some", r.Index, r.Name, len(r.Messages), want)
+		}
+		for _, m := range r.Messages {
+			if m.File != want {
+				t.Errorf("job %d: message names %q, want %q", r.Index, m.File, want)
+			}
+		}
+	}
+}
+
+// TestURLJobBodyCap: a URL job whose body is one byte over the fetch
+// cap fails with fetch.ErrBodyTooLarge and records nothing; it is
+// never linted as a whole or a truncated prefix.
+func TestURLJobBodyCap(t *testing.T) {
+	limit := int(fetch.New(fetch.Options{}).MaxBody())
+	body := []byte("<HTML><BODY>" + strings.Repeat("<IMG SRC=\"x.gif\">\n", limit/20))
+	body = append(body, bytes.Repeat([]byte{' '}, limit+1-len(body))...)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write(body)
+	}))
+	defer srv.Close()
+
+	r := (&Engine{Workers: 1}).RunAll([]Job{{URL: srv.URL}})[0]
+	if !errors.Is(r.Err, fetch.ErrBodyTooLarge) {
+		t.Fatalf("Err = %v, want fetch.ErrBodyTooLarge", r.Err)
+	}
+	if len(r.Messages) != 0 {
+		t.Fatalf("%d messages recorded for an over-cap body", len(r.Messages))
 	}
 }

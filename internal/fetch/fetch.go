@@ -1,11 +1,12 @@
 // Package fetch provides the shared hardened HTTP fetch client used
 // by every surface that retrieves documents from the network: the
 // gateway's check-by-URL form, the poacher robot, the remote link
-// checker, and the library's CheckURL. It exists because a bare
-// http.Get in a long-lived service is a liability: no connect timeout,
-// no total budget, unlimited redirects, unbounded response bodies, and
-// a willingness to fetch link-local metadata endpoints on behalf of
-// whoever submitted the form.
+// checker, and lint.ReadURL (the library's, the batch engine's and the
+// CLI's -u intake). It exists because a bare http.Get in a long-lived
+// service is a liability: no connect timeout, no total budget,
+// unlimited redirects, unbounded response bodies, and a willingness to
+// fetch link-local metadata endpoints on behalf of whoever submitted
+// the form.
 //
 // The client enforces, in one place:
 //

@@ -398,3 +398,42 @@ func TestCacheOffAnswersLikeCacheOn(t *testing.T) {
 		}
 	}
 }
+
+// TestSameBytesUnderTwoNames: every finding carries the document name,
+// so identical bytes uploaded as a.html and then b.html must not share
+// a cache entry, an ETag or a diff base — b.html's answers must be
+// exactly a fresh gateway's.
+func TestSameBytesUnderTwoNames(t *testing.T) {
+	h := cachedHandler()
+	upload := func(to *Handler, name, format string) *httptest.ResponseRecorder {
+		rec := postUpload(t, to, name, brokenPage, format)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("upload %s format=%s: %d %s", name, format, rec.Code, rec.Body.String())
+		}
+		return rec
+	}
+	a := upload(h, "a.html", "json")
+	b := upload(h, "b.html", "json")
+	if got := b.Header().Get("X-Weblint-Cache"); got != "miss" {
+		t.Fatalf("b.html X-Weblint-Cache = %q, want miss", got)
+	}
+	etag := b.Header().Get("ETag")
+	if etag == a.Header().Get("ETag") {
+		t.Fatal("a.html and b.html share an ETag")
+	}
+	for _, format := range []string{"json", "baseline"} {
+		got := upload(h, "b.html", format).Body.String()
+		want := upload(cachedHandler(), "b.html", format).Body.String()
+		if got != want {
+			t.Fatalf("format=%s for b.html after a.html:\n%s\nfresh gateway:\n%s", format, got, want)
+		}
+	}
+
+	d := postValues(h, url.Values{"diff": {etag}, "edits": {"[]"}, "format": {"json"}})
+	if d.Code != http.StatusOK {
+		t.Fatalf("diff against b.html: %d %s", d.Code, d.Body.String())
+	}
+	if body := d.Body.String(); !strings.Contains(body, `"file":"b.html"`) || strings.Contains(body, "a.html") {
+		t.Fatalf("diff against b.html's ETag names the wrong document:\n%s", body)
+	}
+}

@@ -213,7 +213,7 @@ func (h *Handler) submitDiff(w http.ResponseWriter, r *http.Request) {
 	e.sess.Apply(le)
 	e.text = e.sess.Text()
 
-	newKey := resultcache.KeyOf(h.Linter.ConfigFingerprint(), []byte(e.text))
+	newKey := resultcache.KeyOf(h.Linter.ConfigFingerprint(), []byte(e.text)).Named(e.name)
 	h.bases().rekey(e, newKey)
 
 	// Serve the emission-order recording, not the sorted view: a diff

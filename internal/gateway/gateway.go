@@ -249,7 +249,7 @@ func (h *Handler) submit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	key := resultcache.KeyOf(h.Linter.ConfigFingerprint(), src)
+	key := resultcache.KeyOf(h.Linter.ConfigFingerprint(), src).Named(name)
 	etag := `"` + key.Hex() + `"`
 	// Retain the document so later requests can diff against this
 	// response's ETag instead of resending it (see diff.go).
@@ -318,7 +318,7 @@ func (h *Handler) check(ctx context.Context, name string, src []byte, key result
 		sink = h.Metrics.Findings.Sink(rec)
 	}
 	start := time.Now()
-	err := h.Linter.CheckBytesToCtx(ctx, name, src, sink)
+	err := h.Linter.Check(ctx, name, src, sink)
 	if h.Metrics != nil {
 		h.Metrics.LintDuration.Observe(time.Since(start).Seconds())
 	}

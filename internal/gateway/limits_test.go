@@ -55,10 +55,17 @@ func postValues(h *Handler, form url.Values) *httptest.ResponseRecorder {
 	return rec
 }
 
-func postUpload(t *testing.T, h *Handler, name, doc string) *httptest.ResponseRecorder {
+// postUpload submits doc as a file upload named name, asking for
+// format unless it is empty.
+func postUpload(t *testing.T, h *Handler, name, doc, format string) *httptest.ResponseRecorder {
 	t.Helper()
 	var buf bytes.Buffer
 	mw := multipart.NewWriter(&buf)
+	if format != "" {
+		if err := mw.WriteField("format", format); err != nil {
+			t.Fatal(err)
+		}
+	}
 	fw, err := mw.CreateFormFile("upload", name)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +107,7 @@ func TestPasteOverLimitIs413(t *testing.T) {
 
 func TestUploadAtLimitCheckedInFull(t *testing.T) {
 	h := limitedHandler()
-	rec := postUpload(t, h, "exact.html", docOfSize(t, testLimit))
+	rec := postUpload(t, h, "exact.html", docOfSize(t, testLimit), "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d for an upload exactly at the limit", rec.Code)
 	}
@@ -111,7 +118,7 @@ func TestUploadAtLimitCheckedInFull(t *testing.T) {
 
 func TestUploadOverLimitIs413(t *testing.T) {
 	h := limitedHandler()
-	rec := postUpload(t, h, "big.html", docOfSize(t, testLimit+1))
+	rec := postUpload(t, h, "big.html", docOfSize(t, testLimit+1), "")
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status = %d, want 413", rec.Code)
 	}

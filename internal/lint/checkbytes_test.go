@@ -1,14 +1,29 @@
 package lint
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"weblint/internal/bufpool"
 	"weblint/internal/corpus"
+	"weblint/internal/warn"
 )
+
+// checkSorted runs Check without a deadline and sorts the stream, the
+// way CheckString returns it.
+func checkSorted(t *testing.T, l *Linter, name string, src []byte) []warn.Message {
+	t.Helper()
+	var c warn.Collector
+	if err := l.Check(context.Background(), name, src, &c); err != nil {
+		t.Fatal(err)
+	}
+	warn.SortByLine(c.Messages)
+	return c.Messages
+}
 
 // TestCheckBytesMatchesCheckString: the zero-copy path must produce
 // exactly the messages the string path produces.
@@ -19,13 +34,13 @@ func TestCheckBytesMatchesCheckString(t *testing.T) {
 		Errors: corpus.ErrorRates{Overlap: 0.4, DropClose: 0.3, Misspell: 0.2},
 	})
 	want := l.CheckString("doc.html", src)
-	got := l.CheckBytes("doc.html", []byte(src))
+	got := checkSorted(t, l, "doc.html", []byte(src))
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("CheckBytes differs from CheckString:\n got %v\nwant %v", got, want)
+		t.Fatalf("Check differs from CheckString:\n got %v\nwant %v", got, want)
 	}
 }
 
-// TestCheckBytesBufferReuse: once CheckBytes returns, the caller may
+// TestCheckBytesBufferReuse: once Check returns, the caller may
 // overwrite the buffer — earlier messages must be unaffected (they own
 // their text) and later checks over the recycled buffer must be
 // correct. This is the contract the pooled read paths depend on.
@@ -41,11 +56,11 @@ func TestCheckBytesBufferReuse(t *testing.T) {
 
 	buf := make([]byte, 0, max(len(a), len(b))+1)
 	buf = append(buf[:0], a...)
-	gotA := l.CheckBytes("a.html", buf)
+	gotA := checkSorted(t, l, "a.html", buf)
 
 	// Recycle the buffer for a different document.
 	buf = append(buf[:0], b...)
-	gotB := l.CheckBytes("b.html", buf)
+	gotB := checkSorted(t, l, "b.html", buf)
 
 	// And clobber it entirely.
 	for i := range buf {
@@ -60,31 +75,36 @@ func TestCheckBytesBufferReuse(t *testing.T) {
 	}
 }
 
-// TestCheckReaderPooledBuffer: repeated CheckReader calls must stay
+// TestReadFilePooledBuffer: repeated ReadFile + Check rounds must stay
 // correct while sharing pooled read buffers, including interleaved
 // sizes (a big document then a small one must not see stale bytes).
-func TestCheckReaderPooledBuffer(t *testing.T) {
+func TestReadFilePooledBuffer(t *testing.T) {
 	l := MustNew(Options{})
-	big := corpus.GenerateSized(7, 256<<10, corpus.ErrorRates{})
-	small := "<html><head><title>t</title></head><body>tiny</body></html>"
-
-	wantBig := l.CheckString("big.html", big)
-	wantSmall := l.CheckString("small.html", small)
+	dir := t.TempDir()
+	docs := map[string]string{
+		filepath.Join(dir, "big.html"):   corpus.GenerateSized(7, 256<<10, corpus.ErrorRates{}),
+		filepath.Join(dir, "small.html"): "<html><head><title>t</title></head><body>tiny</body></html>",
+	}
+	want := map[string][]warn.Message{}
+	for path, src := range docs {
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want[path] = l.CheckString(path, src)
+	}
 
 	for i := 0; i < 4; i++ {
-		gotBig, err := l.CheckReader("big.html", strings.NewReader(big))
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotSmall, err := l.CheckReader("small.html", strings.NewReader(small))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gotBig, wantBig) {
-			t.Fatalf("iteration %d: big document messages differ", i)
-		}
-		if !reflect.DeepEqual(gotSmall, wantSmall) {
-			t.Fatalf("iteration %d: small document messages differ", i)
+		for _, name := range []string{"big.html", "small.html"} {
+			path := filepath.Join(dir, name)
+			buf := bufpool.Get()
+			if err := ReadFile(path, buf); err != nil {
+				t.Fatal(err)
+			}
+			got := checkSorted(t, l, path, buf.Bytes())
+			bufpool.Put(buf)
+			if !reflect.DeepEqual(got, want[path]) {
+				t.Fatalf("iteration %d: %s messages differ", i, name)
+			}
 		}
 	}
 }
@@ -166,24 +186,4 @@ func TestCheckFileRecycledBufferMatchesFresh(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("CheckFile over a recycled buffer differs from a fresh check:\n got %v\nwant %v", got, want)
 	}
-}
-
-// TestCheckReaderError: a failing reader still reports its error.
-func TestCheckReaderError(t *testing.T) {
-	l := MustNew(Options{})
-	r := &failReader{data: []byte("<html>")}
-	if _, err := l.CheckReader("x.html", r); err == nil {
-		t.Fatal("CheckReader swallowed the read error")
-	}
-}
-
-type failReader struct{ data []byte }
-
-func (f *failReader) Read(p []byte) (int, error) {
-	if len(f.data) > 0 {
-		n := copy(p, f.data)
-		f.data = nil
-		return n, nil
-	}
-	return 0, os.ErrClosed
 }

@@ -3,6 +3,7 @@ package lint
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -10,67 +11,57 @@ import (
 	"weblint/internal/warn"
 )
 
+// TestCheckStringToCtxNoDeadlineMatchesPlain: Check without a
+// deadline, and under a context that could end but never does,
+// delivers exactly the stream of the plain path.
 func TestCheckStringToCtxNoDeadlineMatchesPlain(t *testing.T) {
 	l := MustNew(Options{})
 	src := `<HTML><HEAD><TITLE>x</TITLE></HEAD><BODY><H1>a</H2></BODY></HTML>`
-
-	var plain, ctxed warn.Collector
+	var plain warn.Collector
 	l.CheckStringTo("doc.html", src, &plain)
-	if err := l.CheckStringToCtx(context.Background(), "doc.html", src, &ctxed); err != nil {
-		t.Fatal(err)
+	if len(plain.Messages) == 0 {
+		t.Fatal("fixture produced no messages")
 	}
-	if len(plain.Messages) == 0 || len(plain.Messages) != len(ctxed.Messages) {
-		t.Fatalf("plain %d messages, ctx %d", len(plain.Messages), len(ctxed.Messages))
-	}
-	for i := range plain.Messages {
-		// Fix pointers differ by identity run to run; compare the
-		// message content.
-		a, b := plain.Messages[i], ctxed.Messages[i]
-		a.Fix, b.Fix = nil, nil
-		if a != b {
-			t.Fatalf("message %d differs: %v vs %v", i, a, b)
+
+	cancellable, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, ctx := range []context.Context{context.Background(), cancellable} {
+		var got warn.Collector
+		if err := l.Check(ctx, "doc.html", []byte(src), &got); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Messages, plain.Messages) {
+			t.Fatalf("Check %v\nplain %v", got.Messages, plain.Messages)
 		}
 	}
 }
 
-func TestCheckBytesToCtxMatchesStringVariant(t *testing.T) {
-	l := MustNew(Options{})
-	src := `<HTML><HEAD><TITLE>x</TITLE></HEAD><BODY><H1>a</H2></BODY></HTML>`
-
-	var fromString, fromBytes warn.Collector
-	if err := l.CheckStringToCtx(context.Background(), "doc.html", src, &fromString); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.CheckBytesToCtx(context.Background(), "doc.html", []byte(src), &fromBytes); err != nil {
-		t.Fatal(err)
-	}
-	if len(fromBytes.Messages) == 0 || len(fromString.Messages) != len(fromBytes.Messages) {
-		t.Fatalf("string %d messages, bytes %d", len(fromString.Messages), len(fromBytes.Messages))
-	}
-}
-
+// TestCheckBytesToCtxCancelledBeforeStart: a deadline already past
+// when Check starts stops it before any message is delivered.
 func TestCheckBytesToCtxCancelledBeforeStart(t *testing.T) {
 	l := MustNew(Options{})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
 
 	var sink warn.Collector
-	err := l.CheckBytesToCtx(ctx, "doc.html", []byte("<HTML><BODY><H1>a</H2></BODY></HTML>"), &sink)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	err := l.Check(ctx, "doc.html", []byte("<HTML><BODY><H1>a</H2></BODY></HTML>"), &sink)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 	if len(sink.Messages) != 0 {
-		t.Fatalf("%d messages delivered after cancellation", len(sink.Messages))
+		t.Fatalf("%d messages delivered after the deadline", len(sink.Messages))
 	}
 }
 
+// TestCheckStringToCtxCancelledBeforeStart: a context cancelled before
+// Check starts returns context.Canceled with no messages.
 func TestCheckStringToCtxCancelledBeforeStart(t *testing.T) {
 	l := MustNew(Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
 	var sink warn.Collector
-	err := l.CheckStringToCtx(ctx, "doc.html", "<HTML><BODY><H1>a</H2></BODY></HTML>", &sink)
+	err := l.Check(ctx, "doc.html", []byte("<HTML><BODY><H1>a</H2></BODY></HTML>"), &sink)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -101,7 +92,7 @@ func TestCheckStringToCtxStopsQuietDocumentPromptly(t *testing.T) {
 	defer cancel()
 	var sink warn.Collector
 	start := time.Now()
-	err := l.CheckStringToCtx(ctx, "big.html", src, &sink)
+	err := l.Check(ctx, "big.html", []byte(src), &sink)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded (doc %d bytes in %v)", err, len(src), elapsed)

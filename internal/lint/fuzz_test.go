@@ -1,8 +1,10 @@
 package lint
 
 import (
+	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -43,7 +45,9 @@ func addSuiteSeeds(f *testing.F) {
 // separately over each text run, so each class is monotone on its own
 // but the two interleave (a '<' early in a run is emitted after an
 // unknown entity late in it). A cursor bug that ever walked backwards
-// would break the monotonicity of its own class.
+// would break the monotonicity of its own class. That raw pass runs
+// through Check under a cancellable context, and its stream, sorted by
+// line, must equal CheckString's slice.
 func FuzzCheckString(f *testing.F) {
 	addSuiteSeeds(f)
 	f.Add("<p ALIGN='a' align=\"b\" Align=c x><a name=x><h3>")
@@ -66,9 +70,15 @@ func FuzzCheckString(f *testing.F) {
 			}
 		}
 
-		// Raw emission order, per entity-scan class.
+		// Raw emission order, per entity-scan class, through Check under
+		// a context that could end but never does: the deadline branch
+		// must deliver the same stream as the slice path.
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var raw []warn.Message
 		ampLine, ltLine := 0, 0 // last line seen per pass
-		l.CheckStringTo("fuzz.html", src, warn.SinkFunc(func(m warn.Message) bool {
+		err := l.Check(ctx, "fuzz.html", []byte(src), warn.SinkFunc(func(m warn.Message) bool {
+			raw = append(raw, m)
 			switch {
 			case m.ID == "unknown-entity" || m.ID == "unterminated-entity" ||
 				(m.ID == "metacharacter" && strings.Contains(m.Text, "&amp;")):
@@ -84,6 +94,13 @@ func FuzzCheckString(f *testing.F) {
 			}
 			return true
 		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		warn.SortByLine(raw)
+		if !reflect.DeepEqual(raw, msgs) {
+			t.Fatalf("Check stream, sorted, differs from CheckString:\n got %v\nwant %v", raw, msgs)
+		}
 	})
 }
 

@@ -5,9 +5,14 @@
 //	l := lint.New(lint.Options{})
 //	msgs, err := l.CheckFile("index.html")
 //
-// In addition to CheckFile it provides CheckString, CheckReader and
-// CheckURL methods (the latter using net/http, the stdlib stand-in for
-// the paper's LWP).
+// Every check goes through one primitive, [Linter.Check]: a document
+// held as bytes, a name for its messages, a context bounding the check
+// and a warn.Sink receiving each message as it is produced.
+// [Linter.CheckString] collects a check into a sorted slice, and
+// CheckFile is ReadFile plus CheckString. Getting the bytes is the
+// caller's business: ReadFile and ReadURL (net/http through the
+// hardened fetch client, the stdlib stand-in for the paper's LWP) read
+// a document into a buffer, typically a pooled one.
 package lint
 
 import (
@@ -45,9 +50,6 @@ type Options struct {
 	// Pedantic enables every registered warning, including the
 	// esoteric ones ("I love 'em!").
 	Pedantic bool
-	// HTTPClient is used by CheckURL; nil means a client with a
-	// 30-second timeout.
-	HTTPClient *http.Client
 	// Plugins adds content checkers for non-HTML content beyond the
 	// built-in CSS style sheet checker.
 	Plugins []plugin.ContentChecker
@@ -61,15 +63,14 @@ type Options struct {
 // Linter checks HTML documents against a configured HTML version and
 // warning selection. A Linter is safe for concurrent use: each check
 // borrows a private emitter/checker/tokenizer bundle from an internal
-// pool, so concurrent CheckString calls share nothing but the
-// immutable spec and the read-only warning set, and repeated checks
-// reuse the bundle's warmed-up buffers instead of reallocating them.
+// pool, so concurrent checks share nothing but the immutable spec and
+// the read-only warning set, and repeated checks reuse the bundle's
+// warmed-up buffers instead of reallocating them.
 type Linter struct {
 	set      *warn.Set
 	spec     *htmlspec.Spec
 	catalog  warn.Catalog
 	coreOpts core.Options
-	client   *http.Client
 	fp       string
 
 	states sync.Pool // of *checkState
@@ -113,20 +114,6 @@ func New(o Options) (*Linter, error) {
 	// per-linter overlay so linters never contaminate each other.
 	spec = spec.WithExtensions(s.Extensions...)
 
-	client := o.HTTPClient
-	if client == nil {
-		// The hardened shared fetch client: connect + total timeouts
-		// and a redirect cap. Private targets stay reachable — CheckURL
-		// is a library/CLI surface whose caller names the URL, commonly
-		// their own intranet or localhost; services exposing URL checks
-		// to others (the gateway) use their own guarded fetch.Client.
-		client = fetch.New(fetch.Options{
-			Timeout:      30 * time.Second,
-			AllowPrivate: true,
-			UserAgent:    "weblint/2.0",
-		}).HTTPClient()
-	}
-
 	var catalog warn.Catalog
 	if s.Locale != "" && s.Locale != "en" {
 		c, ok := warn.Locale(s.Locale)
@@ -159,7 +146,6 @@ func New(o Options) (*Linter, error) {
 			HereWords:                 s.HereWords,
 			Plugins:                   plugins,
 		},
-		client: client,
 	}
 	l.fp = fingerprintConfig(s, o, spec, set, plugins)
 	return l, nil
@@ -224,18 +210,24 @@ func (l *Linter) Spec() *htmlspec.Spec { return l.spec }
 // Set returns the warning enablement set the linter uses.
 func (l *Linter) Set() *warn.Set { return l.set }
 
-// run drives one check over src through a pooled emitter/checker/
-// tokenizer bundle, streaming diagnostics into sink. A nil sink keeps
-// the emitter's default internal collector, which is how the
-// slice-returning APIs accumulate. The caller must hand the returned
-// state back with release.
-func (l *Linter) run(name, src string, sink warn.Sink) *checkState {
-	return l.runFlag(name, src, sink, nil)
+// checkOpts derives the per-check checker options: the linter's own,
+// labelled with the document name. Every check and Session uses it.
+func (l *Linter) checkOpts(name string) core.Options {
+	opts := l.coreOpts
+	opts.Filename = name
+	return opts
 }
 
-// runFlag is run with an optional external cancel flag the emitter
-// polls between tokens — the deadline seam of the Ctx variants.
-func (l *Linter) runFlag(name, src string, sink warn.Sink, cancel *atomic.Bool) *checkState {
+// run drives one check over src through a pooled emitter/checker/
+// tokenizer bundle, streaming diagnostics into sink. A nil sink keeps
+// the emitter's default internal collector, which is how CheckString
+// accumulates. Only a context that can end (ctx.Done() != nil) costs
+// anything: it wraps sink in a warn.ContextSink and installs a cancel
+// flag the emitter polls between tokens, so a quiet document stops
+// tokenizing too. The error is ctx.Err() after the check, nil when it
+// ran to completion. The caller must hand the returned state back with
+// release.
+func (l *Linter) run(ctx context.Context, name, src string, sink warn.Sink) (*checkState, error) {
 	st, _ := l.states.Get().(*checkState)
 	if st == nil {
 		em := warn.NewEmitter(l.set)
@@ -246,19 +238,21 @@ func (l *Linter) runFlag(name, src string, sink warn.Sink, cancel *atomic.Bool) 
 			tz: htmltoken.New(""),
 		}
 	}
-	opts := l.coreOpts
-	opts.Filename = name
 	st.em.Reset()
+	if ctx.Done() != nil {
+		flag := new(atomic.Bool)
+		stop := context.AfterFunc(ctx, func() { flag.Store(true) })
+		defer stop()
+		sink = warn.ContextSink(ctx, sink)
+		st.em.SetCancelFlag(flag)
+	}
 	if sink != nil {
 		st.em.SetSink(sink)
 	}
-	if cancel != nil {
-		st.em.SetCancelFlag(cancel)
-	}
-	st.ck.Reset(st.em, opts)
+	st.ck.Reset(st.em, l.checkOpts(name))
 	st.tz.Reset(src)
 	st.ck.Run(st.tz)
-	return st
+	return st, ctx.Err()
 }
 
 // release parks a check bundle back in the pool. It detaches any
@@ -277,128 +271,71 @@ func (l *Linter) release(st *checkState, srcLen int) {
 	l.states.Put(st)
 }
 
-// CheckString checks a document held in memory. name is used as the
-// file name in messages. Messages are returned in source order.
+// Check checks the document src, named name in messages, streaming
+// each diagnostic into sink the moment it is produced: nothing
+// accumulates, so memory stays flat however many findings a
+// pathological document generates. Messages arrive in emission order —
+// document order for body checks, with the end-of-document checks
+// (require-title, ...) last — not the (file, line)-sorted order of
+// CheckString. The sink returning false cancels the check: tokenizing
+// stops promptly and no further messages are delivered.
+//
+// ctx bounds the check. When it ends (a per-request lint budget
+// expiring, a client hanging up) the check stops promptly, even inside
+// a huge document that emits nothing; messages already delivered stay
+// delivered, and Check returns ctx.Err(). It returns nil when the
+// check ran to completion. A context that can never end, such as
+// context.Background(), costs nothing extra.
+//
+// src is read zero-copy, through a string view of the slice (see
+// bytestr): the caller must not mutate it while Check runs. Once Check
+// returns every message owns its text, so the buffer may be reused or
+// recycled at once. ctx and sink must be non-nil.
 //
 // The emitter, checker and tokenizer driving the check come from a
 // per-linter pool: the emitter reads the linter's warning set through
 // a read-only view (in-document "weblint:" directives land in a
 // per-check overlay, not in the shared set), and all per-document
-// state is recycled across calls. It is the collect-sink wrapper over
-// [Linter.CheckStringTo]: the emitter streams into its pooled internal
-// collector, and the result is copied out and sorted.
+// state is recycled across calls.
+func (l *Linter) Check(ctx context.Context, name string, src []byte, sink warn.Sink) error {
+	st, err := l.run(ctx, name, bytestr.String(src), sink)
+	l.release(st, len(src))
+	return err
+}
+
+// CheckString checks a document held in memory and returns its
+// messages sorted by line. It streams into the pooled emitter's
+// internal collector and copies the result out.
 func (l *Linter) CheckString(name, src string) []warn.Message {
-	st := l.run(name, src, nil)
+	st, _ := l.run(context.Background(), name, src, nil)
 	msgs := st.em.CopyMessages()
 	l.release(st, len(src))
 	warn.SortByLine(msgs)
 	return msgs
 }
 
-// CheckStringTo checks a document held in memory, streaming each
-// diagnostic into sink the moment it is produced: nothing accumulates,
-// so memory stays flat however many findings a pathological document
-// generates. Messages arrive in emission order — document order for
-// body checks, with the end-of-document checks (require-title, ...)
-// last — not the (file, line)-sorted order the slice APIs return.
-// The sink returning false cancels the check: tokenizing stops
-// promptly and no further messages are delivered.
+// CheckStringTo is Check over a string, without a deadline.
 func (l *Linter) CheckStringTo(name, src string, sink warn.Sink) {
-	l.release(l.run(name, src, sink), len(src))
+	l.Check(context.Background(), name, bytestr.Bytes(src), sink)
 }
 
-// CheckBytes checks an in-memory document without copying it: the
-// tokenizer reads src through a zero-copy string view (see bytestr).
-// src must not be mutated while the call is in progress; once it
-// returns, every message owns its text and the caller may reuse or
-// recycle the buffer freely.
-func (l *Linter) CheckBytes(name string, src []byte) []warn.Message {
-	return l.CheckString(name, bytestr.String(src))
-}
-
-// CheckBytesTo is CheckStringTo over a byte slice, zero-copy; see
-// CheckBytes for the aliasing contract.
-func (l *Linter) CheckBytesTo(name string, src []byte, sink warn.Sink) {
-	l.CheckStringTo(name, bytestr.String(src), sink)
-}
-
-// CheckStringToCtx is CheckStringTo bounded by a context: when ctx is
-// cancelled (a per-request lint budget expiring, a client hanging up)
-// the check stops promptly — the sink refuses further messages AND the
-// checker's token loop observes a cancel flag flipped by the context,
-// so even a pathological document that emits nothing stops tokenizing
-// instead of running to completion. Messages already delivered stay
-// delivered. Returns ctx.Err() when the check was cut short, nil when
-// it ran to completion.
-func (l *Linter) CheckStringToCtx(ctx context.Context, name, src string, sink warn.Sink) error {
-	if ctx == nil || ctx.Done() == nil {
-		l.CheckStringTo(name, src, sink)
-		return nil
-	}
-	var flag atomic.Bool
-	stop := context.AfterFunc(ctx, func() { flag.Store(true) })
-	defer stop()
-	l.release(l.runFlag(name, src, warn.ContextSink(ctx, sink), &flag), len(src))
-	return ctx.Err()
-}
-
-// CheckBytesToCtx is CheckStringToCtx over a byte slice, zero-copy;
-// see CheckBytes for the aliasing contract.
-func (l *Linter) CheckBytesToCtx(ctx context.Context, name string, src []byte, sink warn.Sink) error {
-	return l.CheckStringToCtx(ctx, name, bytestr.String(src), sink)
-}
-
-// CheckReader checks a document read from r. The read buffer comes
-// from a shared pool, so a warm server checks each request without a
-// per-document io.ReadAll allocation.
-func (l *Linter) CheckReader(name string, r io.Reader) ([]warn.Message, error) {
-	buf := bufpool.Get()
-	defer bufpool.Put(buf)
-	if _, err := buf.ReadFrom(r); err != nil {
-		return nil, fmt.Errorf("lint: reading %s: %w", name, err)
-	}
-	return l.CheckBytes(name, buf.Bytes()), nil
-}
-
-// CheckReaderTo checks a document read from r, streaming diagnostics
-// into sink (see CheckStringTo for the delivery contract).
-func (l *Linter) CheckReaderTo(name string, r io.Reader, sink warn.Sink) error {
-	buf := bufpool.Get()
-	defer bufpool.Put(buf)
-	if _, err := buf.ReadFrom(r); err != nil {
-		return fmt.Errorf("lint: reading %s: %w", name, err)
-	}
-	l.CheckBytesTo(name, buf.Bytes(), sink)
-	return nil
-}
-
-// CheckFile checks a document on disk, reading it into a pooled
-// buffer: a warm CheckFile does not allocate for the document at all
-// (the seed paid one allocation for the read plus a full string(data)
-// copy per file).
+// CheckFile checks a document on disk, named by its path in messages,
+// and returns its messages sorted by line. The file is read into a
+// pooled buffer, so a warm CheckFile does not allocate for the
+// document at all.
 func (l *Linter) CheckFile(path string) ([]warn.Message, error) {
 	buf := bufpool.Get()
 	defer bufpool.Put(buf)
-	if err := l.readFile(path, buf); err != nil {
+	if err := ReadFile(path, buf); err != nil {
 		return nil, err
 	}
-	return l.CheckBytes(path, buf.Bytes()), nil
+	return l.CheckString(path, bytestr.String(buf.Bytes())), nil
 }
 
-// CheckFileTo checks a document on disk, streaming diagnostics into
-// sink (see CheckStringTo for the delivery contract).
-func (l *Linter) CheckFileTo(path string, sink warn.Sink) error {
-	buf := bufpool.Get()
-	defer bufpool.Put(buf)
-	if err := l.readFile(path, buf); err != nil {
-		return err
-	}
-	l.CheckBytesTo(path, buf.Bytes(), sink)
-	return nil
-}
-
-// readFile reads path into the pooled buffer buf.
-func (l *Linter) readFile(path string, buf *bytes.Buffer) error {
+// ReadFile reads the file at path into buf, growing it once to the
+// file's size. Pair it with a bufpool buffer and Check for a check
+// that does not allocate for the document.
+func ReadFile(path string, buf *bytes.Buffer) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -415,37 +352,30 @@ func (l *Linter) readFile(path string, buf *bytes.Buffer) error {
 	return nil
 }
 
-// CheckURL retrieves a page over HTTP and checks it. The URL is used
-// as the file name in messages.
-func (l *Linter) CheckURL(url string) ([]warn.Message, error) {
-	resp, err := l.fetch(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	return l.CheckReader(url, resp.Body)
-}
+// urlClient is the hardened fetch client ReadURL shares, built on
+// first use. Private targets stay reachable: ReadURL serves the
+// library and the CLI, whose caller names the URL — commonly their own
+// intranet or localhost. Services exposing URL checks to others (the
+// gateway) use their own guarded fetch.Client.
+var urlClient = sync.OnceValue(func() *fetch.Client {
+	return fetch.New(fetch.Options{
+		Timeout:      30 * time.Second,
+		AllowPrivate: true,
+		UserAgent:    "weblint/2.0",
+	})
+})
 
-// CheckURLTo retrieves a page over HTTP and checks it, streaming
-// diagnostics into sink (see CheckStringTo for the delivery contract).
-func (l *Linter) CheckURLTo(url string, sink warn.Sink) error {
-	resp, err := l.fetch(url)
+// ReadURL retrieves the page at url into buf. Every fetch limit
+// applies, the body cap included: a body over it fails with an error
+// wrapping fetch.ErrBodyTooLarge. A status other than 200 OK is an
+// error too.
+func ReadURL(ctx context.Context, url string, buf *bytes.Buffer) error {
+	res, err := urlClient().Fetch(ctx, url, buf)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	return l.CheckReaderTo(url, resp.Body, sink)
-}
-
-// fetch retrieves url, turning non-200 statuses into errors.
-func (l *Linter) fetch(url string) (*http.Response, error) {
-	resp, err := l.client.Get(url)
-	if err != nil {
-		return nil, err
+	if res.Status != http.StatusOK {
+		return fmt.Errorf("lint: GET %s: %d %s", url, res.Status, http.StatusText(res.Status))
 	}
-	if resp.StatusCode != http.StatusOK {
-		resp.Body.Close()
-		return nil, fmt.Errorf("lint: GET %s: %s", url, resp.Status)
-	}
-	return resp, nil
+	return nil
 }

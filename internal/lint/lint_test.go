@@ -1,13 +1,18 @@
 package lint
 
 import (
+	"bytes"
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 
+	"weblint/internal/bufpool"
 	"weblint/internal/config"
 	"weblint/internal/core"
 	"weblint/internal/csslint"
@@ -65,17 +70,28 @@ func TestCheckFile(t *testing.T) {
 	}
 }
 
+// TestCheckReader: a document that arrives through an io.Reader, a
+// byte at a time, is drained into a pooled buffer and checked with
+// Check — the CLI's stdin intake — and yields the seven section 4.2
+// findings, exactly as CheckString reports them.
 func TestCheckReader(t *testing.T) {
 	l := MustNew(Options{})
-	msgs, err := l.CheckReader("r.html", strings.NewReader(brokenPage))
-	if err != nil {
+	buf := bufpool.Get()
+	defer bufpool.Put(buf)
+	if _, err := buf.ReadFrom(iotest.OneByteReader(strings.NewReader(brokenPage))); err != nil {
 		t.Fatal(err)
 	}
+	msgs := checkSorted(t, l, "r.html", buf.Bytes())
 	if len(msgs) != 7 {
 		t.Errorf("got %d messages, want 7", len(msgs))
 	}
+	if want := l.CheckString("r.html", brokenPage); !reflect.DeepEqual(msgs, want) {
+		t.Errorf("reader intake = %v\nwant %v", msgs, want)
+	}
 }
 
+// TestCheckURL: ReadURL plus Check, with the URL naming the messages;
+// a status other than 200 is an error.
 func TestCheckURL(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
@@ -88,11 +104,12 @@ func TestCheckURL(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	l := MustNew(Options{HTTPClient: srv.Client()})
-	msgs, err := l.CheckURL(srv.URL + "/")
-	if err != nil {
+	l := MustNew(Options{})
+	var buf bytes.Buffer
+	if err := ReadURL(context.Background(), srv.URL+"/", &buf); err != nil {
 		t.Fatal(err)
 	}
+	msgs := checkSorted(t, l, srv.URL+"/", buf.Bytes())
 	if len(msgs) != 7 {
 		t.Errorf("got %d messages, want 7", len(msgs))
 	}
@@ -100,8 +117,10 @@ func TestCheckURL(t *testing.T) {
 		t.Errorf("file = %q", msgs[0].File)
 	}
 
-	if _, err := l.CheckURL(srv.URL + "/missing"); err == nil {
-		t.Error("404 did not error")
+	buf.Reset()
+	err := ReadURL(context.Background(), srv.URL+"/missing", &buf)
+	if err == nil || !strings.Contains(err.Error(), "404 Not Found") {
+		t.Errorf("404: err = %v", err)
 	}
 }
 

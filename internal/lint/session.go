@@ -134,19 +134,12 @@ func NewSessionWith(l *Linter, name, text string, cfg SessionConfig) *Session {
 		text:    text,
 		ix:      textpos.NewLF(text),
 		em:      em,
-		ck:      core.New(em, l.sessionOpts(name)),
+		ck:      core.New(em, l.checkOpts(name)),
 		tz:      htmltoken.New(""),
 		spacing: spacing,
 	}
 	s.lintAll()
 	return s
-}
-
-// sessionOpts mirrors runFlag's per-check option derivation.
-func (l *Linter) sessionOpts(name string) core.Options {
-	opts := l.coreOpts
-	opts.Filename = name
-	return opts
 }
 
 // Text returns the session's current document text.
@@ -218,7 +211,7 @@ func (s *Session) lintAll() {
 	s.ckpts = s.ckpts[:0]
 	s.em.Reset()
 	s.arm(&s.events)
-	s.ck.Reset(s.em, s.l.sessionOpts(s.name))
+	s.ck.Reset(s.em, s.l.checkOpts(s.name))
 	s.tz.Reset(s.text)
 	s.horFloor = 0
 	s.ckpts = s.takeCheckpoint(s.ckpts, 0, 0)

@@ -1,10 +1,15 @@
 package lint
 
 import (
+	"bytes"
+	"context"
+	"errors"
+	"io/fs"
 	"reflect"
 	"strings"
 	"testing"
 
+	"weblint/internal/bufpool"
 	"weblint/internal/warn"
 )
 
@@ -95,12 +100,22 @@ func TestPooledStateAfterStreaming(t *testing.T) {
 	}
 }
 
+// TestCheckReaderTo: a document read from an io.Reader into a pooled
+// buffer streams its messages through Check under the name it was
+// given, and they stay intact once the buffer goes back to the pool
+// and is overwritten.
 func TestCheckReaderTo(t *testing.T) {
 	l := MustNew(Options{})
-	var c warn.Collector
-	if err := l.CheckReaderTo("r.html", strings.NewReader(streamDoc), &c); err != nil {
+	buf := bufpool.Get()
+	if _, err := buf.ReadFrom(strings.NewReader(streamDoc)); err != nil {
 		t.Fatal(err)
 	}
+	var c warn.Collector
+	if err := l.Check(context.Background(), "r.html", buf.Bytes(), &c); err != nil {
+		t.Fatal(err)
+	}
+	clear(buf.Bytes())
+	bufpool.Put(buf)
 	if len(c.Messages) == 0 {
 		t.Error("no messages streamed from reader")
 	}
@@ -109,16 +124,21 @@ func TestCheckReaderTo(t *testing.T) {
 			t.Errorf("message file = %q, want r.html", m.File)
 		}
 	}
+	warn.SortByLine(c.Messages)
+	if want := l.CheckString("r.html", streamDoc); !reflect.DeepEqual(c.Messages, want) {
+		t.Errorf("streamed reader messages = %v\nwant %v", c.Messages, want)
+	}
 }
 
+// TestCheckFileToMissingFile: reading a missing file fails before any
+// check runs, with an error that says the file does not exist.
 func TestCheckFileToMissingFile(t *testing.T) {
-	l := MustNew(Options{})
-	sink := warn.SinkFunc(func(warn.Message) bool {
-		t.Error("sink received a message for an unreadable file")
-		return true
-	})
-	if err := l.CheckFileTo("/nonexistent/no.html", sink); err == nil {
-		t.Error("CheckFileTo returned nil error for a missing file")
+	var buf bytes.Buffer
+	if err := ReadFile("/nonexistent/no.html", &buf); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("ReadFile of a missing file: err = %v, want fs.ErrNotExist", err)
+	}
+	if _, err := MustNew(Options{}).CheckFile("/nonexistent/no.html"); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("CheckFile of a missing file: err = %v, want fs.ErrNotExist", err)
 	}
 }
 

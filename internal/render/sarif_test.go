@@ -79,7 +79,7 @@ func TestSARIFMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		msgs := l.CheckBytes(filepath.Base(path), src)
+		msgs := l.CheckString(filepath.Base(path), string(src))
 		requireReferenceSARIF(t, path, msgs)
 		suite = append(suite, msgs...)
 	}

@@ -1,8 +1,9 @@
 // Package resultcache is the gateway's content-addressed result
 // cache: at fleet scale most traffic is repeat documents — CI re-runs,
 // crawler revisits, unchanged pages — and the cheapest lint is the one
-// that never runs. Entries are keyed on (SHA-256 of the document
-// bytes, configuration fingerprint) and each holds a *warn.Recorder:
+// that never runs. The gateway keys entries on (SHA-256 of the
+// document bytes, configuration fingerprint, document name) — KeyOf,
+// then Key.Named — and each holds a *warn.Recorder:
 // the *finding stream* — the emitted messages plus the
 // suppressed-emission IDs, exactly what a live check delivers through
 // warn.Sink — not rendered bytes, so one cached entry replays through
@@ -25,9 +26,9 @@ import (
 )
 
 // Key identifies one cache entry: a SHA-256 over the configuration
-// fingerprint and the exact document bytes. Two documents, or two
-// configurations, that could produce different findings never share a
-// Key.
+// fingerprint and the exact document bytes, and, through Named, the
+// document name. Two documents, names or configurations that could
+// produce different findings never share a named Key.
 type Key [sha256.Size]byte
 
 // KeyOf derives the cache key for checking doc under the configuration
@@ -42,6 +43,15 @@ func KeyOf(configFP string, doc []byte) Key {
 	var k Key
 	h.Sum(k[:0])
 	return k
+}
+
+// Named returns the key for checking the same document under the
+// name name. Every finding carries the document name in Message.File,
+// so one document submitted under two names must not share an entry.
+// It hashes the fixed-length key and then the name, so (key, name) is
+// unambiguous.
+func (k Key) Named(name string) Key {
+	return sha256.Sum256(append(k[:], name...))
 }
 
 // Hex returns the key in lower-case hex — the gateway uses it as the

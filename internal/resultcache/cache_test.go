@@ -38,6 +38,14 @@ func TestKeyOfSeparatesConfigAndDocument(t *testing.T) {
 	if len(k1.Hex()) != 64 {
 		t.Fatalf("Hex() length = %d, want 64", len(k1.Hex()))
 	}
+	// Named keys the document name too: findings carry it.
+	a, b := k1.Named("a.html"), k1.Named("b.html")
+	if a == b || a == k1 || a == k2.Named("a.html") {
+		t.Fatal("Named does not separate names, or drops the key")
+	}
+	if k1.Named("a.html") != a {
+		t.Fatal("Named is not deterministic")
+	}
 }
 
 func TestReplayMatchesRecorderContract(t *testing.T) {

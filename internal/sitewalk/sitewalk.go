@@ -16,6 +16,7 @@
 package sitewalk
 
 import (
+	"context"
 	"io/fs"
 	"os"
 	"path"
@@ -297,23 +298,15 @@ type pageResult struct {
 func checkPage(root, page string, o *Options, pageSet map[string]bool) pageResult {
 	res := pageResult{page: page}
 	full := filepath.Join(root, filepath.FromSlash(page))
-	f, err := os.Open(full)
-	if err != nil {
-		res.err = err
-		return res
-	}
 	buf := bufpool.Get()
 	defer bufpool.Put(buf)
-	_, err = buf.ReadFrom(f)
-	f.Close()
-	if err != nil {
-		res.err = err
+	if res.err = lint.ReadFile(full, buf); res.err != nil {
 		return res
 	}
 	src := buf.Bytes()
-	// Lint into the Recorder (sorted below, matching CheckBytes) so
+	// Lint into the Recorder (sorted below, matching CheckString) so
 	// per-rule suppression stats survive into the ordered merge.
-	o.Linter.CheckBytesTo(page, src, &res.Recorder)
+	o.Linter.Check(context.TODO(), page, src, &res.Recorder)
 	warn.SortByLine(res.Messages)
 	var links []linkcheck.Link
 	links, res.anchors = linkcheck.ScanBytes(src)

@@ -1,0 +1,101 @@
+package warn
+
+import (
+	"reflect"
+	"testing"
+)
+
+// TestEventRendersDeliveredMessage: the event sink receives every
+// enabled emission as an Event that renders back to the delivered
+// Message, and a marker for every suppressed one. The event owns its
+// args and fix, so recycling the caller's buffers cannot change it.
+func TestEventRendersDeliveredMessage(t *testing.T) {
+	set := NewSet()
+	if err := set.Disable("img-alt"); err != nil {
+		t.Fatal(err)
+	}
+	e := NewEmitter(set)
+	var events []Event
+	e.SetEventSink(func(ev Event) { events = append(events, ev) })
+
+	name := []byte("TITLE")
+	fix := &Fix{Label: "close " + string(name), Edits: []Edit{{Start: 4, End: 4, Text: "</TITLE>"}}}
+	e.EmitFix("unclosed-element", "t.html", 4, 1, fix, string(name), string(name), LineRef(3))
+	e.Emit("element-overlap", "t.html", 7, 20, "B", LineRef(7), "A", 7)
+	e.Emit("img-alt", "t.html", 9, 1)
+	e.Emit("require-title", "t.html", 1, 0)
+	copy(name, "xxxxx")
+	fix.Edits[0].Text = "mutated"
+
+	msgs := e.Messages()
+	if len(events) != 4 || len(msgs) != 3 {
+		t.Fatalf("%d events for %d messages, want 4 and 3", len(events), len(msgs))
+	}
+	if !events[2].Suppressed || events[2].ID != "img-alt" {
+		t.Fatalf("event 2 = %+v, want the img-alt suppression marker", events[2])
+	}
+	rendered := []Event{events[0], events[1], events[3]}
+	for i, ev := range rendered {
+		got := ev.Message()
+		want := msgs[i]
+		want.Fix = nil
+		if i == 0 {
+			want.Fix = &Fix{Label: "close TITLE", Edits: []Edit{{Start: 4, End: 4, Text: "</TITLE>"}}}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("event %d renders %+v\nwant %+v", i, got, want)
+		}
+	}
+	if msgs[0].Text != "no closing </TITLE> seen for <TITLE> on line 3" {
+		t.Errorf("message text = %q", msgs[0].Text)
+	}
+
+	e.Reset()
+	e.Emit("require-title", "t.html", 1, 0)
+	if len(events) != 4 {
+		t.Fatal("Reset left the event sink installed")
+	}
+}
+
+func TestStaticLine(t *testing.T) {
+	for id, want := range map[string]bool{"require-title": true, "html-outer": true, "img-alt": false} {
+		if StaticLine(id) != want {
+			t.Errorf("StaticLine(%q) = %v, want %v", id, !want, want)
+		}
+	}
+}
+
+// TestOverlayCloneRestore: the in-document directive overlay round-trips
+// through CloneOverlay/RestoreOverlay, and the clone is independent.
+func TestOverlayCloneRestore(t *testing.T) {
+	e := NewEmitter(NewSet())
+	if e.CloneOverlay() != nil || !e.OverlayEquals(nil) {
+		t.Fatal("fresh emitter has an overlay")
+	}
+	if err := e.Disable("img-alt"); err != nil {
+		t.Fatal(err)
+	}
+	snap := e.CloneOverlay()
+	if !e.OverlayEquals(snap) {
+		t.Fatal("overlay differs from its own clone")
+	}
+	if err := e.Enable("here-anchor"); err != nil {
+		t.Fatal(err)
+	}
+	if e.OverlayEquals(snap) || len(snap) != 1 {
+		t.Fatalf("clone %v tracks later overrides", snap)
+	}
+	e.RestoreOverlay(snap)
+	if !e.OverlayEquals(snap) || e.Enabled("img-alt") {
+		t.Fatal("RestoreOverlay did not bring back the snapshot")
+	}
+	e.RestoreOverlay(nil)
+	if !e.OverlayEquals(nil) || !e.Enabled("img-alt") {
+		t.Fatal("RestoreOverlay(nil) did not clear the overlay")
+	}
+	fresh := NewEmitter(NewSet())
+	fresh.RestoreOverlay(snap)
+	if !fresh.OverlayEquals(snap) {
+		t.Fatal("RestoreOverlay into an emitter without an overlay")
+	}
+}

@@ -38,7 +38,7 @@ func (f SinkFunc) Write(m Message) bool { return f(m) }
 //
 // It bounds delivery, not computation: a check that emits nothing has
 // no Write to refuse, which is why deadline-bounded lints also install
-// an emitter cancel flag (see lint.CheckStringToCtx) that the checker
+// an emitter cancel flag (see lint.Linter.Check) that the checker
 // polls between tokens.
 func ContextSink(ctx context.Context, next Sink) Sink {
 	return &contextSink{ctx: ctx, next: next}

@@ -22,14 +22,14 @@
 //
 // # Zero-copy intake
 //
-// Documents that already exist as bytes — files, HTTP bodies, upload
-// buffers — are checked without a string conversion copy through
-// [Linter.CheckBytes]. The contract is simple because a check is
-// synchronous: the caller must not mutate the slice while the call is
-// in progress, and once it returns every Message owns its text, so
-// the buffer may be reused or recycled immediately. CheckFile and
-// CheckReader are built on it and read documents into pooled buffers:
-// a warm check does not allocate for the document at all.
+// Every check goes through one primitive, [Linter.Check], which takes
+// the document as bytes — files, HTTP bodies, upload buffers — and
+// reads it without a string conversion copy. The contract is simple
+// because a check is synchronous: the caller must not mutate the slice
+// while Check runs, and once it returns every Message owns its text,
+// so the buffer may be reused or recycled immediately. CheckFile reads
+// the file into a pooled buffer first: a warm check does not allocate
+// for the document at all.
 //
 // # Checking a corpus
 //
@@ -58,14 +58,18 @@
 // Every check is a stream of messages underneath, and the [Sink]
 // interface is the universal channel: Write receives each message the
 // moment it is produced, and returning false cancels the rest of the
-// check. The slice-returning APIs are collect-sink wrappers; the
-// streaming variants ([Linter.CheckStringTo], CheckBytesTo,
-// CheckReaderTo, CheckFileTo, CheckURLTo, and the batch engine's
-// RunTo) deliver incrementally, so memory stays flat however many
-// findings a pathological document generates:
+// check. The slice-returning APIs collect the stream; [Linter.Check]
+// and the batch engine's RunTo deliver it incrementally, so memory
+// stays flat however many findings a pathological document generates.
+// Check's context bounds the check, so a deadline stops even a huge
+// document that emits nothing:
 //
+//	src, err := os.ReadFile("big.html")
+//	if err != nil {
+//		return err
+//	}
 //	var sum weblint.Summary
-//	l.CheckFileTo("big.html", sum.Sink(nil)) // count without buffering
+//	err = l.Check(ctx, "big.html", src, sum.Sink(nil)) // count without buffering
 //
 // Renderers are sinks too: NewRenderer builds one of the pluggable
 // output formats — the traditional lint/short/terse/verbose text
@@ -88,6 +92,7 @@ import (
 	"io"
 
 	"weblint/internal/baseline"
+	"weblint/internal/bytestr"
 	"weblint/internal/config"
 	"weblint/internal/engine"
 	"weblint/internal/fixit"
@@ -210,7 +215,8 @@ func MustNew(o Options) *Linter { return lint.MustNew(o) }
 func NewSettings() *Settings { return config.NewSettings() }
 
 // BatchJob names one document for the batch engine: set exactly one
-// of Src (in-memory bytes, checked zero-copy), Path, or URL.
+// of Src (in-memory bytes, checked zero-copy), Path, or URL. Name, when
+// set, labels the document in every message whatever its source.
 type BatchJob = engine.Job
 
 // BatchResult is the outcome of one batch job, delivered in input
@@ -231,10 +237,9 @@ func CheckString(name, src string) []Message {
 }
 
 // CheckBytes checks an in-memory document with default options,
-// without copying it; see Linter.CheckBytes for the aliasing
-// contract.
+// without copying it; see Linter.Check for the aliasing contract.
 func CheckBytes(name string, src []byte) []Message {
-	return lint.MustNew(lint.Options{}).CheckBytes(name, src)
+	return lint.MustNew(lint.Options{}).CheckString(name, bytestr.String(src))
 }
 
 // CheckFile checks a file on disk with default options.

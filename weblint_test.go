@@ -1,6 +1,9 @@
 package weblint
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -33,6 +36,28 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 	if !strings.Contains(TerseStyle.Format(msgs[0]), "doctype-first") {
 		t.Errorf("terse = %q", TerseStyle.Format(msgs[0]))
+	}
+}
+
+// TestPublicAPIIntake: the package-level byte and file checks return
+// what CheckString returns for the same document and name.
+func TestPublicAPIIntake(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "test.html")
+	if err := os.WriteFile(path, []byte(section42), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fromFile, err := CheckFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := CheckString(path, section42); len(want) != 7 || !reflect.DeepEqual(fromFile, want) {
+		t.Errorf("CheckFile = %v\nwant %v", fromFile, want)
+	}
+	if got, want := CheckBytes("test.html", []byte(section42)), CheckString("test.html", section42); !reflect.DeepEqual(got, want) {
+		t.Errorf("CheckBytes = %v\nwant %v", got, want)
+	}
+	if _, err := CheckFile(filepath.Join(t.TempDir(), "missing.html")); err == nil {
+		t.Error("CheckFile of a missing file did not fail")
 	}
 }
 
