@@ -760,12 +760,13 @@ type incrementalReport struct {
 }
 
 // e14 is the incremental re-lint latency grid: edit size × document
-// size, each cell timing lint.Session.Apply for an edit/revert cycle at
-// steady state and reporting p50/p99 against the document's full-lint
-// time. Every cell cross-checks that the session's findings stay
-// byte-identical to a from-scratch lint — a splice that drifted would
-// make the latency numbers meaningless. The run FAILS (exit 1) when the
-// single-line edit on the largest document re-lints slower than
+// size, each cell timing an edit to its findings — lint.Session.Apply
+// then Messages — for an edit/revert cycle at steady state and
+// reporting p50/p99 against the document's full-lint time. Every cell
+// cross-checks that the session's findings stay byte-identical to a
+// from-scratch lint — a splice that drifted would make the latency
+// numbers meaningless. The run FAILS (exit 1) when the single-line edit
+// on the largest document re-lints slower than
 // -incremental-max-fraction of a full lint, so a regression that
 // silently degrades every edit to a full-tail re-lint cannot land.
 // -json writes BENCH_incremental.json.
@@ -829,9 +830,11 @@ func e14() {
 			for i := 0; i < cycles; i++ {
 				t0 := time.Now()
 				s.Apply([]lint.Edit{kind.fwd})
+				s.Messages()
 				samples = append(samples, time.Since(t0))
 				t0 = time.Now()
 				s.Apply([]lint.Edit{rev})
+				s.Messages()
 				samples = append(samples, time.Since(t0))
 			}
 			sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })

@@ -27,7 +27,7 @@ const version = "weblint-lsp 2.0 (Go)"
 func main() {
 	fs := flag.NewFlagSet("weblint-lsp", flag.ContinueOnError)
 	fs.SetOutput(os.Stderr)
-	debounce := fs.Duration("debounce", 0, "re-lint delay after the last change (default 200ms)")
+	debounce := fs.Duration("debounce", 0, "publish delay after the last change (default 200ms)")
 	verbose := fs.Bool("log", false, "log server events to stderr")
 	showVersion := fs.Bool("version", false, "print version and exit")
 	if err := fs.Parse(os.Args[1:]); err != nil {

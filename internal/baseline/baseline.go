@@ -198,7 +198,8 @@ func StaticSource(name, src string) SourceFunc {
 type tagSpan struct{ start, end int }
 
 // docInfo caches everything context extraction needs for one document:
-// its line index, its text, and the byte spans of its markup tokens in
+// its line index in the tokenizer's convention, which message lines
+// count in, its text, and the byte spans of its markup tokens in
 // document order.
 type docInfo struct {
 	ix    *textpos.Index
@@ -246,7 +247,7 @@ func (fp *fingerprinter) doc(file string) *docInfo {
 	var d *docInfo
 	if fp.src != nil {
 		if text, have := fp.src(file); have {
-			d = &docInfo{ix: textpos.New(text), src: text, spans: tagSpans(text)}
+			d = &docInfo{ix: textpos.NewLF(text), src: text, spans: tagSpans(text)}
 		}
 	}
 	if len(fp.docs) >= indexCacheMax {

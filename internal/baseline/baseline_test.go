@@ -210,6 +210,18 @@ func TestContextIsEnclosingTag(t *testing.T) {
 	}
 }
 
+// TestLoneCRKeepsFingerprint: message lines count only LF, so a lone
+// CR before a finding must not move its context onto an earlier tag,
+// where editing that tag would report the recorded finding as new.
+func TestLoneCRKeepsFingerprint(t *testing.T) {
+	src := "<HTML><HEAD><TITLE>t</TITLE></HEAD><BODY>\r<P>one</P>\n<IMG SRC=\"x.gif\">\n</BODY></HTML>\n"
+	base := record(t, "d.html", src)
+	edited := strings.Replace(src, "<P>", "<P ID=a>", 1)
+	if news, _ := diff(t, base, "d.html", edited); len(news) != 0 {
+		t.Fatalf("editing the tag before a lone CR made %d recorded findings new: %v", len(news), news)
+	}
+}
+
 func TestCollapseSpace(t *testing.T) {
 	cases := []struct{ in, want string }{
 		{"", ""},

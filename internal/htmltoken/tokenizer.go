@@ -122,7 +122,7 @@ func (t *Tokenizer) ResetAt(src string, pos int) {
 // ResetAtLines is ResetAt with a caller-supplied line-start table —
 // the same LF semantics Reset computes itself: offset 0 followed by
 // one past every '\n'. The incremental Session maintains the table
-// across edits by splicing (textpos.SpliceLF), so re-arming over a
+// across edits by splicing (textpos.Index.Splice), so re-arming over a
 // megabyte document costs a table copy, not a document scan. The table
 // is copied; the caller's slice is not retained.
 func (t *Tokenizer) ResetAtLines(src string, pos int, lineStarts []int) {

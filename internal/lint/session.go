@@ -64,8 +64,8 @@ type checkpoint struct {
 // Session is an incrementally re-lintable document. Construct with
 // NewSession (which performs the initial full lint) and push edits
 // through Apply. A Session is NOT safe for concurrent use; callers
-// serialise access (the LSP server is single-threaded per document,
-// the gateway guards each cached session with a mutex).
+// serialise access (the LSP server and the gateway guard each
+// document's session with a mutex).
 //
 // Full-document checks (Linter.CheckString and friends) are unchanged
 // and remain the right tool for one-shot lints; a Session earns its
@@ -145,6 +145,11 @@ func NewSessionWith(l *Linter, name, text string, cfg SessionConfig) *Session {
 // Text returns the session's current document text.
 func (s *Session) Text() string { return s.text }
 
+// Index returns the LF line index of Text(), the convention message
+// lines count in. It is read-only: Apply replaces it, never modifies
+// it.
+func (s *Session) Index() *textpos.Index { return s.ix }
+
 // Name returns the document name used in messages.
 func (s *Session) Name() string { return s.name }
 
@@ -178,12 +183,12 @@ func (s *Session) Recording() *warn.Recorder {
 
 // Apply applies edits in order — each against the result of the
 // previous, the LSP incremental-sync contract — re-linting only the
-// damaged window of each, and returns the full updated findings.
-func (s *Session) Apply(edits []Edit) []warn.Message {
+// damaged window of each. It renders nothing: callers that want the
+// findings ask Messages or Recording.
+func (s *Session) Apply(edits []Edit) {
 	for _, e := range edits {
 		s.applyOne(e)
 	}
-	return s.Messages()
 }
 
 // arm points the emitter's event sink at dst and discards the
@@ -249,7 +254,7 @@ func (s *Session) applyOne(e Edit) {
 		end = len(s.text)
 	}
 	newText := s.text[:start] + e.Text + s.text[end:]
-	newIx := textpos.SpliceLF(s.ix, start, end, e.Text, newText)
+	newIx := s.ix.Splice(start, end, e.Text, newText)
 	sh := textpos.NewShift(s.ix, newIx, start, end, e.Text)
 
 	// Restore point: the furthest checkpoint whose scan horizon the

@@ -32,6 +32,7 @@ func BenchmarkSessionApply(b *testing.B) {
 		} else {
 			s.Apply([]Edit{rev})
 		}
+		s.Messages()
 	}
 }
 

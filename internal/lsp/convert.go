@@ -50,26 +50,23 @@ func severityOf(c warn.Category) int {
 	return SeverityHint
 }
 
-// diagnosticFor converts one message. The range starts at the
-// message's column (or the start of the line when the column is
-// unknown) and runs to the end of the line: weblint messages don't
-// carry an extent, and to-end-of-line is how line-oriented linters
-// conventionally surface that.
-func diagnosticFor(m warn.Message, ix *textpos.Index) Diagnostic {
-	line := m.Line - 1
-	if line < 0 {
-		line = 0
-	}
-	start := ix.LineStart(line)
+// diagnosticFor converts one message. Message lines count in the
+// tokenizer's convention, so the session's LF index lf turns line and
+// column into a byte offset, and ix, the same text's index in the
+// protocol's convention, turns that offset into the position an editor
+// shows. The range starts at the message's column (or the start of
+// the line when the column is unknown) and runs to the end of the
+// editor line it starts on: weblint messages don't carry an extent,
+// and to-end-of-line is how line-oriented linters conventionally
+// surface that.
+func diagnosticFor(m warn.Message, lf, ix *textpos.Index) Diagnostic {
+	line := max(m.Line-1, 0)
+	start := lf.LineStart(line)
 	if m.Col > 0 {
-		off := start + m.Col - 1
-		if end := start + len(ix.LineText(line)); off > end {
-			off = end
-		}
-		start = off
+		start = min(start+m.Col-1, start+len(lf.LineText(line)))
 	}
 	sl, sc := ix.OffsetToUTF16(start)
-	el, ec := ix.OffsetToUTF16(ix.LineStart(line) + len(ix.LineText(line)))
+	el, ec := ix.OffsetToUTF16(ix.LineStart(sl) + len(ix.LineText(sl)))
 	return Diagnostic{
 		Range:    Range{Start: Position{sl, sc}, End: Position{el, ec}},
 		Severity: severityOf(m.Category),

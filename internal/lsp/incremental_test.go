@@ -100,6 +100,34 @@ func TestIncrementalDidChange(t *testing.T) {
 	}
 }
 
+// loneCRDoc ends two protocol lines with a lone CR, which message
+// lines do not count: its img-alt finding sits on message line 3 but
+// editor line 4.
+const loneCRDoc = "<!DOCTYPE HTML PUBLIC \"-//W3C//DTD HTML 4.0//EN\">\n" +
+	"<HTML><HEAD><TITLE>t</TITLE></HEAD><BODY>\r<P>one</P>\r<P>two</P>\n" +
+	"<IMG SRC=\"x.gif\">\n</BODY></HTML>\n"
+
+// TestLoneCRDiagnosticLine: a finding after lone CRs is published on
+// the line an editor shows it, and a ranged change addressed in the
+// editor's lines reaches the bytes it names.
+func TestLoneCRDiagnosticLine(t *testing.T) {
+	cl := startServer(t, Options{DebounceDelay: -1})
+	cl.initialize("")
+	uri := "untitled:lonecr"
+	cl.open(uri, loneCRDoc)
+	p := cl.waitDiagnostics(uri)
+	if len(p.Diagnostics) != 1 || p.Diagnostics[0].Code != "img-alt" {
+		t.Fatalf("diagnostics = %+v, want img-alt", p.Diagnostics)
+	}
+	if got, want := p.Diagnostics[0].Range, *rangeAt(4, 0, 4, 17); got != want {
+		t.Fatalf("img-alt range = %+v, want %+v (the IMG's editor line)", got, want)
+	}
+	cl.change(uri, 2, textDocumentContentChangeEvent{Range: rangeAt(4, 16, 4, 16), Text: ` ALT=""`})
+	if p := cl.waitDiagnostics(uri); len(p.Diagnostics) != 0 {
+		t.Fatalf("diagnostics after inserting ALT = %+v, want none", p.Diagnostics)
+	}
+}
+
 // lineColOffset resolves a (0-based line, ASCII column) to a byte
 // offset in text — the test documents are ASCII, so UTF-16 units are
 // bytes.

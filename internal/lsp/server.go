@@ -13,14 +13,19 @@
 //	textDocument/diagnostic            (LSP 3.17 pull diagnostics)
 //	workspace/didChangeConfiguration
 //
-// and pushes textDocument/publishDiagnostics after every (debounced)
-// lint. Sync is incremental (TextDocumentSyncKind 2): each didChange
-// carries range-scoped edits which are applied to the buffer and fed
-// to a per-document lint.Session, so a keystroke re-lints only the
-// damaged window and splices the cached findings around it — the
-// session guarantees output byte-identical to a from-scratch lint.
-// Fix-carrying messages surface as quick-fix code actions, plus one
-// source.fixAll action applying every fix in a single workspace edit.
+// and pushes textDocument/publishDiagnostics a debounce delay after
+// the last change. Sync is incremental (TextDocumentSyncKind 2). An
+// open document's text has one owner, its lint.Session, which applies
+// each range-scoped edit as it arrives: a keystroke re-lints only the
+// damaged window and splices the cached findings around it, output
+// byte-identical to a from-scratch lint. The debounce delays only the
+// publish. Fix-carrying messages surface as quick-fix code actions,
+// plus one source.fixAll action applying every fix in a single
+// workspace edit.
+//
+// Each document's mutex guards all of its state. Server.mu guards the
+// document map and the server flags; it may be taken while a
+// document's mutex is held, never the reverse.
 //
 // Per-workspace configuration follows the CLI: the nearest .weblintrc
 // up the directory tree from each document (stopping at the workspace
@@ -50,9 +55,9 @@ type Options struct {
 	// Linter is the shared default linter; nil builds one with default
 	// settings.
 	Linter *lint.Linter
-	// DebounceDelay is how long after the last didChange the re-lint
-	// runs. Zero means the 200ms default; negative lints synchronously
-	// on every change (used by tests).
+	// DebounceDelay is how long after the last didChange the findings
+	// are published. Zero means the 200ms default; negative publishes
+	// synchronously on every change (used by tests).
 	DebounceDelay time.Duration
 	// Logf, when non-nil, receives server-side log lines (protocol
 	// errors, configuration problems). The transport carries only
@@ -62,42 +67,65 @@ type Options struct {
 
 const defaultDebounce = 200 * time.Millisecond
 
-// document is the server's view of one open editor buffer.
+// document is one open editor buffer. Its text lives only in session,
+// which applies each didChange as it arrives; the debounce timer only
+// publishes. ix indexes the same text in the protocol's line
+// convention, spliced on every change, because client positions count
+// a lone CR as a line end and message lines do not.
+//
+// mu guards every field after it. Server.mu may be taken while mu is
+// held, never the reverse; no goroutine holds two documents' mutexes.
 type document struct {
-	uri     string
-	path    string // filesystem path, or "" for non-file URIs
+	uri  string
+	path string // filesystem path, or "" for non-file URIs
+	name string // names the document in messages: path, else uri
+
+	mu      sync.Mutex
 	version int
-	text    string
-	timer   *time.Timer // pending debounced lint
+	timer   *time.Timer // pending debounced publish
 
-	// Incremental re-lint state. session holds the lint.Session for
-	// the text continuum this buffer has moved through; pending queues
-	// the byte-span edits applied to text but not yet pushed through
-	// the session; sessionLinter records which linter built the
-	// session, so a configuration change (different linter) rebuilds
-	// rather than splices. desynced marks a buffer whose content the
-	// server no longer knows (an unappliable incremental change
-	// arrived): diagnostics are retracted and nothing is served until
-	// the client sends full text again.
-	session       *lint.Session
-	sessionLinter *lint.Linter
-	pending       []lint.Edit
-	desynced      bool
+	// session is nil once the document is closed, and while it is
+	// desynced: an unappliable incremental change arrived, so the
+	// server no longer knows the content, its diagnostics were
+	// retracted, and nothing is served until the client sends full
+	// text again. linter built session, so a configuration change
+	// (a different linter) rebuilds it rather than splices.
+	session *lint.Session
+	linter  *lint.Linter
+	ix      *textpos.Index
 
-	// relint serialises analyses of this document: lint.Session is not
-	// safe for concurrent use, and debounce timers race the dispatch
-	// goroutine. Lock ordering is relint before Server.mu; never
-	// acquire relint while holding mu.
-	relint sync.Mutex
-
-	// Last published analysis, consumed by codeAction: msgs[i]
-	// produced diags[i]; index resolves fix edits over text, and
-	// analyzed records the version the analysis was computed against
-	// — codeAction refuses to serve edits for any other version.
-	index    *textpos.Index
+	// Last analysis, consumed by codeAction: msgs[i] produced
+	// diags[i], and analyzed records the version it was computed at —
+	// codeAction refuses to serve edits for any other version.
 	msgs     []warn.Message
 	diags    []Diagnostic
 	analyzed int
+}
+
+// apply (caller holds d.mu) replaces bytes [start, end) of the text
+// with text: the session re-lints the damaged window, and the protocol
+// index is spliced to match.
+func (d *document) apply(start, end int, text string) {
+	d.session.Apply([]lint.Edit{{Start: start, End: end, Text: text}})
+	d.ix = d.ix.Splice(start, end, text, d.session.Text())
+}
+
+// forget (caller holds d.mu) cancels the pending publish and drops the
+// text and the analysis.
+func (d *document) forget() {
+	if d.timer != nil {
+		d.timer.Stop()
+	}
+	d.session, d.linter, d.ix = nil, nil, nil
+	d.msgs, d.diags = nil, nil
+}
+
+// close forgets the document for good: a publish already scheduled
+// finds nothing to send.
+func (d *document) close() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.forget()
 }
 
 // Server is one LSP session. Construct with NewServer, then Run it
@@ -107,6 +135,7 @@ type Server struct {
 	conn    *conn
 	linters *linterCache
 
+	// mu guards docs and the flags after it; see document for the order.
 	mu       sync.Mutex
 	docs     map[string]*document
 	roots    []string
@@ -139,7 +168,7 @@ func (s *Server) logf(format string, args ...any) {
 // shutdown) and the transport error otherwise.
 func (s *Server) Run(r io.Reader, w io.Writer) error {
 	s.conn = newConn(r, w)
-	defer s.stopTimers()
+	defer s.closeAll()
 	for {
 		m, err := s.conn.read()
 		if err != nil {
@@ -162,16 +191,30 @@ func (s *Server) Run(r io.Reader, w io.Writer) error {
 	}
 }
 
-// stopTimers cancels pending debounced lints so Run leaves nothing
+// closeAll closes every document so Run leaves no debounced publish
 // firing after it returns.
-func (s *Server) stopTimers() {
+func (s *Server) closeAll() {
+	for _, d := range s.openDocs() {
+		d.close()
+	}
+}
+
+// openDocs returns the open documents.
+func (s *Server) openDocs() []*document {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	docs := make([]*document, 0, len(s.docs))
 	for _, d := range s.docs {
-		if d.timer != nil {
-			d.timer.Stop()
-		}
+		docs = append(docs, d)
 	}
+	return docs
+}
+
+// lookup returns the open document for uri, or nil.
+func (s *Server) lookup(uri string) *document {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.docs[uri]
 }
 
 // dispatch handles one message. Returned errors are transport
@@ -234,21 +277,19 @@ func (s *Server) dispatch(m *message) error {
 		if err := json.Unmarshal(m.Params, &p); err != nil {
 			return s.conn.respondError(m.ID, codeInvalidParams, err.Error())
 		}
-		// Pull diagnostics (3.17): lint synchronously and answer with a
-		// full report. The incremental session makes the "synchronous"
-		// part cheap — an unchanged document renders cached events.
-		diags, ok := s.analyze(p.TextDocument.URI, false)
-		if !ok {
-			diags = []Diagnostic{}
-		}
-		return s.conn.respond(m.ID, fullDocumentDiagnosticReport{Kind: "full", Items: diags})
+		// Pull diagnostics (3.17): answer with a full report of the
+		// session's current findings. Edits were applied as they
+		// arrived, so this only renders cached events.
+		return s.conn.respond(m.ID, fullDocumentDiagnosticReport{Kind: "full", Items: s.pull(p.TextDocument.URI)})
 	case "workspace/didChangeConfiguration":
 		// The settings payload is opaque to weblint; what matters is
 		// that .weblintrc interpretation may have changed. Drop every
 		// cached rc linter (even when the file's mtime is unchanged)
 		// and re-lint all open documents under the fresh resolution.
 		s.linters.invalidate()
-		s.relintAll()
+		for _, d := range s.openDocs() {
+			s.publish(d)
+		}
 		return nil
 	}
 	if len(m.ID) != 0 {
@@ -283,86 +324,88 @@ func (s *Server) setRoots(p *initializeParams) {
 
 // openDocument registers a buffer and lints it immediately: the first
 // diagnostics should appear the moment a file opens, not a debounce
-// later.
+// later. Reopening a URI replaces its document.
 func (s *Server) openDocument(td TextDocumentItem) {
-	d := &document{uri: td.URI, path: uriToPath(td.URI), version: td.Version, text: td.Text}
-	s.mu.Lock()
-	if prev := s.docs[td.URI]; prev != nil && prev.timer != nil {
-		prev.timer.Stop()
+	d := &document{uri: td.URI, path: uriToPath(td.URI), name: td.URI, version: td.Version}
+	if d.path != "" {
+		d.name = d.path
 	}
+	s.mu.Lock()
+	prev := s.docs[td.URI]
 	s.docs[td.URI] = d
 	s.mu.Unlock()
-	s.lintNow(td.URI)
+	if prev != nil {
+		prev.close()
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	s.startSession(d, td.Text)
+	s.analyze(d, true)
+}
+
+// startSession (caller holds d.mu) lints text from scratch and indexes
+// it, on open and on the full-text change that ends a desync.
+func (s *Server) startSession(d *document, text string) {
+	d.linter = s.linters.forPath(d.path)
+	d.session = lint.NewSession(d.linter, d.name, text)
+	d.ix = textpos.New(text)
 }
 
 // changeDocument applies a didChange — range-scoped incremental edits
-// or a rangeless full replacement, in order, each against the result
-// of the previous — and schedules a debounced re-lint. Incremental
-// edits are also queued for the document's lint.Session so the lint
-// re-tokenizes only the damaged window. Typing bursts collapse into
-// one lint a short beat after the last keystroke.
+// or rangeless full replacements, in order, each against the result
+// of the previous — to the document's session as it arrives, and
+// schedules a debounced publish. Each edit re-lints only its damaged
+// window; a typing burst is published once, a short beat after the
+// last keystroke.
 func (s *Server) changeDocument(p *didChangeParams) {
-	s.mu.Lock()
-	d := s.docs[p.TextDocument.URI]
+	d := s.lookup(p.TextDocument.URI)
 	if d == nil {
-		s.mu.Unlock()
 		s.logf("didChange for unopened %s", p.TextDocument.URI)
 		return
 	}
-	applied := false
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	for _, ch := range p.ContentChanges {
-		if ch.Range == nil {
-			// Full replacement: reset the buffer and drop the session;
-			// the next lint rebuilds it from scratch.
-			d.text = ch.Text
-			d.session, d.sessionLinter, d.pending = nil, nil, nil
-			d.desynced = false
-			applied = true
-			continue
+		switch {
+		case ch.Range == nil && d.session == nil:
+			s.startSession(d, ch.Text)
+		case ch.Range == nil:
+			d.apply(0, len(d.session.Text()), ch.Text)
+		case d.session == nil:
+			// Spans against a buffer we no longer know.
+		default:
+			start := d.ix.UTF16ToOffset(ch.Range.Start.Line, ch.Range.Start.Character)
+			end := d.ix.UTF16ToOffset(ch.Range.End.Line, ch.Range.End.Character)
+			if end < start {
+				// A malformed change leaves the buffer content
+				// unknowable. Serving diagnostics computed against a
+				// guess would be silently wrong, so hard-resync:
+				// retract everything and wait for the client to send
+				// full text (didOpen or a rangeless change).
+				s.desync(d)
+				continue
+			}
+			d.apply(start, end, ch.Text)
 		}
-		if d.desynced {
-			continue // spans against a buffer we no longer know
-		}
-		ix := textpos.New(d.text)
-		start := ix.UTF16ToOffset(ch.Range.Start.Line, ch.Range.Start.Character)
-		end := ix.UTF16ToOffset(ch.Range.End.Line, ch.Range.End.Character)
-		if end < start {
-			// A malformed change leaves the buffer content unknowable.
-			// Serving diagnostics computed against a guess would be
-			// silently wrong, so hard-resync: retract everything and
-			// wait for the client to send full text (didOpen or a
-			// rangeless change).
-			s.desyncLocked(d)
-			continue
-		}
-		d.text = d.text[:start] + ch.Text + d.text[end:]
-		d.pending = append(d.pending, lint.Edit{Start: start, End: end, Text: ch.Text})
-		applied = true
 	}
 	d.version = p.TextDocument.Version
-	uri := d.uri
-	if !applied || d.desynced {
-		s.mu.Unlock()
+	if len(p.ContentChanges) == 0 || d.session == nil {
 		return
 	}
 	if s.opts.DebounceDelay < 0 {
-		s.mu.Unlock()
-		s.lintNow(uri)
+		s.analyze(d, true)
 		return
 	}
 	if d.timer != nil {
 		d.timer.Stop()
 	}
-	d.timer = time.AfterFunc(s.opts.DebounceDelay, func() { s.lintNow(uri) })
-	s.mu.Unlock()
+	d.timer = time.AfterFunc(s.opts.DebounceDelay, func() { s.publish(d) })
 }
 
-// desyncLocked (caller holds s.mu) marks a document as out of sync,
-// drops its analysis state, and retracts its diagnostics.
-func (s *Server) desyncLocked(d *document) {
-	d.desynced = true
-	d.session, d.sessionLinter, d.pending = nil, nil, nil
-	d.index, d.msgs, d.diags = nil, nil, nil
+// desync (caller holds d.mu) marks a document as out of sync, drops
+// its text and analysis, and retracts its diagnostics.
+func (s *Server) desync(d *document) {
+	d.forget()
 	s.logf("resync required for %s: unappliable incremental change; diagnostics retracted", d.uri)
 	if err := s.conn.notify("textDocument/publishDiagnostics",
 		publishDiagnosticsParams{URI: d.uri, Diagnostics: []Diagnostic{}}); err != nil {
@@ -374,118 +417,65 @@ func (s *Server) desyncLocked(d *document) {
 func (s *Server) closeDocument(uri string) {
 	s.mu.Lock()
 	d := s.docs[uri]
-	if d != nil && d.timer != nil {
-		d.timer.Stop()
-	}
 	delete(s.docs, uri)
 	s.mu.Unlock()
-	if d != nil {
-		if err := s.conn.notify("textDocument/publishDiagnostics",
-			publishDiagnosticsParams{URI: uri, Diagnostics: []Diagnostic{}}); err != nil {
-			s.logf("publish: %v", err)
-		}
+	if d == nil {
+		return
+	}
+	d.close()
+	if err := s.conn.notify("textDocument/publishDiagnostics",
+		publishDiagnosticsParams{URI: uri, Diagnostics: []Diagnostic{}}); err != nil {
+		s.logf("publish: %v", err)
 	}
 }
 
-// lintNow analyzes a document and publishes its diagnostics. It runs
-// on the dispatch goroutine (didOpen) or a timer goroutine (debounced
-// didChange); the version check inside analyze makes a stale timer's
-// work harmless — its publish is dropped.
-func (s *Server) lintNow(uri string) { s.analyze(uri, true) }
-
-// relintAll re-analyzes every open document (after a configuration
-// change).
-func (s *Server) relintAll() {
-	s.mu.Lock()
-	uris := make([]string, 0, len(s.docs))
-	for uri := range s.docs {
-		uris = append(uris, uri)
-	}
-	s.mu.Unlock()
-	for _, uri := range uris {
-		s.lintNow(uri)
-	}
+// publish analyzes a document and pushes its diagnostics. It runs on
+// a debounce timer's goroutine or, after a configuration change, on
+// the dispatch goroutine; a document closed or desynced meanwhile
+// publishes nothing.
+func (s *Server) publish(d *document) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	s.analyze(d, true)
 }
 
-// analyze lints uri's current text — incrementally, through the
-// document's lint.Session, when one is live — and returns the
-// diagnostics. When publish is true and the document is still at the
-// analyzed version, the results are also installed for codeAction and
-// pushed as publishDiagnostics. ok is false when the document is
-// missing or desynced.
-func (s *Server) analyze(uri string, publish bool) (diags []Diagnostic, ok bool) {
-	s.mu.Lock()
-	d := s.docs[uri]
-	if d == nil || d.desynced {
-		s.mu.Unlock()
-		return nil, false
-	}
-	s.mu.Unlock()
-
-	// Serialise analyses of this document (Session is not
-	// concurrency-safe); s.mu is never held while waiting here.
-	d.relint.Lock()
-	defer d.relint.Unlock()
-
-	s.mu.Lock()
-	if s.docs[uri] != d || d.desynced {
-		s.mu.Unlock()
-		return nil, false
-	}
-	text, version, path := d.text, d.version, d.path
-	pending := d.pending
-	d.pending = nil
-	sess, sessLinter := d.session, d.sessionLinter
-	s.mu.Unlock()
-
-	linter := s.linters.forPath(path)
-	name := path
-	if name == "" {
-		name = uri
-	}
-
-	var msgs []warn.Message
-	if sess != nil && sessLinter == linter {
-		// Incremental path: push the queued edits through the session.
-		// The session's text must land exactly on the buffer snapshot;
-		// if it doesn't (a full-sync replacement raced this analysis),
-		// fall through and rebuild.
-		msgs = sess.Apply(pending)
-		if sess.Text() != text {
-			sess = nil
+// pull answers a textDocument/diagnostic request: the current
+// diagnostics, or none for a document not open or desynced.
+func (s *Server) pull(uri string) []Diagnostic {
+	if d := s.lookup(uri); d != nil {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		if diags, ok := s.analyze(d, false); ok {
+			return diags
 		}
 	}
-	if sess == nil || sessLinter != linter {
-		sess = lint.NewSession(linter, name, text)
-		sessLinter = linter
-		msgs = sess.Messages()
-	}
+	return []Diagnostic{}
+}
 
-	ix := textpos.New(text)
+// analyze (caller holds d.mu) renders the session's findings as
+// diagnostics and installs them for codeAction; when publish is true
+// it also pushes them as publishDiagnostics. When the document's
+// .weblintrc now resolves to another linter, the session is first
+// rebuilt over the same text; the protocol index still fits. ok is
+// false when the document is closed or desynced.
+func (s *Server) analyze(d *document, publish bool) (diags []Diagnostic, ok bool) {
+	if d.session == nil {
+		return nil, false
+	}
+	if linter := s.linters.forPath(d.path); linter != d.linter {
+		d.linter = linter
+		d.session = lint.NewSession(linter, d.name, d.session.Text())
+	}
+	msgs := d.session.Messages()
+	lf := d.session.Index()
 	diags = make([]Diagnostic, len(msgs))
 	for i, m := range msgs {
-		diags[i] = diagnosticFor(m, ix)
+		diags[i] = diagnosticFor(m, lf, d.ix)
 	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.docs[uri] != d || d.desynced {
-		return nil, false
-	}
-	// Write the session back even if a racing change cleared or
-	// superseded it: the next analysis verifies sess.Text() against the
-	// then-current buffer and rebuilds on any mismatch, so a stale
-	// write-back costs one rebuild, never a wrong result.
-	d.session, d.sessionLinter = sess, sessLinter
-	if d.version != version {
-		// Superseded mid-lint: keep the session (the newly queued edits
-		// will advance it next round) but publish nothing stale.
-		return diags, true
-	}
-	d.index, d.msgs, d.diags, d.analyzed = ix, msgs, diags, version
+	d.msgs, d.diags, d.analyzed = msgs, diags, d.version
 	if publish {
 		if err := s.conn.notify("textDocument/publishDiagnostics",
-			publishDiagnosticsParams{URI: uri, Version: version, Diagnostics: diags}); err != nil {
+			publishDiagnosticsParams{URI: d.uri, Version: d.version, Diagnostics: diags}); err != nil {
 			s.logf("publish: %v", err)
 		}
 	}
@@ -495,13 +485,13 @@ func (s *Server) analyze(uri string, publish bool) (diags []Diagnostic, ok bool)
 // codeActions builds quick fixes for the fix-carrying diagnostics
 // touching the requested range.
 func (s *Server) codeActions(p *codeActionParams) []CodeAction {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d := s.docs[p.TextDocument.URI]
-	if d == nil || d.index == nil {
+	d := s.lookup(p.TextDocument.URI)
+	if d == nil {
 		return []CodeAction{}
 	}
-	if d.analyzed != d.version {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.session == nil || d.analyzed != d.version {
 		// A didChange arrived after the last analysis (the debounced
 		// re-lint hasn't landed yet): edit offsets computed against
 		// the stale text could corrupt the client's buffer. Offer
@@ -520,7 +510,7 @@ func (s *Server) codeActions(p *codeActionParams) []CodeAction {
 				Diagnostics: []Diagnostic{d.diags[i]},
 				IsPreferred: true,
 				Edit: &WorkspaceEdit{Changes: map[string][]TextEdit{
-					d.uri: editsToLSP(m.Fix.Edits, d.index),
+					d.uri: editsToLSP(m.Fix.Edits, d.ix),
 				}},
 			})
 		}
@@ -555,11 +545,12 @@ func wantKind(only []string, kind string) bool {
 // would re-implement fixit's conflict handling in range space for no
 // client-visible benefit. Returns nil when nothing is fixable.
 func (s *Server) fixAllAction(d *document) *CodeAction {
-	fixed, rep := fixit.Apply(d.text, d.msgs)
+	text := d.session.Text()
+	fixed, rep := fixit.Apply(text, d.msgs)
 	if !rep.Changed() {
 		return nil
 	}
-	el, ec := d.index.OffsetToUTF16(len(d.text))
+	el, ec := d.ix.OffsetToUTF16(len(text))
 	return &CodeAction{
 		Title: fmt.Sprintf("Apply all weblint fixes (%d)", rep.Applied),
 		Kind:  "source.fixAll",

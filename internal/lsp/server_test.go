@@ -300,8 +300,9 @@ func TestCodeActionFixAppliesClean(t *testing.T) {
 	}
 }
 
-// TestDidChangeDebounce: a typing burst produces one re-lint with the
-// final content, tagged with the final version.
+// TestDidChangeDebounce: a typing burst produces one publish, of the
+// final content and tagged with the final version. Each change is
+// linted as it arrives; the debounce delays only the publish.
 func TestDidChangeDebounce(t *testing.T) {
 	cl := startServer(t, Options{DebounceDelay: 50 * time.Millisecond})
 	cl.initialize("")

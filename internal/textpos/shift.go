@@ -1,64 +1,6 @@
 package textpos
 
-import (
-	"sort"
-	"strings"
-)
-
-// NewLF builds an index where only '\n' ends a line — the tokenizer's
-// line semantics (htmltoken counts lines by bare newlines; "\r\n" is
-// one separator only because it contains one '\n'). The incremental
-// lint Session uses LF indexes so its line arithmetic agrees exactly
-// with the line numbers the checker emits.
-func NewLF(src string) *Index {
-	starts := []int{0}
-	for i := 0; i < len(src); {
-		j := strings.IndexByte(src[i:], '\n')
-		if j < 0 {
-			break
-		}
-		i += j + 1
-		starts = append(starts, i)
-	}
-	return &Index{src: src, starts: starts}
-}
-
-// SpliceLF derives the LF index of the edited document — old's source
-// with bytes [start, end) replaced by replacement, yielding newSrc —
-// from the old index, scanning only the replacement bytes. It returns
-// exactly what NewLF(newSrc) would: line starts at or before the edit
-// are unchanged, starts opened by deleted newlines vanish, starts in
-// the replacement are found by scanning it, and starts after the edit
-// shift by the length delta. On the incremental re-lint path this
-// turns the per-edit index rebuild from a whole-document scan into
-// O(len(replacement) + suffix lines).
-func SpliceLF(old *Index, start, end int, replacement, newSrc string) *Index {
-	delta := len(replacement) - (end - start)
-	// starts[:p] are <= start: their newlines sit strictly before the
-	// edit. starts[q:] are > end: their newlines sit at or after it.
-	p := sort.SearchInts(old.starts, start+1)
-	q := sort.SearchInts(old.starts, end+1)
-	starts := make([]int, 0, p+strings.Count(replacement, "\n")+len(old.starts)-q)
-	starts = append(starts, old.starts[:p]...)
-	for i := 0; i < len(replacement); {
-		j := strings.IndexByte(replacement[i:], '\n')
-		if j < 0 {
-			break
-		}
-		i += j + 1
-		starts = append(starts, start+i)
-	}
-	for _, s := range old.starts[q:] {
-		starts = append(starts, s+delta)
-	}
-	return &Index{src: newSrc, starts: starts}
-}
-
-// LineStarts exposes the index's line-start table (offset of each
-// line's first byte, starts[0] == 0). Callers must treat it as
-// read-only; it is the tokenizer hand-off that lets an incremental
-// re-lint re-arm over a large document without rescanning it.
-func (ix *Index) LineStarts() []int { return ix.starts }
+import "strings"
 
 // Shift maps positions in a document across one span edit: the old
 // document's bytes [P, Q) were replaced, changing the length by Delta

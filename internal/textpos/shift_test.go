@@ -17,27 +17,31 @@ func randText(r *rand.Rand, n int, alphabet string) string {
 	return b.String()
 }
 
-// TestSpliceLFAndShift checks the incremental index and position
-// mapping against brute force over random span edits: SpliceLF must
-// equal NewLF of the edited text, and every mapping Shift decides must
-// land where a from-scratch index of the edited text puts the byte.
-func TestSpliceLFAndShift(t *testing.T) {
+// TestSpliceAndShift checks the incremental index and position mapping
+// against brute force over random span edits. In both conventions,
+// Splice must equal a rebuild of the edited text; the alphabets include
+// '\r', so edits split and join "\r\n" pairs and lone CRs. Every
+// mapping Shift decides must land where a from-scratch LF index of the
+// edited text puts the byte.
+func TestSpliceAndShift(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	for iter := 0; iter < 2000; iter++ {
-		old := randText(r, r.Intn(40), "ab\n")
+	for iter := 0; iter < 4000; iter++ {
+		old := randText(r, r.Intn(40), "ab\r\n")
 		start := r.Intn(len(old) + 1)
 		end := start + r.Intn(len(old)-start+1)
-		repl := randText(r, r.Intn(8), "x\n")
+		repl := randText(r, r.Intn(8), "x\r\n")
 		if r.Intn(4) == 0 {
 			repl = strings.Repeat("x", end-start) // length-preserving edit
 		}
 		newSrc := old[:start] + repl + old[end:]
 
-		oldIx, newIx := NewLF(old), NewLF(newSrc)
-		if got, want := SpliceLF(oldIx, start, end, repl, newSrc).LineStarts(), newIx.LineStarts(); !slices.Equal(got, want) {
-			t.Fatalf("SpliceLF(%q, %d, %d, %q) = %v, want %v", old, start, end, repl, got, want)
+		for _, build := range []func(string) *Index{New, NewLF} {
+			if got, want := build(old).Splice(start, end, repl, newSrc).LineStarts(), build(newSrc).LineStarts(); !slices.Equal(got, want) {
+				t.Fatalf("Splice(%q, %d, %d, %q) = %v, want %v (lf=%v)", old, start, end, repl, got, want, build(old).lf)
+			}
 		}
 
+		oldIx, newIx := NewLF(old), NewLF(newSrc)
 		s := NewShift(oldIx, newIx, start, end, repl)
 		for o := 0; o <= len(old); o++ {
 			inside := o >= start && o < end

@@ -1,43 +1,102 @@
 // Package textpos maps byte offsets in a document to line-based
-// positions and back. It is the shared position layer under the LSP
-// server (which speaks 0-based lines and UTF-16 code-unit columns, the
-// protocol's mandated encoding) and the baseline fingerprinter (which
-// hashes the source line a finding sits on).
+// positions and back, for the incremental lint Session, the LSP server
+// (0-based lines, UTF-16 code-unit columns) and the baseline
+// fingerprinter.
 //
-// Line separators follow the LSP convention: "\n", "\r\n" and a lone
-// "\r" each end a line. Columns are counted in UTF-16 code units —
-// one unit per BMP rune, two per astral-plane rune (surrogate pair),
-// and one per invalid UTF-8 byte (which mirrors how editors decode
-// such bytes as one replacement character each).
+// An Index counts lines in one of two conventions. NewLF's is the
+// tokenizer's: only "\n" ends a line, so message line numbers count
+// this way, and the Session and the fingerprinter resolve them through
+// LF indexes. New's is the protocol's: "\n", "\r\n" and a lone "\r"
+// each end a line, as LSP clients count. The two differ only where a
+// lone "\r" occurs, and so the LSP needs both: the Session's LF index
+// turns a message's line into a byte offset, and the server's protocol
+// index turns offsets into editor positions and back.
+//
+// Columns are counted in UTF-16 code units — one unit per BMP rune,
+// two per astral-plane rune (surrogate pair), and one per invalid
+// UTF-8 byte (which mirrors how editors decode such bytes as one
+// replacement character each).
 package textpos
 
-import "unicode/utf8"
+import (
+	"sort"
+	"strings"
+	"unicode/utf8"
+)
 
 // Index is an immutable line index over one document. Construct with
-// New; the zero value indexes the empty document.
+// New or NewLF; the zero value indexes the empty document.
 type Index struct {
 	src string
 	// starts holds the byte offset of each line's first byte. Line 0
 	// starts at 0; there is always at least one line.
 	starts []int
+	// lf records the convention: only '\n' ends a line.
+	lf bool
 }
 
-// New builds an index over src.
-func New(src string) *Index {
-	starts := []int{0}
-	for i := 0; i < len(src); i++ {
-		switch src[i] {
-		case '\n':
-			starts = append(starts, i+1)
-		case '\r':
-			if i+1 < len(src) && src[i+1] == '\n' {
-				i++
-			}
-			starts = append(starts, i+1)
-		}
-	}
-	return &Index{src: src, starts: starts}
+// New builds an index over src in the protocol convention.
+func New(src string) *Index { return newIndex(src, false) }
+
+// NewLF builds an index over src in the tokenizer's convention, where
+// only '\n' ends a line: htmltoken counts lines by bare newlines, and
+// "\r\n" is one separator only because it contains one '\n'.
+func NewLF(src string) *Index { return newIndex(src, true) }
+
+func newIndex(src string, lf bool) *Index {
+	return &Index{src: src, starts: appendStarts(nil, src, 0, len(src), lf), lf: lf}
 }
+
+// appendStarts appends the line starts among offsets [lo, hi] of src.
+// An offset starts a line at 0, after a '\n' and, in the protocol
+// convention (lf false), after a '\r' that no '\n' follows.
+func appendStarts(starts []int, src string, lo, hi int, lf bool) []int {
+	if lo == 0 {
+		starts, lo = append(starts, 0), 1
+	}
+	seps := "\r\n"
+	if lf {
+		seps = "\n"
+	}
+	for j := lo - 1; j < hi; j++ {
+		k := strings.IndexAny(src[j:hi], seps)
+		if k < 0 {
+			break
+		}
+		j += k
+		if src[j] == '\r' && j+1 < len(src) && src[j+1] == '\n' {
+			continue
+		}
+		starts = append(starts, j+1)
+	}
+	return starts
+}
+
+// Splice returns the index of the edited document — ix's source with
+// bytes [start, end) replaced by replacement, yielding newSrc — in
+// ix's convention, equal to a rebuild. Whether an offset starts a line
+// depends only on the byte before it and the byte at it, so starts
+// before start are kept, offsets [start, start+len(replacement)] are
+// rescanned, and starts after end shift by the length delta: an edit
+// costs O(len(replacement) + lines), not a document scan.
+func (ix *Index) Splice(start, end int, replacement, newSrc string) *Index {
+	p := sort.SearchInts(ix.starts, start) // starts[:p] < start
+	q := sort.SearchInts(ix.starts, end+1) // starts[q:] > end
+	starts := make([]int, 0, p+1+strings.Count(replacement, "\n")+len(ix.starts)-q)
+	starts = append(starts, ix.starts[:p]...)
+	starts = appendStarts(starts, newSrc, start, start+len(replacement), ix.lf)
+	delta := len(replacement) - (end - start)
+	for _, s := range ix.starts[q:] {
+		starts = append(starts, s+delta)
+	}
+	return &Index{src: newSrc, starts: starts, lf: ix.lf}
+}
+
+// LineStarts exposes the index's line-start table (offset of each
+// line's first byte, starts[0] == 0). Callers must treat it as
+// read-only; it is the tokenizer hand-off that lets an incremental
+// re-lint re-arm over a large document without rescanning it.
+func (ix *Index) LineStarts() []int { return ix.starts }
 
 // Len returns the document length in bytes.
 func (ix *Index) Len() int { return len(ix.src) }
@@ -70,7 +129,7 @@ func (ix *Index) lineEnd(line int) int {
 	end := len(ix.src)
 	if line+1 < len(ix.starts) {
 		end = ix.starts[line+1]
-		// Strip the separator: "\r\n", "\n" or "\r".
+		// Strip the separator: "\r\n", "\n" or a lone "\r".
 		if end > 0 && ix.src[end-1] == '\n' {
 			end--
 		}
