@@ -1,10 +1,11 @@
 package weblint
 
-// The benchmark harness: one bench per experiment in DESIGN.md's
-// per-experiment index (E1-E9). The paper has no numbered tables or
-// figures, so the experiments cover every quantified or exemplified
-// claim in its text; cmd/weblint-bench prints the paper-vs-measured
-// rows and EXPERIMENTS.md records them.
+// The benchmark harness. Benchmark names follow the experiment numbers
+// of cmd/weblint-bench, which prints the paper-vs-measured rows; the
+// paper has no numbered tables or figures, so the experiments cover
+// every quantified or exemplified claim in its text. Throughput and
+// hot-path scaling are timed only here: BenchmarkE7Throughput,
+// BenchmarkE7RawText, BenchmarkE9GatewayParallel and BenchmarkE10Batch.
 //
 // Run everything with:
 //

@@ -1,10 +1,13 @@
 package gateway
 
 import (
+	"bytes"
 	"container/list"
 	"encoding/hex"
 	"encoding/json"
-	"net/http"
+	"errors"
+	"fmt"
+	"net/url"
 	"strings"
 	"sync"
 
@@ -12,27 +15,21 @@ import (
 	"weblint/internal/resultcache"
 )
 
-// diff.go is the gateway's diff-granular serving path: a client that
-// already submitted a document can POST diff=<etag of the base> plus
-// edits=<JSON span edits> and get the re-lint of the edited document
-// without resending it — and, server-side, without re-linting it from
-// scratch. Recently submitted documents are retained (bounded LRU,
-// content-addressed by the same key the ETag exposes); the first diff
-// against a base builds a lint.Session over it, and every further diff
-// re-tokenizes only the damaged window, splicing cached findings
-// around it. The session guarantees output byte-identical to a
-// from-scratch lint, so a diff response is indistinguishable from a
-// full submission of the edited text — it even carries the edited
-// text's own content-hash ETag, which in turn serves as the base for
-// the next diff. An unknown or superseded base answers 412
+// diff.go lets a client that already submitted a document send edits
+// instead of resending it: POST diff=<the ETag of the base> plus
+// edits=<JSON span edits>. Recently submitted documents are retained
+// as bases (a bounded LRU, keyed by the same content hash the ETag
+// exposes). readDiff applies the edits to the base and hands the
+// edited document to the one submission path under the base's name,
+// so from there a diff is keyed, cached, coalesced, admitted, budgeted,
+// linted and rendered exactly like a paste or an upload, and its
+// response is the response to a full submission of the edited text.
+// The edited text is retained as a base in turn. A diff saves the
+// upload, not the lint. An unknown or evicted base answers 412
 // Precondition Failed: the client resubmits the full document.
-//
-// Diff results are never stored in the result cache: their keys are
-// derived, not proven by a document upload, and the session already
-// holds the authoritative state.
 
 // diffEdit is the wire form of one span edit, mirroring lint.Edit:
-// bytes [start, end) of the current base text are replaced by text.
+// bytes [start, end) of the current text are replaced by text.
 type diffEdit struct {
 	Start int    `json:"start"`
 	End   int    `json:"end"`
@@ -43,23 +40,19 @@ type diffEdit struct {
 // somehow batches more than this should resubmit the document.
 const maxDiffEdits = 1000
 
-// baseEntry is one retained base document. mu serialises diffs against
-// it: lint.Session is not safe for concurrent use, and a diff advances
-// the entry to the edited document (re-keyed under the new content
-// hash), so a concurrent diff against the now-stale key misses and
-// resubmits.
+// errUnknownBase reports a diff against a base the gateway does not
+// hold: never issued, or evicted since.
+var errUnknownBase = errors.New("unknown base document; resubmit the full document")
+
+// baseEntry is one retained base document. Entries are immutable.
 type baseEntry struct {
-	mu   sync.Mutex
 	key  resultcache.Key
 	name string
 	text string
-	sess *lint.Session // built lazily on the first diff
 }
 
 // baseStore is a small LRU of base documents keyed by content hash.
-// It is intentionally tiny: each entry may pin a session (document
-// text, event stream, checker snapshots), and only actively edited
-// documents earn that.
+// It holds at most cap entries of at most MaxUpload bytes each.
 type baseStore struct {
 	mu  sync.Mutex
 	cap int
@@ -71,15 +64,16 @@ func newBaseStore(capacity int) *baseStore {
 	return &baseStore{cap: capacity, m: map[resultcache.Key]*list.Element{}}
 }
 
-// put retains a document under its key (no-op if already present).
-func (bs *baseStore) put(key resultcache.Key, name, text string) {
+// put retains a document under its key. It copies src only when the
+// key is new; a known key is just marked recently used.
+func (bs *baseStore) put(key resultcache.Key, name string, src []byte) {
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
 	if el, ok := bs.m[key]; ok {
 		bs.lru.MoveToFront(el)
 		return
 	}
-	bs.m[key] = bs.lru.PushFront(&baseEntry{key: key, name: name, text: strings.Clone(text)})
+	bs.m[key] = bs.lru.PushFront(&baseEntry{key: key, name: name, text: string(src)})
 	for bs.lru.Len() > bs.cap {
 		el := bs.lru.Back()
 		delete(bs.m, el.Value.(*baseEntry).key)
@@ -99,25 +93,6 @@ func (bs *baseStore) get(key resultcache.Key) *baseEntry {
 	return el.Value.(*baseEntry)
 }
 
-// rekey moves an entry from old to new after a diff advanced it. The
-// entry stays at its LRU position; if the new key is already present
-// (another path produced the same document) the old entry is dropped.
-func (bs *baseStore) rekey(e *baseEntry, newKey resultcache.Key) {
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	el, ok := bs.m[e.key]
-	if !ok || el.Value.(*baseEntry) != e {
-		return // evicted while the diff ran
-	}
-	delete(bs.m, e.key)
-	if _, exists := bs.m[newKey]; exists {
-		bs.lru.Remove(el)
-		return
-	}
-	e.key = newKey
-	bs.m[newKey] = el
-}
-
 // defaultBaseCapacity is how many base documents the gateway retains
 // for diffing.
 const defaultBaseCapacity = 8
@@ -125,12 +100,6 @@ const defaultBaseCapacity = 8
 func (h *Handler) bases() *baseStore {
 	h.baseOnce.Do(func() { h.baseStore = newBaseStore(defaultBaseCapacity) })
 	return h.baseStore
-}
-
-// retainBase remembers a fully submitted document so later requests
-// can diff against its ETag.
-func (h *Handler) retainBase(key resultcache.Key, name string, src []byte) {
-	h.bases().put(key, name, string(src))
 }
 
 // parseDiffKey decodes the diff= form value — the ETag a previous
@@ -149,75 +118,39 @@ func parseDiffKey(v string) (resultcache.Key, bool) {
 	return k, true
 }
 
-// submitDiff serves a diff request: edits against a retained base.
-// Responses carry the edited document's content-hash ETag and
-// X-Weblint-Cache: diff.
-func (h *Handler) submitDiff(w http.ResponseWriter, r *http.Request) {
-	key, ok := parseDiffKey(r.FormValue("diff"))
+// readDiff applies a diff request's edits to its retained base and
+// writes the edited document into buf, returning it under the base's
+// name. The edits are applied as lint.Session applies them.
+func (h *Handler) readDiff(form url.Values, buf *bytes.Buffer) (name string, src []byte, err error) {
+	key, ok := parseDiffKey(form.Get("diff"))
 	if !ok {
-		http.Error(w, "diff= is not a weblint ETag", http.StatusBadRequest)
-		return
+		return "", nil, errors.New("diff= is not a weblint ETag")
 	}
 	var edits []diffEdit
-	if err := json.Unmarshal([]byte(r.FormValue("edits")), &edits); err != nil {
-		http.Error(w, "edits= is not a JSON edit list: "+err.Error(), http.StatusBadRequest)
-		return
+	if err := json.Unmarshal([]byte(form.Get("edits")), &edits); err != nil {
+		return "", nil, fmt.Errorf("edits= is not a JSON edit list: %w", err)
 	}
 	if len(edits) > maxDiffEdits {
-		http.Error(w, "too many edits in one diff; resubmit the document", http.StatusBadRequest)
-		return
+		return "", nil, errors.New("too many edits in one diff; resubmit the document")
 	}
-	format := r.FormValue("format")
-	if format == "" {
-		format = "html"
+	base := h.bases().get(key)
+	if base == nil {
+		return "", nil, errUnknownBase
 	}
-	if !validFormat(format) {
-		http.Error(w, "unknown format "+format+" (expected html, json, sarif, baseline or fixed)", http.StatusBadRequest)
-		return
-	}
-
-	e := h.bases().get(key)
-	if e == nil {
-		http.Error(w, "unknown base document; resubmit the full document", http.StatusPreconditionFailed)
-		return
-	}
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.key != key {
-		// A concurrent diff advanced this base past the key the client
-		// holds; its edits no longer mean what it thinks.
-		http.Error(w, "base document superseded; resubmit the full document", http.StatusPreconditionFailed)
-		return
-	}
-
-	grow := 0
-	for _, ed := range edits {
-		grow += len(ed.Text)
-	}
-	if int64(len(e.text)+grow) > h.maxUpload() {
-		h.renderError(w, http.StatusRequestEntityTooLarge,
-			"edited document would exceed the upload limit")
-		return
-	}
-
-	if e.sess == nil {
-		// First diff against this base pays one full lint to build the
-		// session; every further diff re-lints only the edit window.
-		e.sess = lint.NewSession(h.Linter, e.name, e.text)
-	}
+	// No intermediate text is longer than the base plus every inserted
+	// text, so checking that sum bounds the result and lets buf hold
+	// every step without growing.
+	size := len(base.text)
 	le := make([]lint.Edit, len(edits))
-	for i, ed := range edits {
-		le[i] = lint.Edit{Start: ed.Start, End: ed.End, Text: ed.Text}
+	for i, e := range edits {
+		size += len(e.Text)
+		le[i] = lint.Edit{Start: e.Start, End: e.End, Text: e.Text}
 	}
-	e.sess.Apply(le)
-	e.text = e.sess.Text()
-
-	newKey := resultcache.KeyOf(h.Linter.ConfigFingerprint(), []byte(e.text)).Named(e.name)
-	h.bases().rekey(e, newKey)
-
-	// Serve the emission-order recording, not the sorted view: a diff
-	// response must be byte-identical to what submitting the edited
-	// document would produce, and that replays a recorded stream too.
-	h.serveResult(w, r, e.name, []byte(e.text), format, e.sess.Recording(), `"`+newKey.Hex()+`"`, "diff")
+	if int64(size) > h.maxUpload() {
+		return "", nil, errTooLarge
+	}
+	buf.Grow(size)
+	doc := lint.ApplyEdits(append(buf.AvailableBuffer(), base.text...), le)
+	buf.Write(doc)
+	return base.name, buf.Bytes(), nil
 }

@@ -1,16 +1,23 @@
 package gateway
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
 	"testing"
+	"time"
+
+	"weblint/internal/faultinject"
+	"weblint/internal/serve"
 )
 
-// diffPage is a document big enough to have checkpoints and findings
-// on both sides of an edit.
+// diffPage is a document with findings on both sides of an edit.
 func diffPage() string {
 	var b strings.Builder
 	b.WriteString("<HTML><HEAD><TITLE>t</TITLE></HEAD><BODY>\n")
@@ -21,58 +28,148 @@ func diffPage() string {
 	return b.String()
 }
 
-// TestDiffServesEditedDocument: submit a document, edit it through the
-// diff path, and require the response byte-identical to submitting the
-// edited document in full — the wire-level version of the Session's
-// differential guarantee — with the edited text's own ETag and
-// X-Weblint-Cache: diff.
-func TestDiffServesEditedDocument(t *testing.T) {
-	h := cachedHandler()
-	base := diffPage()
-
-	rec := postValues(h, url.Values{"html": {base}, "format": {"json"}})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("base submission: %d", rec.Code)
+// applyReference is the test's own statement of how a diff edits its
+// base: each edit, in order, against the result of the previous one;
+// an offset past either end moves to that end, and an end before the
+// start becomes the start.
+func applyReference(text string, edits []diffEdit) string {
+	for _, e := range edits {
+		start := min(max(e.Start, 0), len(text))
+		end := min(max(e.End, start), len(text))
+		text = text[:start] + e.Text + text[end:]
 	}
-	etag := rec.Header().Get("ETag")
+	return text
+}
 
-	// Replace one IMG with an unclosed B in the middle of the page.
+// postDiff sends edits against the base that etag names.
+func postDiff(t testing.TB, h *Handler, etag string, edits []diffEdit, format string) *httptest.ResponseRecorder {
+	t.Helper()
+	raw, err := json.Marshal(edits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return postValues(h, url.Values{"diff": {etag}, "edits": {string(raw)}, "format": {format}})
+}
+
+// diffCases are edit lists against diffPage: an ordinary replacement,
+// each clamping edge, an edit landing in text the previous one
+// inserted, and no edits at all.
+func diffCases(base string) []struct {
+	name  string
+	edits []diffEdit
+} {
 	needle := "<IMG SRC=\"25.gif\">"
 	off := strings.Index(base, needle)
-	edit := diffEdit{Start: off, End: off + len(needle), Text: "<B>bold"}
-	raw, _ := json.Marshal([]diffEdit{edit})
-	drec := postValues(h, url.Values{"diff": {etag}, "edits": {string(raw)}, "format": {"json"}})
-	if drec.Code != http.StatusOK {
-		t.Fatalf("diff request: %d: %s", drec.Code, drec.Body.String())
-	}
-	if got := drec.Header().Get("X-Weblint-Cache"); got != "diff" {
-		t.Fatalf("X-Weblint-Cache = %q, want diff", got)
-	}
-
-	edited := base[:off] + "<B>bold" + base[off+len(needle):]
-	full := postValues(h, url.Values{"html": {edited}, "format": {"json"}})
-	if full.Code != http.StatusOK {
-		t.Fatalf("full submission of edited doc: %d", full.Code)
-	}
-	if drec.Body.String() != full.Body.String() {
-		t.Fatalf("diff response differs from full submission of the edited document\ndiff:\n%s\nfull:\n%s",
-			drec.Body.String(), full.Body.String())
-	}
-	if drec.Header().Get("ETag") != full.Header().Get("ETag") {
-		t.Fatalf("diff ETag %s != edited document's content ETag %s",
-			drec.Header().Get("ETag"), full.Header().Get("ETag"))
-	}
-
-	// The diff result must not have entered the result cache: its key
-	// was derived, not proven by an upload. The full submission above
-	// therefore registered as a miss, not a hit.
-	if got := full.Header().Get("X-Weblint-Cache"); got != "miss" {
-		t.Fatalf("edited document's full submission X-Weblint-Cache = %q, want miss", got)
+	body := strings.Index(base, "</BODY>")
+	return []struct {
+		name  string
+		edits []diffEdit
+	}{
+		// Replace one IMG with an unclosed B in the middle of the page.
+		{"replace", []diffEdit{{Start: off, End: off + len(needle), Text: "<B>bold"}}},
+		{"negative start", []diffEdit{{Start: -7, End: 0, Text: "<!DOCTYPE HTML PUBLIC \"-//W3C//DTD HTML 4.0//EN\">\n"}}},
+		{"start past end", []diffEdit{{Start: len(base) + 10, End: len(base) + 20, Text: "<P>after the end"}}},
+		{"end before start", []diffEdit{{Start: off, End: off - 5, Text: "<H1>x</H2>"}}},
+		{"end past end", []diffEdit{{Start: body, End: len(base) + 100, Text: "<P>cut"}}},
+		{"second edit inside first insert", []diffEdit{
+			{Start: off, End: off, Text: "<P>inserted <B>text</B></P>"},
+			{Start: off + 12, End: off + 15, Text: "<I>"},
+		}},
+		{"empty list", []diffEdit{}},
 	}
 }
 
+// TestDiffServesEditedDocument: submit a document, edit it through a
+// diff, and require the response byte-identical, body and ETag, to a
+// full submission of the edited document on a fresh gateway. The diff
+// result is cached under the edited text's key like any other result.
+func TestDiffServesEditedDocument(t *testing.T) {
+	base := diffPage()
+	for _, tc := range diffCases(base) {
+		t.Run(tc.name, func(t *testing.T) {
+			h := cachedHandler()
+			rec := postValues(h, url.Values{"html": {base}, "format": {"json"}})
+			if rec.Code != http.StatusOK {
+				t.Fatalf("base submission: %d", rec.Code)
+			}
+			drec := postDiff(t, h, rec.Header().Get("ETag"), tc.edits, "json")
+			if drec.Code != http.StatusOK {
+				t.Fatalf("diff request: %d: %s", drec.Code, drec.Body.String())
+			}
+
+			edited := applyReference(base, tc.edits)
+			wantDisp := "miss"
+			if edited == base {
+				wantDisp = "hit"
+			}
+			if got := drec.Header().Get("X-Weblint-Cache"); got != wantDisp {
+				t.Fatalf("X-Weblint-Cache = %q, want %s", got, wantDisp)
+			}
+
+			full := postValues(cachedHandler(), url.Values{"html": {edited}, "format": {"json"}})
+			if full.Code != http.StatusOK {
+				t.Fatalf("full submission of edited doc: %d", full.Code)
+			}
+			if drec.Body.String() != full.Body.String() {
+				t.Fatalf("diff response differs from full submission of the edited document\ndiff:\n%s\nfull:\n%s",
+					drec.Body.String(), full.Body.String())
+			}
+			if drec.Header().Get("ETag") != full.Header().Get("ETag") {
+				t.Fatalf("diff ETag %s != edited document's content ETag %s",
+					drec.Header().Get("ETag"), full.Header().Get("ETag"))
+			}
+
+			// The diff result entered the result cache under the edited
+			// text's key, so a full submission of that text hits it.
+			again := postValues(h, url.Values{"html": {edited}, "format": {"json"}})
+			if got := again.Header().Get("X-Weblint-Cache"); got != "hit" {
+				t.Fatalf("edited document's full submission X-Weblint-Cache = %q, want hit", got)
+			}
+		})
+	}
+}
+
+// FuzzDiff: any edits against any base answer exactly what a full
+// submission of the reference-edited text answers on a gateway that
+// never saw the base.
+func FuzzDiff(f *testing.F) {
+	base := diffPage()
+	for _, tc := range diffCases(base) {
+		var e [2]diffEdit
+		copy(e[:], tc.edits)
+		f.Add(base, e[0].Start, e[0].End, e[0].Text, e[1].Start, e[1].End, e[1].Text, uint8(len(tc.edits)))
+	}
+	f.Add("<P>x</P>", 0, 8, " \n", 0, 0, "", uint8(1))
+
+	h := cachedHandler()
+	f.Fuzz(func(t *testing.T, doc string, s1, e1 int, t1 string, s2, e2 int, t2 string, n uint8) {
+		rec := postValues(h, url.Values{"html": {doc}, "format": {"json"}})
+		etag := rec.Header().Get("ETag")
+		if rec.Code != http.StatusOK || etag == "" {
+			t.Skip("base is not a lintable document")
+		}
+		edits := []diffEdit{{s1, e1, t1}, {s2, e2, t2}}[:n%3]
+		drec := postDiff(t, h, etag, edits, "json")
+
+		// The reference edits what the gateway decodes: JSON replaces
+		// invalid UTF-8 in edit texts.
+		raw, _ := json.Marshal(edits)
+		var sent []diffEdit
+		if err := json.Unmarshal(raw, &sent); err != nil {
+			t.Fatal(err)
+		}
+		full := postValues(NewHandler(h.Linter), url.Values{"html": {applyReference(doc, sent)}, "format": {"json"}})
+		if drec.Code != full.Code || drec.Body.String() != full.Body.String() ||
+			drec.Header().Get("ETag") != full.Header().Get("ETag") {
+			t.Fatalf("diff answered %d %s\n%s\nfull submission answered %d %s\n%s",
+				drec.Code, drec.Header().Get("ETag"), drec.Body.String(),
+				full.Code, full.Header().Get("ETag"), full.Body.String())
+		}
+	})
+}
+
 // TestDiffChains: a diff response's ETag serves as the base for the
-// next diff, and the session state advances with each one.
+// next diff. An older base stays valid until it is evicted.
 func TestDiffChains(t *testing.T) {
 	h := cachedHandler()
 	base := diffPage()
@@ -93,10 +190,12 @@ func TestDiffChains(t *testing.T) {
 		if drec.Body.String() != full.Body.String() {
 			t.Fatalf("diff round %d diverged from full submission", i)
 		}
-		// The superseded base is gone: diffing against the old ETag
-		// must demand a resubmission.
-		if old := postValues(h, url.Values{"diff": {etag}, "edits": {string(raw)}}); old.Code != http.StatusPreconditionFailed {
-			t.Fatalf("diff round %d against superseded base: %d, want 412", i, old.Code)
+		// The older base is still retained: the same edits against it
+		// answer the same edited document.
+		old := postValues(h, url.Values{"diff": {etag}, "edits": {string(raw)}, "format": {"json"}})
+		if old.Code != http.StatusOK || old.Header().Get("ETag") != drec.Header().Get("ETag") {
+			t.Fatalf("diff round %d against the older base: %d %s, want 200 %s",
+				i, old.Code, old.Header().Get("ETag"), drec.Header().Get("ETag"))
 		}
 		etag = drec.Header().Get("ETag")
 	}
@@ -156,10 +255,175 @@ func TestDiffWithCacheOff(t *testing.T) {
 	raw, _ := json.Marshal([]diffEdit{{Start: off, End: off, Text: ins}})
 	drec := postValues(h, url.Values{"diff": {etag}, "edits": {string(raw)}, "format": {"json"}})
 	full := postValues(h, url.Values{"html": {base[:off] + ins + base[off:]}, "format": {"json"}})
-	if drec.Code != http.StatusOK || drec.Header().Get("X-Weblint-Cache") != "diff" {
+	if drec.Code != http.StatusOK || drec.Header().Get("X-Weblint-Cache") != "miss" {
 		t.Fatalf("diff against a cache-off gateway: %d %q", drec.Code, drec.Header().Get("X-Weblint-Cache"))
 	}
 	if drec.Body.String() != full.Body.String() {
 		t.Fatalf("diff response differs from full submission\ndiff:\n%s\nfull:\n%s", drec.Body.String(), full.Body.String())
+	}
+}
+
+// TestDiffTakesTheSubmissionPath: a diff's lint is admitted, budgeted
+// and fault-injected like any submission's, so each way a lint can
+// fail answers a diff the way it answers an upload.
+func TestDiffTakesTheSubmissionPath(t *testing.T) {
+	edit := []diffEdit{{Start: 0, End: 0, Text: "<P>edited</P>\n"}}
+	for _, tc := range []struct {
+		name  string
+		setup func(t *testing.T, h *Handler) (undo func())
+		want  int
+	}{
+		{"budget", func(t *testing.T, h *Handler) func() {
+			h.LintBudget = time.Nanosecond
+			return func() {}
+		}, http.StatusGatewayTimeout},
+		{"fault", func(t *testing.T, h *Handler) func() {
+			faultinject.Arm("gateway.lint", faultinject.Fault{Err: errors.New("injected lint failure"), Count: 1})
+			return faultinject.Reset
+		}, http.StatusInternalServerError},
+		{"saturation", func(t *testing.T, h *Handler) func() {
+			release, err := h.Limiter.Acquire(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return release
+		}, http.StatusTooManyRequests},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := NewHandler(nil)
+			h.Limiter = serve.NewLimiter(1, 10*time.Millisecond)
+			etag := postValues(h, url.Values{"html": {brokenPage}}).Header().Get("ETag")
+			undo := tc.setup(t, h)
+			defer undo()
+			rec := postDiff(t, h, etag, edit, "html")
+			if rec.Code != tc.want {
+				t.Fatalf("diff answered %d, want %d", rec.Code, tc.want)
+			}
+			if tc.want == http.StatusTooManyRequests && rec.Header().Get("Retry-After") == "" {
+				t.Error("429 carries no Retry-After header")
+			}
+		})
+	}
+}
+
+// TestDiffCountsInMetrics: every diff response carrying
+// X-Weblint-Cache counts in the cache counters, and every diff lint is
+// observed, so the /metrics reconciliation holds for diffs too.
+func TestDiffCountsInMetrics(t *testing.T) {
+	h := cachedHandler()
+	base := diffPage()
+	rec := postValues(h, url.Values{"html": {base}})
+	etag := rec.Header().Get("ETag")
+	responses := 1
+	for i := 0; i < 3; i++ {
+		d := postDiff(t, h, etag, []diffEdit{{Start: 0, End: 0, Text: fmt.Sprintf("<P>%d</P>", i)}}, "html")
+		if d.Code != http.StatusOK || d.Header().Get("X-Weblint-Cache") == "" {
+			t.Fatalf("diff %d: %d %q", i, d.Code, d.Header().Get("X-Weblint-Cache"))
+		}
+		etag = d.Header().Get("ETag")
+		responses++
+	}
+	m := h.Metrics
+	if got := m.CacheHits.Value() + m.CacheMisses.Value() + m.CacheCoalesced.Value(); got != int64(responses) {
+		t.Fatalf("cache counters sum to %d over %d responses carrying X-Weblint-Cache", got, responses)
+	}
+	if got := m.LintDuration.Count(); got != int64(responses) {
+		t.Fatalf("lint histogram observed %d lints, want %d", got, responses)
+	}
+}
+
+// TestDiffToBlankAnswersLikeFullSubmission: a diff that leaves only
+// whitespace answers the form page, as submitting that text does.
+func TestDiffToBlankAnswersLikeFullSubmission(t *testing.T) {
+	h := cachedHandler()
+	etag := postValues(h, url.Values{"html": {brokenPage}}).Header().Get("ETag")
+	const blank = " \n\t\n"
+	d := postDiff(t, h, etag, []diffEdit{{Start: 0, End: len(brokenPage), Text: blank}}, "html")
+	full := postValues(cachedHandler(), url.Values{"html": {blank}})
+	if d.Code != full.Code || d.Body.String() != full.Body.String() ||
+		d.Header().Get("ETag") != full.Header().Get("ETag") {
+		t.Fatalf("blanking diff answered %d %q\n%s\nfull submission answered %d %q\n%s",
+			d.Code, d.Header().Get("ETag"), d.Body.String(), full.Code, full.Header().Get("ETag"), full.Body.String())
+	}
+}
+
+// TestDiffHonoursIfNoneMatch: a diff whose edited text the client
+// already holds, by its ETag, answers 304 like a full submission.
+func TestDiffHonoursIfNoneMatch(t *testing.T) {
+	h := cachedHandler()
+	etag := postValues(h, url.Values{"html": {brokenPage}}).Header().Get("ETag")
+	const ins = "<P>new</P>\n"
+	edited := postValues(cachedHandler(), url.Values{"html": {ins + brokenPage}}).Header().Get("ETag")
+	raw, _ := json.Marshal([]diffEdit{{Start: 0, End: 0, Text: ins}})
+	form := url.Values{"diff": {etag}, "edits": {string(raw)}}
+	req := httptest.NewRequest(http.MethodPost, "/", strings.NewReader(form.Encode()))
+	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	req.Header.Set("If-None-Match", edited)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusNotModified || rec.Header().Get("ETag") != edited {
+		t.Fatalf("diff with If-None-Match %s answered %d %s, want 304", edited, rec.Code, rec.Header().Get("ETag"))
+	}
+}
+
+// TestBaseCap: the gateway retains at most defaultBaseCapacity bases.
+// The ninth distinct submission evicts the first, so a diff against
+// the first ETag answers 412, and concurrent submissions and diffs
+// never leave more bases than the cap.
+func TestBaseCap(t *testing.T) {
+	h := NewHandler(nil)
+	doc := func(i int) string { return fmt.Sprintf("<HTML><BODY><P>document %d</P></BODY></HTML>\n", i) }
+	var etags []string
+	for i := 0; i <= defaultBaseCapacity; i++ {
+		etags = append(etags, postValues(h, url.Values{"html": {doc(i)}}).Header().Get("ETag"))
+	}
+	if got := postDiff(t, h, etags[0], nil, "json"); got.Code != http.StatusPreconditionFailed {
+		t.Fatalf("diff against the evicted first base: %d, want 412", got.Code)
+	}
+	if got := postDiff(t, h, etags[1], nil, "json"); got.Code != http.StatusOK {
+		t.Fatalf("diff against the oldest retained base: %d, want 200", got.Code)
+	}
+
+	bs := h.bases()
+	size := func() (entries, keys int) {
+		bs.mu.Lock()
+		defer bs.mu.Unlock()
+		return bs.lru.Len(), len(bs.m)
+	}
+	stop := make(chan struct{})
+	sampled := make(chan error, 1)
+	go func() {
+		defer close(sampled)
+		for {
+			if entries, keys := size(); entries > defaultBaseCapacity || entries != keys {
+				sampled <- fmt.Errorf("%d bases under %d keys, cap %d", entries, keys, defaultBaseCapacity)
+				return
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	edits, _ := json.Marshal([]diffEdit{{Start: 0, End: 0, Text: "<!-- edited -->"}})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				etag := postValues(h, url.Values{"html": {doc(100*g + i)}}).Header().Get("ETag")
+				postValues(h, url.Values{"diff": {etag}, "edits": {string(edits)}, "format": {"json"}})
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	if err := <-sampled; err != nil {
+		t.Fatal(err)
+	}
+	if entries, _ := size(); entries != defaultBaseCapacity {
+		t.Fatalf("%d bases after the burst, want %d", entries, defaultBaseCapacity)
 	}
 }

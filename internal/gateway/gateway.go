@@ -182,26 +182,18 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSubmit runs weblint over whichever input the form supplied:
-// url=, html= (pasted), or upload= (multipart file). Uploaded and
-// fetched documents live in a pooled buffer for the duration of the
-// request and are checked zero-copy; the seed paid an io.ReadAll
-// allocation plus a string conversion copy per submission.
-//
-// A diff= field (base-document ETag plus edits=) takes the
-// diff-granular path — see diff.go; every other submission takes the
-// content-addressed path, submit.
+// url=, html= (pasted), upload= (multipart file), or diff= (edits
+// against a retained base, see diff.go). Every input takes the one
+// submission path, submit. Uploaded, fetched and diffed documents live
+// in a pooled buffer for the duration of the request and are checked
+// zero-copy.
 func (h *Handler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, h.maxUpload()+uploadSlack)
-	// Diff requests are small urlencoded forms; multipart bodies can't
-	// be sniffed for the field without consuming the upload stream, and
-	// are never diffs (extractInput streams them).
+	// A multipart body is streamed by extractInput, so parsing it here
+	// would consume the upload.
 	if !strings.HasPrefix(r.Header.Get("Content-Type"), "multipart/form-data") {
 		if err := r.ParseForm(); err != nil {
 			h.inputError(r.Context(), w, fmt.Errorf("parsing form: %w", err))
-			return
-		}
-		if r.PostForm.Get("diff") != "" {
-			h.submitDiff(w, r)
 			return
 		}
 	}
@@ -253,7 +245,7 @@ func (h *Handler) submit(w http.ResponseWriter, r *http.Request) {
 	etag := `"` + key.Hex() + `"`
 	// Retain the document so later requests can diff against this
 	// response's ETag instead of resending it (see diff.go).
-	h.retainBase(key, name, src)
+	h.bases().put(key, name, src)
 
 	// The ETag is a content address, so If-None-Match is decidable
 	// from the request alone — no cache entry needed, no lint slot.
@@ -420,10 +412,13 @@ func (h *Handler) lintError(w http.ResponseWriter, format string, err error) {
 }
 
 // inputError classifies an extractInput failure: oversize documents
-// as 413, a blown fetch budget as 504, anything else as 400.
+// as 413, a diff against an unknown base as 412, a blown fetch budget
+// as 504, anything else as 400.
 func (h *Handler) inputError(ctx context.Context, w http.ResponseWriter, err error) {
 	var maxErr *http.MaxBytesError
 	switch {
+	case errors.Is(err, errUnknownBase):
+		h.renderError(w, http.StatusPreconditionFailed, err.Error())
 	case errors.As(err, &maxErr), errors.Is(err, errTooLarge):
 		h.renderError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf(
 			"document too large: this gateway checks documents up to %d bytes", h.maxUpload()))
@@ -535,10 +530,11 @@ var errTooLarge = errors.New("document exceeds the upload limit")
 // extractInput pulls the submitted document out of the request. The
 // returned bytes are valid until buf is recycled — i.e. for the rest
 // of the request — and must not be mutated. A document over MaxUpload
-// fails with errTooLarge (paste, upload) or fetch.ErrBodyTooLarge
+// fails with errTooLarge (paste, upload, diff) or fetch.ErrBodyTooLarge
 // (check-by-URL); no input path ever lints a truncated prefix. A
 // urlencoded form arrives parsed (see handleSubmit); a multipart one is
-// streamed here.
+// streamed here and is never a diff. A diff= field wins over url= and
+// html=.
 func (h *Handler) extractInput(ctx context.Context, r *http.Request, buf *bytes.Buffer) (name string, src []byte, err error) {
 	ct := r.Header.Get("Content-Type")
 	if strings.HasPrefix(ct, "multipart/form-data") {
@@ -549,6 +545,8 @@ func (h *Handler) extractInput(ctx context.Context, r *http.Request, buf *bytes.
 		if src != nil {
 			return name, src, nil
 		}
+	} else if r.PostForm.Get("diff") != "" {
+		return h.readDiff(r.PostForm, buf)
 	}
 
 	if u := strings.TrimSpace(r.FormValue("url")); u != "" {

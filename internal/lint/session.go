@@ -1,6 +1,8 @@
 package lint
 
 import (
+	"slices"
+
 	"weblint/internal/core"
 	"weblint/internal/htmltoken"
 	"weblint/internal/textpos"
@@ -28,6 +30,27 @@ type Edit struct {
 	Start int
 	End   int
 	Text  string
+}
+
+// span clamps the edit's offsets to a text of n bytes: an offset past
+// either end moves to that end, and an end before the start becomes
+// the start.
+func (e Edit) span(n int) (start, end int) {
+	start = min(max(e.Start, 0), n)
+	end = min(max(e.End, start), n)
+	return start, end
+}
+
+// ApplyEdits applies edits to doc the way Session.Apply does: in order,
+// each against the result of the previous one, with the same clamping.
+// It edits doc in place and returns the result, which reuses doc's
+// storage while it has the capacity.
+func ApplyEdits(doc []byte, edits []Edit) []byte {
+	for _, e := range edits {
+		start, end := e.span(len(doc))
+		doc = slices.Replace(doc, start, end, []byte(e.Text)...)
+	}
+	return doc
 }
 
 // SessionConfig tunes a Session.
@@ -64,8 +87,8 @@ type checkpoint struct {
 // Session is an incrementally re-lintable document. Construct with
 // NewSession (which performs the initial full lint) and push edits
 // through Apply. A Session is NOT safe for concurrent use; callers
-// serialise access (the LSP server and the gateway guard each
-// document's session with a mutex).
+// serialise access (the LSP server guards each document's session
+// with a mutex).
 //
 // Full-document checks (Linter.CheckString and friends) are unchanged
 // and remain the right tool for one-shot lints; a Session earns its
@@ -167,8 +190,7 @@ func (s *Session) Messages() []warn.Message {
 // Recording renders the current finding stream into a fresh Recorder,
 // exactly as a live check of the session's text would record it: the
 // messages in emission order — which splices preserve — and the IDs
-// of suppressed emissions. The gateway replays it like a cached
-// result.
+// of suppressed emissions.
 func (s *Session) Recording() *warn.Recorder {
 	rec := &warn.Recorder{Collector: warn.Collector{Messages: make([]warn.Message, 0, len(s.events))}}
 	for i := range s.events {
@@ -240,19 +262,7 @@ func (s *Session) lintAll() {
 // to the next; with no survivor the window extends to end of document.
 func (s *Session) applyOne(e Edit) {
 	s.stats.Applies++
-	start, end := e.Start, e.End
-	if start < 0 {
-		start = 0
-	}
-	if start > len(s.text) {
-		start = len(s.text)
-	}
-	if end < start {
-		end = start
-	}
-	if end > len(s.text) {
-		end = len(s.text)
-	}
+	start, end := e.span(len(s.text))
 	newText := s.text[:start] + e.Text + s.text[end:]
 	newIx := s.ix.Splice(start, end, e.Text, newText)
 	sh := textpos.NewShift(s.ix, newIx, start, end, e.Text)

@@ -156,6 +156,25 @@ func TestSessionEditClamping(t *testing.T) {
 	}
 }
 
+// TestApplyEditsClampsLikeSession: ApplyEdits, which the gateway's
+// diff intake uses, applies a sequence of edits exactly as Session.Apply
+// does, out-of-range and inverted spans included.
+func TestApplyEditsClampsLikeSession(t *testing.T) {
+	src := "<html><head><title>t</title></head><body><p>hello</p></body></html>\n"
+	edits := []Edit{
+		{Start: -5, End: 3, Text: "x"},
+		{Start: 1 << 20, End: 1 << 21, Text: "tail"},
+		{Start: 10, End: 4, Text: "y"},
+		{Start: 20, End: -1, Text: "z"},
+		{Start: 2, End: 30, Text: ""},
+	}
+	s := NewSession(MustNew(Options{}), "clamp.html", src)
+	s.Apply(edits)
+	if got := ApplyEdits([]byte(src), edits); string(got) != s.Text() {
+		t.Fatalf("ApplyEdits gives %q, the session %q", got, s.Text())
+	}
+}
+
 // TestSessionRawTextEdits edits inside and around SCRIPT raw-text
 // bodies, where checkpoints are forbidden and re-sync must wait for
 // the tokenizer to leave raw mode.

@@ -47,7 +47,9 @@ type Page struct {
 	Depth int
 	// Links are the outbound links extracted from the body.
 	Links []linkcheck.Link
-	// Err is set when the fetch failed at the transport level.
+	// Err is set when the fetch failed at the transport level, or when
+	// the page is longer than the robot reads (wrapping
+	// fetch.ErrBodyTooLarge).
 	Err error
 }
 
@@ -233,6 +235,9 @@ func (r *Robot) CrawlWhile(start string, visit func(Page) bool) (int, error) {
 	return fetched, nil
 }
 
+// maxPageBytes is the longest page the robot reads.
+const maxPageBytes = 4 << 20
+
 // fetch retrieves one page and extracts its links when it is HTML.
 func (r *Robot) fetch(u *url.URL, depth int) Page {
 	page := Page{URL: u.String(), Depth: depth}
@@ -253,9 +258,16 @@ func (r *Robot) fetch(u *url.URL, depth int) Page {
 	if !strings.Contains(page.ContentType, "text/html") && page.ContentType != "" {
 		return page
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
+	// Read one byte past the cap: reaching it proves the page is over
+	// the limit, where a cap-sized read would lint a truncated page and
+	// lose the links in its tail.
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxPageBytes+1))
 	if err != nil {
 		page.Err = err
+		return page
+	}
+	if len(body) > maxPageBytes {
+		page.Err = fmt.Errorf("retrieving %s: %w (limit %d bytes)", page.URL, fetch.ErrBodyTooLarge, maxPageBytes)
 		return page
 	}
 	// The freshly read buffer is never written again: view it as a

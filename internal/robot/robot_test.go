@@ -1,6 +1,7 @@
 package robot
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"weblint/internal/corpus"
+	"weblint/internal/fetch"
 )
 
 func TestParseRobotsTxtBasic(t *testing.T) {
@@ -288,6 +290,42 @@ func TestRobotSkipsNonHTML(t *testing.T) {
 	}
 	if blob.Body != "" || len(blob.Links) != 0 {
 		t.Error("non-HTML body parsed as HTML")
+	}
+}
+
+// TestRobotRefusesOversizePage: a page at the size cap is read in
+// full, links in its tail included; one byte more fails with
+// fetch.ErrBodyTooLarge instead of delivering a truncated page.
+func TestRobotRefusesOversizePage(t *testing.T) {
+	const tail = `<A HREF="/tail.html">tail</A></BODY></HTML>`
+	for _, size := range []int{maxPageBytes, maxPageBytes + 1} {
+		pages := map[string]string{
+			"index.html": "<HTML><BODY>" + strings.Repeat("a", size-len("<HTML><BODY>")-len(tail)) + tail,
+			"tail.html":  "<HTML><BODY>tail</BODY></HTML>",
+		}
+		srv := siteServer(t, pages, "")
+		r := NewRobot()
+		r.Client = srv.Client()
+		var got []Page
+		_, err := r.Crawl(srv.URL+"/", func(p Page) { got = append(got, p) })
+		srv.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		index := got[0]
+		if size <= maxPageBytes {
+			if index.Err != nil || len(index.Body) != size || len(got) != 2 {
+				t.Errorf("%d-byte page: err %v, body %d bytes, %d pages fetched; want it read in full and its tail link followed",
+					size, index.Err, len(index.Body), len(got))
+			}
+			continue
+		}
+		if !errors.Is(index.Err, fetch.ErrBodyTooLarge) {
+			t.Errorf("%d-byte page: err = %v, want fetch.ErrBodyTooLarge", size, index.Err)
+		}
+		if index.Body != "" || len(index.Links) != 0 || len(got) != 1 {
+			t.Errorf("%d-byte page delivered %d body bytes and %d links, %d pages fetched", size, len(index.Body), len(index.Links), len(got))
+		}
 	}
 }
 
