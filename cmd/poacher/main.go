@@ -153,10 +153,15 @@ func run(args []string) int {
 			fmt.Fprintf(aux, "checking %s (%d links)\n", p.URL, len(p.Links))
 		}
 		pageSource = baseline.StaticSource(p.URL, p.Body)
-		for _, m := range linter.CheckString(p.URL, p.Body) {
-			if !write(m) {
-				return false
-			}
+		// The page's findings go out sorted by line, as the CLI prints
+		// them, and its suppressions with them: Replay feeds those to
+		// the summary and the json renderer, which write cannot.
+		var found warn.Recorder
+		linter.CheckStringTo(p.URL, p.Body, &found)
+		warn.SortByLine(found.Messages)
+		if !found.Replay(sink) {
+			cancelled = true
+			return false
 		}
 		for _, l := range p.Links {
 			if linkcheck.IsExternal(l.URL) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -136,6 +137,34 @@ func TestPoacherJSONFormat(t *testing.T) {
 	}
 	if !sawLint || !sawBroken {
 		t.Errorf("stream missing findings (lint=%v broken=%v):\n%s", sawLint, sawBroken, out)
+	}
+
+	// The summary counts suppressed emissions per rule as the CLI's
+	// does: `weblint -norc -format json` on this page ends with
+	// "suppressed":{"img-size":1,"require-meta":2}.
+	mux := http.NewServeMux()
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/" {
+			http.NotFound(w, r)
+			return
+		}
+		w.Header().Set("Content-Type", "text/html")
+		fmt.Fprint(w, "<HTML>\n<BODY>\n<IMG SRC=\"a.gif\">\n</BODY>\n</HTML>\n")
+	})
+	page := httptest.NewServer(mux)
+	defer page.Close()
+	_, out = capture(t, "-q", "-format", "json", page.URL+"/")
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	var last struct {
+		Summary struct {
+			Suppressed map[string]int `json:"suppressed"`
+		} `json:"summary"`
+	}
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
+		t.Fatalf("last stdout line is not JSON: %v\n%s", err, out)
+	}
+	if want := map[string]int{"img-size": 1, "require-meta": 2}; !maps.Equal(last.Summary.Suppressed, want) {
+		t.Errorf("summary suppressed = %v, want the CLI's %v", last.Summary.Suppressed, want)
 	}
 }
 

@@ -89,12 +89,49 @@ func (o *open) requiresClose() bool {
 // Checker checks one document. Construct with New; re-arm for further
 // documents with Reset, which retains the internal maps, stacks and
 // buffers so a pooled checker stops allocating once warm.
+//
+// Everything that depends on the document seen so far lives in the
+// embedded docState, which Reset clears and a Snapshot captures. The
+// fields declared here belong to the checking session instead — set by
+// Reset, an allocation pool, or scratch scoped to a single token — and
+// neither a Snapshot nor LiveEquals looks at them.
 type Checker struct {
+	docState
+
 	opts Options
 	spec *htmlspec.Spec
 	em   *warn.Emitter
 	file string
 
+	// slab backs the open entries pointed at by stack and pending.
+	// Entries are handed out in document order and recycled wholesale
+	// by Reset; their text buffers survive recycling.
+	slab []open
+
+	attrSeen map[string]*htmltoken.Attr // per-tag duplicate tracking, reused
+
+	// relocateTok, when non-nil, is the start tag currently being
+	// checked that will be relocated by a meta-in-body fix. Fixes the
+	// attribute checks build for this tag are diverted into
+	// relocateFixes (their messages go out fixless) and applied to the
+	// tag's text when the relocation fix is built, so the tag is moved
+	// AND cured in one apply pass — two fixes editing the same span
+	// would conflict, and fixit would drop one of them. Both fields
+	// are scoped to one startTag call.
+	relocateTok   *htmltoken.Token
+	relocateFixes []*warn.Fix
+}
+
+// docState is the checker's document-dependent state: what Reset
+// clears, a Snapshot captures and Restore rewinds. Where a new field
+// goes decides how all three treat it, with no further code:
+//   - a slice or map field is listed in copyFrom, which gives it
+//     storage of its own;
+//   - a line or byte offset goes in docPositions and is mapped across
+//     an edit by docPositions.shift;
+//   - anything else goes in docFlags, which LiveEquals compares with
+//     one ==.
+type docState struct {
 	stack   []*open
 	pending []*open // the secondary stack of unresolved tags
 
@@ -115,47 +152,27 @@ type Checker struct {
 	// tokens append to the nearest one without scanning the stack.
 	accum []int
 
-	// slab backs the open entries pointed at by stack and pending.
-	// Entries are handed out in document order and recycled wholesale
-	// by Reset; their text buffers survive recycling.
-	slab []open
-
-	firstElement bool // a non-doctype element has been seen
-	doctypeSeen  bool
-
 	seenOnce map[string]int // once-only element -> first line
-
-	seenHTML  bool
-	seenHead  bool
-	seenBody  bool
-	seenTitle bool
-	titleLine int
-
-	seenFrameset bool
-	seenNoframes bool
-
-	headContent bool // any head-only element seen
-
-	lastHeading     int // last heading level seen (0 = none)
-	lastHeadingName string
 
 	ids     map[string]int // ID attribute value -> first line
 	anchors map[string]int // A NAME value -> first line
 
 	metaNames map[string]bool
 
-	attrSeen map[string]*htmltoken.Attr // per-tag duplicate tracking, reused
+	docPositions
+	docFlags
+}
+
+// docPositions are the document positions in docState: 1-based lines
+// and byte offsets, which an edit before them moves.
+type docPositions struct {
+	titleLine int // 0 = no TITLE seen
 
 	lastLine int
 	// lastOffset is one past the last byte of the last token seen.
 	// Tokens partition the document, so at Finish it is the document
 	// length — where the EOF close-tag fixes insert.
 	lastOffset int
-	// lastUnterminated records that the final token was cut off by
-	// end of input (malformed tag, unterminated comment or quote).
-	// Text inserted at EOF would be absorbed INTO that construct on a
-	// re-parse, so the EOF close-tag fixes are withheld.
-	lastUnterminated bool
 	// oddQuotesAt is the byte offset of the first token recovered from
 	// an unbalanced quote, or -1 while none has been seen. The
 	// tokenizer's recovery budget (quoteMaxBytes/quoteMaxNewlines)
@@ -174,16 +191,32 @@ type Checker struct {
 	// real HEAD element has been popped; the meta-in-body relocation
 	// fix is withheld without it.
 	headInsertPos int
-	// relocateTok, when non-nil, is the start tag currently being
-	// checked that will be relocated by a meta-in-body fix. Fixes the
-	// attribute checks build for this tag are diverted into
-	// relocateFixes (their messages go out fixless) and applied to the
-	// tag's text when the relocation fix is built, so the tag is moved
-	// AND cured in one apply pass — two fixes editing the same span
-	// would conflict, and fixit would drop one of them. Both fields
-	// are scoped to one startTag call.
-	relocateTok   *htmltoken.Token
-	relocateFixes []*warn.Fix
+}
+
+// docFlags is the rest of docState: plain values that no edit moves.
+// All of them are comparable, so the whole struct compares with ==.
+type docFlags struct {
+	firstElement bool // a non-doctype element has been seen
+	doctypeSeen  bool
+
+	seenHTML  bool
+	seenHead  bool
+	seenBody  bool
+	seenTitle bool
+
+	seenFrameset bool
+	seenNoframes bool
+
+	headContent bool // any head-only element seen
+
+	lastHeading     int // last heading level seen (0 = none)
+	lastHeadingName string
+
+	// lastUnterminated records that the final token was cut off by
+	// end of input (malformed tag, unterminated comment or quote).
+	// Text inserted at EOF would be absorbed INTO that construct on a
+	// re-parse, so the EOF close-tag fixes are withheld.
+	lastUnterminated bool
 
 	// pendingRawText is set after a raw-text element (SCRIPT, STYLE,
 	// ...) is pushed. The tokenizer emits no token for an empty raw
@@ -196,17 +229,29 @@ type Checker struct {
 	pendingRawText bool
 }
 
+// freshState is the state of a checker that has seen nothing yet.
+var freshState = docState{docPositions: docPositions{lastLine: 1, oddQuotesAt: -1, headInsertPos: -1}}
+
+// copyFrom makes d an independent copy of src: one struct copy, after
+// which every slice and map field gets storage of its own — d's
+// previous storage, reused where d had any.
+func (d *docState) copyFrom(src *docState) {
+	old := *d
+	*d = *src
+	d.stack = copyOpens(old.stack, src.stack)
+	d.pending = copyOpens(old.pending, src.pending)
+	d.openTop = restoreMap(old.openTop, src.openTop)
+	d.pendingTop = restoreMap(old.pendingTop, src.pendingTop)
+	d.accum = append(old.accum[:0], src.accum...)
+	d.seenOnce = restoreMap(old.seenOnce, src.seenOnce)
+	d.ids = restoreMap(old.ids, src.ids)
+	d.anchors = restoreMap(old.anchors, src.anchors)
+	d.metaNames = restoreMap(old.metaNames, src.metaNames)
+}
+
 // New returns a Checker which reports through em.
 func New(em *warn.Emitter, opts Options) *Checker {
-	c := &Checker{
-		seenOnce:   map[string]int{},
-		ids:        map[string]int{},
-		anchors:    map[string]int{},
-		metaNames:  map[string]bool{},
-		attrSeen:   map[string]*htmltoken.Attr{},
-		openTop:    map[string]int{},
-		pendingTop: map[string]int{},
-	}
+	c := &Checker{attrSeen: map[string]*htmltoken.Attr{}}
 	c.Reset(em, opts)
 	return c
 }
@@ -226,37 +271,18 @@ func (c *Checker) Reset(em *warn.Emitter, opts Options) {
 	c.spec = spec
 	c.em = em
 	c.file = file
-	c.stack = c.stack[:0]
-	c.pending = c.pending[:0]
-	c.accum = c.accum[:0]
-	clear(c.openTop)
-	clear(c.pendingTop)
+	c.docState.copyFrom(&freshState)
+	c.clearScratch()
+}
+
+// clearScratch empties the session-scoped state that depends on the
+// document: it recycles the slab (nothing live points into it once the
+// stacks are rebuilt) and clears the per-token scratch.
+func (c *Checker) clearScratch() {
 	c.slab = c.slab[:0]
-	c.firstElement = false
-	c.doctypeSeen = false
-	clear(c.seenOnce)
-	c.seenHTML = false
-	c.seenHead = false
-	c.seenBody = false
-	c.seenTitle = false
-	c.titleLine = 0
-	c.seenFrameset = false
-	c.seenNoframes = false
-	c.headContent = false
-	c.lastHeading = 0
-	c.lastHeadingName = ""
-	clear(c.ids)
-	clear(c.anchors)
-	clear(c.metaNames)
 	clear(c.attrSeen)
-	c.lastLine = 1
-	c.lastOffset = 0
-	c.lastUnterminated = false
-	c.oddQuotesAt = -1
-	c.headInsertPos = -1
 	c.relocateTok = nil
 	c.relocateFixes = c.relocateFixes[:0]
-	c.pendingRawText = false
 }
 
 // Release drops every reference the checker retains into the last
@@ -266,22 +292,12 @@ func (c *Checker) Reset(em *warn.Emitter, opts Options) {
 // document's substrings reachable through spare slab capacity until
 // the entry is next used.
 func (c *Checker) Release() {
-	clear(c.seenOnce)
-	clear(c.ids)
-	clear(c.anchors)
-	clear(c.metaNames)
-	clear(c.attrSeen)
-	clear(c.openTop)
-	clear(c.pendingTop)
-	c.lastHeadingName = ""
-	c.stack = c.stack[:0]
-	c.pending = c.pending[:0]
-	c.accum = c.accum[:0]
+	c.docState.copyFrom(&freshState)
+	c.clearScratch()
 	slab := c.slab[:cap(c.slab)]
 	for i := range slab {
 		slab[i] = open{text: slab[i].text[:0]}
 	}
-	c.slab = c.slab[:0]
 }
 
 // newOpen allocates a stack entry from the slab, reusing entries (and
@@ -350,9 +366,6 @@ func (c *Checker) emitFix(id string, line int, fix *warn.Fix, args ...any) {
 func (c *Checker) emitFixAt(id string, line, col int, fix *warn.Fix, args ...any) {
 	c.em.EmitFix(id, c.file, line, col, fix, args...)
 }
-
-// Token feeds one token to the checker.
-func (c *Checker) Token(tok htmltoken.Token) { c.token(&tok) }
 
 // token is the dispatch core; the token is passed by pointer so the
 // (large) Token struct is copied once per token, not once per layer.

@@ -25,8 +25,9 @@ import (
 // value-equal under the shift behave identically on an identical
 // suffix of tokens.
 //
-// Not captured, by design:
-//   - opts, spec, em wiring, file: fixed for the session (Reset-time).
+// Not captured, by design: the fields Checker declares itself rather
+// than in docState.
+//   - opts, spec, em, file: fixed for the session (Reset-time).
 //   - slab: an allocation pool; Restore rebuilds entries on the heap
 //     and truncates it, since nothing live points into it any more.
 //   - attrSeen: per-tag scratch, cleared at each use.
@@ -37,44 +38,7 @@ import (
 // state at a token boundary. It may be restored any number of times;
 // Restore never aliases the snapshot's own storage.
 type Snapshot struct {
-	stack   []*open
-	pending []*open // nil slots = resolved entries, order preserved
-
-	openTop    map[string]int
-	pendingTop map[string]int
-	accum      []int
-
-	firstElement bool
-	doctypeSeen  bool
-
-	seenOnce map[string]int // values are lines
-
-	seenHTML  bool
-	seenHead  bool
-	seenBody  bool
-	seenTitle bool
-	titleLine int // line (0 = unset)
-
-	seenFrameset bool
-	seenNoframes bool
-
-	headContent bool
-
-	lastHeading     int // heading level, not a position
-	lastHeadingName string
-
-	ids     map[string]int // values are lines
-	anchors map[string]int // values are lines
-
-	metaNames map[string]bool
-
-	lastLine         int // line
-	lastOffset       int // byte offset
-	lastUnterminated bool
-	oddQuotesAt      int // byte offset, -1 = unset
-	headInsertPos    int // byte offset, -1 = unset
-	pendingRawText   bool
-
+	docState
 	overlay map[string]bool // emitter inline-directive overlay
 }
 
@@ -91,62 +55,23 @@ func cloneOpen(o *open) *open {
 	return &cp
 }
 
-func cloneOpens(src []*open) []*open {
-	if len(src) == 0 {
-		return nil
+// copyOpens fills dst's storage with deep copies of src's entries,
+// nil slots included, and returns it.
+func copyOpens(dst, src []*open) []*open {
+	dst = slices.Grow(dst[:0], len(src))
+	for _, o := range src {
+		dst = append(dst, cloneOpen(o))
 	}
-	out := make([]*open, len(src))
-	for i, o := range src {
-		out[i] = cloneOpen(o)
-	}
-	return out
+	return dst
 }
 
 // Snapshot deep-copies the checker's document-dependent state,
 // including the emitter's inline-directive overlay. It must be called
 // only at a token boundary (never from inside a token callback).
 func (c *Checker) Snapshot() *Snapshot {
-	return &Snapshot{
-		stack:   cloneOpens(c.stack),
-		pending: cloneOpens(c.pending),
-
-		openTop:    maps.Clone(c.openTop),
-		pendingTop: maps.Clone(c.pendingTop),
-		accum:      slices.Clone(c.accum),
-
-		firstElement: c.firstElement,
-		doctypeSeen:  c.doctypeSeen,
-
-		seenOnce: maps.Clone(c.seenOnce),
-
-		seenHTML:  c.seenHTML,
-		seenHead:  c.seenHead,
-		seenBody:  c.seenBody,
-		seenTitle: c.seenTitle,
-		titleLine: c.titleLine,
-
-		seenFrameset: c.seenFrameset,
-		seenNoframes: c.seenNoframes,
-
-		headContent: c.headContent,
-
-		lastHeading:     c.lastHeading,
-		lastHeadingName: c.lastHeadingName,
-
-		ids:     maps.Clone(c.ids),
-		anchors: maps.Clone(c.anchors),
-
-		metaNames: maps.Clone(c.metaNames),
-
-		lastLine:         c.lastLine,
-		lastOffset:       c.lastOffset,
-		lastUnterminated: c.lastUnterminated,
-		oddQuotesAt:      c.oddQuotesAt,
-		headInsertPos:    c.headInsertPos,
-		pendingRawText:   c.pendingRawText,
-
-		overlay: c.em.CloneOverlay(),
-	}
+	s := &Snapshot{overlay: c.em.CloneOverlay()}
+	s.copyFrom(&c.docState)
+	return s
 }
 
 // restoreMap replaces dst's contents with a copy of src, reusing dst's
@@ -173,41 +98,8 @@ func restoreMap[V any](dst, src map[string]V) map[string]V {
 // once per edit, and without this the slab would grow by every element
 // each re-lint window opens.
 func (c *Checker) Restore(s *Snapshot) {
-	c.stack = append(c.stack[:0], cloneOpens(s.stack)...)
-	c.pending = append(c.pending[:0], cloneOpens(s.pending)...)
-	c.slab = c.slab[:0]
-	c.openTop = restoreMap(c.openTop, s.openTop)
-	c.pendingTop = restoreMap(c.pendingTop, s.pendingTop)
-	c.accum = append(c.accum[:0], s.accum...)
-
-	c.firstElement = s.firstElement
-	c.doctypeSeen = s.doctypeSeen
-	c.seenOnce = restoreMap(c.seenOnce, s.seenOnce)
-	c.seenHTML = s.seenHTML
-	c.seenHead = s.seenHead
-	c.seenBody = s.seenBody
-	c.seenTitle = s.seenTitle
-	c.titleLine = s.titleLine
-	c.seenFrameset = s.seenFrameset
-	c.seenNoframes = s.seenNoframes
-	c.headContent = s.headContent
-	c.lastHeading = s.lastHeading
-	c.lastHeadingName = s.lastHeadingName
-	c.ids = restoreMap(c.ids, s.ids)
-	c.anchors = restoreMap(c.anchors, s.anchors)
-	c.metaNames = restoreMap(c.metaNames, s.metaNames)
-
-	c.lastLine = s.lastLine
-	c.lastOffset = s.lastOffset
-	c.lastUnterminated = s.lastUnterminated
-	c.oddQuotesAt = s.oddQuotesAt
-	c.headInsertPos = s.headInsertPos
-	c.pendingRawText = s.pendingRawText
-
-	clear(c.attrSeen)
-	c.relocateTok = nil
-	c.relocateFixes = c.relocateFixes[:0]
-
+	c.docState.copyFrom(&s.docState)
+	c.clearScratch()
 	c.em.RestoreOverlay(s.overlay)
 }
 
@@ -251,16 +143,6 @@ func lineMapEqualShifted(snap, live map[string]int, sh *textpos.Shift) bool {
 	return true
 }
 
-// offEqualShifted compares a byte-offset field with a -1 "unset"
-// sentinel passed through unshifted.
-func offEqualShifted(snap, live int, sh *textpos.Shift) bool {
-	if snap < 0 || live < 0 {
-		return snap == live
-	}
-	sv, ok := sh.Off(snap)
-	return ok && sv == live
-}
-
 // LiveEquals reports whether the checker's current state equals the
 // snapshot under the position shift — i.e. whether a run that reached
 // this snapshot in the old document and the live run in the edited one
@@ -269,7 +151,7 @@ func offEqualShifted(snap, live int, sh *textpos.Shift) bool {
 // (ok shift) onto the live value; any unmappable position means the
 // comparison is undecidable and reports false.
 func (s *Snapshot) LiveEquals(c *Checker, sh *textpos.Shift) bool {
-	if len(s.stack) != len(c.stack) || len(s.pending) != len(c.pending) {
+	if s.docFlags != c.docFlags || len(s.stack) != len(c.stack) || len(s.pending) != len(c.pending) {
 		return false
 	}
 	for i := range s.stack {
@@ -283,20 +165,7 @@ func (s *Snapshot) LiveEquals(c *Checker, sh *textpos.Shift) bool {
 		}
 	}
 	if !maps.Equal(s.openTop, c.openTop) || !maps.Equal(s.pendingTop, c.pendingTop) ||
-		!slices.Equal(s.accum, c.accum) {
-		return false
-	}
-	if s.firstElement != c.firstElement || s.doctypeSeen != c.doctypeSeen ||
-		s.seenHTML != c.seenHTML || s.seenHead != c.seenHead ||
-		s.seenBody != c.seenBody || s.seenTitle != c.seenTitle ||
-		s.seenFrameset != c.seenFrameset || s.seenNoframes != c.seenNoframes ||
-		s.headContent != c.headContent ||
-		s.lastHeading != c.lastHeading || s.lastHeadingName != c.lastHeadingName ||
-		s.lastUnterminated != c.lastUnterminated ||
-		s.pendingRawText != c.pendingRawText {
-		return false
-	}
-	if !maps.Equal(s.metaNames, c.metaNames) {
+		!slices.Equal(s.accum, c.accum) || !maps.Equal(s.metaNames, c.metaNames) {
 		return false
 	}
 	if !lineMapEqualShifted(s.seenOnce, c.seenOnce, sh) ||
@@ -304,24 +173,22 @@ func (s *Snapshot) LiveEquals(c *Checker, sh *textpos.Shift) bool {
 		!lineMapEqualShifted(s.anchors, c.anchors, sh) {
 		return false
 	}
-	if s.titleLine == 0 || c.titleLine == 0 {
-		if s.titleLine != c.titleLine {
-			return false
-		}
-	} else if tl, ok := sh.Line(s.titleLine); !ok || tl != c.titleLine {
-		return false
-	}
-	if ll, ok := sh.Line(s.lastLine); !ok || ll != c.lastLine {
-		return false
-	}
-	if lo, ok := sh.Off(s.lastOffset); !ok || lo != c.lastOffset {
-		return false
-	}
-	if !offEqualShifted(s.oddQuotesAt, c.oddQuotesAt, sh) ||
-		!offEqualShifted(s.headInsertPos, c.headInsertPos, sh) {
-		return false
-	}
-	return c.em.OverlayEquals(s.overlay)
+	pos, ok := s.docPositions.shift(sh)
+	return ok && pos == c.docPositions && c.em.OverlayEquals(s.overlay)
+}
+
+// shift maps every position from old-document to new-document
+// coordinates, reporting false when one cannot be mapped. The unset
+// markers need no special case: an edit starts on a line >= 1 and at
+// an offset >= 0, so Line(0) and Off(-1) always map to themselves.
+func (p docPositions) shift(sh *textpos.Shift) (docPositions, bool) {
+	var okT, okL, okO, okQ, okH bool
+	p.titleLine, okT = sh.Line(p.titleLine)
+	p.lastLine, okL = sh.Line(p.lastLine)
+	p.lastOffset, okO = sh.Off(p.lastOffset)
+	p.oddQuotesAt, okQ = sh.Off(p.oddQuotesAt)
+	p.headInsertPos, okH = sh.Off(p.headInsertPos)
+	return p, okT && okL && okO && okQ && okH
 }
 
 // Rebase shifts every position in the snapshot (in place) from
@@ -371,42 +238,13 @@ func (s *Snapshot) Rebase(sh *textpos.Shift) bool {
 		if !rebaseLineMap(s.seenOnce) || !rebaseLineMap(s.ids) || !rebaseLineMap(s.anchors) {
 			return false
 		}
-		if s.titleLine != 0 {
-			tl, ok := sh.Line(s.titleLine)
-			if !ok {
-				return false
-			}
-			s.titleLine = tl
-		}
 	}
-	ll, ok := sh.Line(s.lastLine)
-	if !ok {
-		return false
-	}
-	s.lastLine = ll
-	lo, ok := sh.Off(s.lastOffset)
-	if !ok {
-		return false
-	}
-	s.lastOffset = lo
-	if s.oddQuotesAt >= 0 {
-		oq, ok := sh.Off(s.oddQuotesAt)
-		if !ok {
-			return false
-		}
-		s.oddQuotesAt = oq
-	}
-	if s.headInsertPos >= 0 {
-		hp, ok := sh.Off(s.headInsertPos)
-		if !ok {
-			return false
-		}
-		s.headInsertPos = hp
-	}
-	return true
+	pos, ok := s.docPositions.shift(sh)
+	s.docPositions = pos
+	return ok
 }
 
-// Step feeds one token to the checker by pointer: Token without the
-// per-call struct copy, for streaming drivers that also checkpoint
-// between tokens (the incremental lint Session).
+// Step feeds one token to the checker, for streaming drivers that
+// checkpoint between tokens (the incremental lint Session). The token
+// is passed by pointer, so it is not copied.
 func (c *Checker) Step(tok *htmltoken.Token) { c.token(tok) }

@@ -53,16 +53,6 @@ func ApplyEdits(doc []byte, edits []Edit) []byte {
 	return doc
 }
 
-// SessionConfig tunes a Session.
-type SessionConfig struct {
-	// CheckpointSpacing is the target byte distance between checker
-	// snapshots; 0 means the default (16 KiB). Smaller spacing
-	// shortens re-lint windows at the cost of snapshot memory — tests
-	// and the fuzz target use tiny spacings to exercise the splice
-	// machinery on small documents.
-	CheckpointSpacing int
-}
-
 // defaultCheckpointSpacing balances re-lint window length (an edit
 // re-lints from the previous checkpoint to the next one that re-syncs,
 // so roughly 2× the spacing) against snapshot memory (a 1 MiB document
@@ -89,6 +79,10 @@ type checkpoint struct {
 // through Apply. A Session is NOT safe for concurrent use; callers
 // serialise access (the LSP server guards each document's session
 // with a mutex).
+//
+// A lint or re-lint records events only: the session's emitter formats
+// no message text while it runs, and Messages and Recording render the
+// findings from the recorded stream when they are asked for.
 //
 // Full-document checks (Linter.CheckString and friends) are unchanged
 // and remain the right tool for one-shot lints; a Session earns its
@@ -130,25 +124,18 @@ type SessionStats struct {
 	FullTail int
 }
 
-// discardSink drops messages: Session output is rendered from the
-// recorded events, so the formatted stream has no consumer.
-type discardSink struct{}
-
-func (discardSink) Write(warn.Message) bool { return true }
-
 // NewSession lints text from scratch and returns a session that can
 // re-lint it incrementally. name names the document in messages,
 // exactly as in Linter.CheckString.
 func NewSession(l *Linter, name, text string) *Session {
-	return NewSessionWith(l, name, text, SessionConfig{})
+	return newSession(l, name, text, defaultCheckpointSpacing)
 }
 
-// NewSessionWith is NewSession with explicit tuning.
-func NewSessionWith(l *Linter, name, text string, cfg SessionConfig) *Session {
-	spacing := cfg.CheckpointSpacing
-	if spacing <= 0 {
-		spacing = defaultCheckpointSpacing
-	}
+// newSession is NewSession with spacing as the target byte distance
+// between checker snapshots. Smaller spacing shortens re-lint windows
+// at the cost of snapshot memory; the tests and the fuzz target use
+// tiny spacings to exercise the splice machinery on small documents.
+func newSession(l *Linter, name, text string, spacing int) *Session {
 	em := warn.NewEmitter(l.set)
 	em.SetCatalog(l.catalog)
 	s := &Session{
@@ -213,11 +200,11 @@ func (s *Session) Apply(edits []Edit) {
 	}
 }
 
-// arm points the emitter's event sink at dst and discards the
-// formatted message stream.
+// arm points the emitter's event sink at dst. While it is set the
+// emitter formats no messages: the session renders its findings from
+// the recorded events.
 func (s *Session) arm(dst *[]warn.Event) {
 	s.rec = dst
-	s.em.SetSink(discardSink{})
 	s.em.SetEventSink(func(ev warn.Event) { *s.rec = append(*s.rec, ev) })
 }
 

@@ -89,7 +89,7 @@ func TestSessionDifferential(t *testing.T) {
 	docs := sessionDocs(t)
 	for _, spacing := range []int{97, 1024} {
 		for name, src := range docs {
-			s := NewSessionWith(l, name, src, SessionConfig{CheckpointSpacing: spacing})
+			s := newSession(l, name, src, spacing)
 			checkEquivalent(t, l, s, fmt.Sprintf("%s spacing=%d initial", name, spacing))
 			for i, e := range scriptedEdits(len(src)) {
 				s.Apply([]Edit{e})
@@ -108,7 +108,7 @@ func TestSessionPedantic(t *testing.T) {
 		if !strings.HasPrefix(name, "suite/") {
 			continue
 		}
-		s := NewSessionWith(l, name, src, SessionConfig{CheckpointSpacing: 64})
+		s := newSession(l, name, src, 64)
 		for i, e := range scriptedEdits(len(src)) {
 			s.Apply([]Edit{e})
 			checkEquivalent(t, l, s, fmt.Sprintf("%s edit %d", name, i))
@@ -145,7 +145,7 @@ func TestSessionSplices(t *testing.T) {
 func TestSessionEditClamping(t *testing.T) {
 	l := MustNew(Options{})
 	src := "<html><head><title>t</title></head><body><p>hello</p></body></html>\n"
-	s := NewSessionWith(l, "clamp.html", src, SessionConfig{CheckpointSpacing: 16})
+	s := newSession(l, "clamp.html", src, 16)
 	for i, e := range []Edit{
 		{Start: -5, End: 3, Text: "x"},
 		{Start: 1 << 20, End: 1 << 21, Text: "tail"},
@@ -181,7 +181,7 @@ func TestApplyEditsClampsLikeSession(t *testing.T) {
 func TestSessionRawTextEdits(t *testing.T) {
 	l := MustNew(Options{})
 	src := corpus.GenerateRawText(40)
-	s := NewSessionWith(l, "raw.html", src, SessionConfig{CheckpointSpacing: 512})
+	s := newSession(l, "raw.html", src, 512)
 	for i, e := range scriptedEdits(len(src)) {
 		s.Apply([]Edit{e})
 		checkEquivalent(t, l, s, fmt.Sprintf("raw edit %d", i))
@@ -203,7 +203,7 @@ func TestSessionDirectiveEdits(t *testing.T) {
 	}
 	b.WriteString("</body></html>\n")
 	src := b.String()
-	s := NewSessionWith(l, "directives.html", src, SessionConfig{CheckpointSpacing: 128})
+	s := newSession(l, "directives.html", src, 128)
 
 	insertAt := strings.Index(src, "<p><img src=\"10.gif\">")
 	s.Apply([]Edit{{Start: insertAt, End: insertAt, Text: "<!-- weblint: disable img-alt -->\n"}})
@@ -241,7 +241,7 @@ func FuzzIncremental(f *testing.F) {
 		}
 		n := len(src)
 		spacing := h%509 + 1
-		s := NewSessionWith(l, "fuzz.html", src, SessionConfig{CheckpointSpacing: spacing})
+		s := newSession(l, "fuzz.html", src, spacing)
 		edits := []Edit{
 			{Start: h % (n + 1), End: h % (n + 1), Text: "<"},
 			{Start: (h / 7) % (n + 1), End: (h/7)%(n+1) + h%5, Text: src[:min(n, h%17)]},

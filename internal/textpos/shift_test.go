@@ -22,7 +22,8 @@ func randText(r *rand.Rand, n int, alphabet string) string {
 // Splice must equal a rebuild of the edited text; the alphabets include
 // '\r', so edits split and join "\r\n" pairs and lone CRs. Every
 // mapping Shift decides must land where a from-scratch LF index of the
-// edited text puts the byte.
+// edited text puts the byte, and the unset markers line 0 and offset
+// -1 always map to themselves.
 func TestSpliceAndShift(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for iter := 0; iter < 4000; iter++ {
@@ -43,6 +44,15 @@ func TestSpliceAndShift(t *testing.T) {
 
 		oldIx, newIx := NewLF(old), NewLF(newSrc)
 		s := NewShift(oldIx, newIx, start, end, repl)
+		// Unset markers (line 0, offset -1) sit before every edit, so
+		// they map to themselves: the checker's state compare relies
+		// on it instead of special-casing them.
+		if l, ok := s.Line(0); l != 0 || !ok {
+			t.Fatalf("%q edit [%d,%d)->%q: Line(0) = %d,%v, want 0,true", old, start, end, repl, l, ok)
+		}
+		if o, ok := s.Off(-1); o != -1 || !ok {
+			t.Fatalf("%q edit [%d,%d)->%q: Off(-1) = %d,%v, want -1,true", old, start, end, repl, o, ok)
+		}
 		for o := 0; o <= len(old); o++ {
 			inside := o >= start && o < end
 			want := o

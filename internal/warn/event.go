@@ -67,10 +67,14 @@ func (ev *Event) Message() Message {
 	}
 }
 
-// SetEventSink installs a function that receives a structured Event
-// for every message delivered to the sink (i.e. after enablement and
-// cancellation checks). Nil removes it; Reset also removes it, so
-// pooled emitters never leak a recorder into the next check.
+// SetEventSink installs a function that receives every emission as a
+// structured Event, after the cancellation check: an enabled emission
+// as the Event its Message renders from, a disabled one as a
+// suppression marker. While an event sink is set it is the only
+// destination: the emitter formats no message, writes nothing to its
+// Sink and notifies no SuppressionObserver. Nil removes it; Reset also
+// removes it, so pooled emitters never leak a recorder into the next
+// check.
 //
 // Note this is distinct from the Recorder sink in sink.go, which
 // collects formatted Messages plus suppressed IDs; the event sink

@@ -6,28 +6,40 @@ import (
 )
 
 // TestEventRendersDeliveredMessage: the event sink receives every
-// enabled emission as an Event that renders back to the delivered
-// Message, and a marker for every suppressed one. The event owns its
-// args and fix, so recycling the caller's buffers cannot change it.
+// enabled emission as an Event that renders to the Message an emitter
+// without an event sink delivers, and a marker for every suppressed
+// one; while it is set, the emitter's Sink receives nothing. The event
+// owns its args and fix, so recycling the caller's buffers cannot
+// change it.
 func TestEventRendersDeliveredMessage(t *testing.T) {
 	set := NewSet()
 	if err := set.Disable("img-alt"); err != nil {
 		t.Fatal(err)
 	}
+	emitAll := func(e *Emitter) (name []byte, fix *Fix) {
+		name = []byte("TITLE")
+		fix = &Fix{Label: "close " + string(name), Edits: []Edit{{Start: 4, End: 4, Text: "</TITLE>"}}}
+		e.EmitFix("unclosed-element", "t.html", 4, 1, fix, string(name), string(name), LineRef(3))
+		e.Emit("element-overlap", "t.html", 7, 20, "B", LineRef(7), "A", 7)
+		e.Emit("img-alt", "t.html", 9, 1)
+		e.Emit("require-title", "t.html", 1, 0)
+		return name, fix
+	}
 	e := NewEmitter(set)
 	var events []Event
 	e.SetEventSink(func(ev Event) { events = append(events, ev) })
-
-	name := []byte("TITLE")
-	fix := &Fix{Label: "close " + string(name), Edits: []Edit{{Start: 4, End: 4, Text: "</TITLE>"}}}
-	e.EmitFix("unclosed-element", "t.html", 4, 1, fix, string(name), string(name), LineRef(3))
-	e.Emit("element-overlap", "t.html", 7, 20, "B", LineRef(7), "A", 7)
-	e.Emit("img-alt", "t.html", 9, 1)
-	e.Emit("require-title", "t.html", 1, 0)
+	var skipped Recorder
+	e.SetSink(&skipped)
+	name, fix := emitAll(e)
 	copy(name, "xxxxx")
 	fix.Edits[0].Text = "mutated"
+	if len(skipped.Messages) != 0 || len(skipped.SuppressedIDs) != 0 {
+		t.Fatalf("sink received %v and suppressions %v beside the event sink", skipped.Messages, skipped.SuppressedIDs)
+	}
 
-	msgs := e.Messages()
+	plain := NewEmitter(set)
+	emitAll(plain)
+	msgs := plain.Messages()
 	if len(events) != 4 || len(msgs) != 3 {
 		t.Fatalf("%d events for %d messages, want 4 and 3", len(events), len(msgs))
 	}
@@ -38,10 +50,6 @@ func TestEventRendersDeliveredMessage(t *testing.T) {
 	for i, ev := range rendered {
 		got := ev.Message()
 		want := msgs[i]
-		want.Fix = nil
-		if i == 0 {
-			want.Fix = &Fix{Label: "close TITLE", Edits: []Edit{{Start: 4, End: 4, Text: "</TITLE>"}}}
-		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("event %d renders %+v\nwant %+v", i, got, want)
 		}

@@ -484,13 +484,12 @@ func (e *Emitter) emit(id, file string, line, col int, fix *Fix, args []any) {
 		// Suppressed: tell interested sinks so per-rule suppression
 		// stats can be surfaced. The type assertion only runs on this
 		// cold path; enabled emissions never pay for it. The event sink
-		// gets a marker so a recorded stream can replay the
+		// gets a marker instead, so a recorded stream can replay the
 		// suppression observations a live check would deliver.
-		if o, ok := e.sink.(SuppressionObserver); ok {
-			o.ObserveSuppressed(id)
-		}
 		if e.eventSink != nil {
 			e.eventSink(Event{ID: id, Suppressed: true})
+		} else if o, ok := e.sink.(SuppressionObserver); ok {
+			o.ObserveSuppressed(id)
 		}
 		return
 	}
@@ -511,6 +510,7 @@ func (e *Emitter) emit(id, file string, line, col int, fix *Fix, args []any) {
 			Fix:      cloneFix(fix),
 			Args:     cloneArgs(args),
 		})
+		return
 	}
 	e.buf = appendFormat(e.buf[:0], format, args)
 	if !e.sink.Write(Message{
