@@ -27,10 +27,8 @@ import (
 	"weblint/internal/config"
 	"weblint/internal/core"
 	"weblint/internal/corpus"
-	"weblint/internal/dtd"
 	"weblint/internal/engine"
 	"weblint/internal/gateway"
-	"weblint/internal/htmlspec"
 	"weblint/internal/htmltoken"
 	"weblint/internal/lint"
 	"weblint/internal/render"
@@ -303,32 +301,6 @@ func BenchmarkE7SpecVersions(b *testing.B) {
 	}
 }
 
-// BenchmarkE7DTDGeneratedSpec compares checking with the hand-written
-// HTML 4.0 tables against checking with tables generated from the
-// embedded DTD (the Section 6.1 "driving weblint with a DTD" path).
-func BenchmarkE7DTDGeneratedSpec(b *testing.B) {
-	src := corpus.GenerateSized(99, 64<<10, corpus.ErrorRates{})
-	variants := map[string]*htmlspec.Spec{
-		"hand-tables": htmlspec.HTML40(),
-		"from-dtd":    htmlspec.FromDTD(dtd.HTML40(), "HTML 4.0"),
-	}
-	for name, spec := range variants {
-		b.Run(name, func(b *testing.B) {
-			b.SetBytes(int64(len(src)))
-			for i := 0; i < b.N; i++ {
-				em := warn.NewEmitter(nil)
-				core.Check(src, em, core.Options{Filename: "g.html", Spec: spec})
-			}
-		})
-	}
-	b.Run("spec-construction", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = htmlspec.FromDTD(dtd.HTML40(), "HTML 4.0")
-		}
-	})
-}
-
 // BenchmarkE8SiteWalk measures the -R site recursion over a 30-page
 // site with defects.
 func BenchmarkE8SiteWalk(b *testing.B) {
@@ -590,9 +562,9 @@ func tokenizerCorpusDocs() ([]string, int64) {
 	return tokenizerCorpus.docs, tokenizerCorpus.total
 }
 
-// BenchmarkE13TokenizerCorpus is the whole-corpus tokenizer benchmark
-// behind BENCH_tokenizer.json: one op is a full streaming pass over
-// the mixed corpus with a reused tokenizer, so the reported MB/s is
+// BenchmarkE13TokenizerCorpus is the whole-corpus tokenizer benchmark:
+// one op is a full streaming pass over the mixed corpus (~8 MB) with a
+// reused tokenizer, so the reported MB/s is
 // corpus throughput, not single-document ns/op. Run at -cpu 1,4,N to
 // see per-core and scaled throughput (each goroutine tokenizes the
 // whole corpus independently; there is no shared state to contend on).

@@ -2,10 +2,10 @@
 // paper-vs-measured rows, and runs the benchmark guards CI keeps. The
 // paper ("Weblint: Just Another Perl Hack", USENIX 1998) has no
 // numbered tables or figures; experiments e1-e6, e8 and e9 cover
-// every quantified or exemplified claim in its text. e12 (tokenizer
-// corpus throughput), e13 (lint scaling curve) and e14 (incremental
-// re-lint latency) write BENCH_*.json reports and fail on their
-// guards. Throughput and hot-path scaling are timed by the Benchmark
+// every quantified or exemplified claim in its text. e13 (lint scaling
+// curve) and e14 (incremental re-lint latency) write BENCH_*.json
+// reports and fail on their guards. Throughput and hot-path scaling,
+// tokenizer corpus throughput included, are timed by the Benchmark
 // functions at the repository root.
 //
 // Usage:
@@ -24,14 +24,11 @@ import (
 	"runtime/pprof"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"weblint/internal/config"
 	"weblint/internal/core"
 	"weblint/internal/corpus"
-	"weblint/internal/htmltoken"
 	"weblint/internal/lint"
 	"weblint/internal/sitewalk"
 	"weblint/internal/validator"
@@ -71,9 +68,7 @@ func main() {
 // process exits with e13's curve-bend failure code.
 func run() int {
 	which := flag.String("e", "all", "experiment to run (e1..e14 or all)")
-	flag.StringVar(&jsonPath, "json", "", "write e12/e13/e14 results as JSON to this path")
-	flag.IntVar(&corpusMB, "corpus-mb", 8, "e12: synthetic corpus size in MB")
-	flag.IntVar(&totalMB, "total-mb", 64, "e12: bytes to push through the tokenizer per row, in MB")
+	flag.StringVar(&jsonPath, "json", "", "write e13/e14 results as JSON to this path")
 	flag.Float64Var(&scalingRate, "scaling-rate", 0.25, "e13: injected error rate for the scaling corpus")
 	flag.Float64Var(&scalingMaxRatio, "scaling-max-ratio", 1.30,
 		"e13: fail when per-byte lint cost grows more than this across one 4x size step")
@@ -126,7 +121,6 @@ func run() int {
 		{"e6", "weblint vs strict SGML validation (Sections 2-3)", e6},
 		{"e8", "-R site recursion (Section 4.5)", e8},
 		{"e9", "robot traversal (Section 4.5)", e9},
-		{"e12", "tokenizer corpus throughput (BENCH_tokenizer.json)", e12},
 		{"e13", "lint scaling curve on error-dense corpus (BENCH_scaling.json)", e13},
 		{"e14", "incremental re-lint latency (BENCH_incremental.json)", e14},
 	}
@@ -299,180 +293,8 @@ func e9() {
 	fmt.Println("or crawl a real site with: poacher -max-pages 50 http://your-site/")
 }
 
-// e12 configuration, set from flags in main.
-var (
-	jsonPath string
-	corpusMB int
-	totalMB  int
-)
-
-// streamTokenizer is the seam e12 measures through: the production
-// Tokenizer always, and — when the binary is built with
-// -tags tokendiff — the preserved per-byte ReferenceTokenizer as the
-// "before" row, so one binary produces the old-vs-new speedup.
-type streamTokenizer interface {
-	Reset(src string)
-	NextInto(tok *htmltoken.Token) bool
-}
-
-// newReference is non-nil only under the tokendiff build tag
-// (see reference_tokendiff.go).
-var newReference func() streamTokenizer
-
-// tokenizerResult is one row of BENCH_tokenizer.json.
-type tokenizerResult struct {
-	Impl        string  `json:"impl"`
-	Workers     int     `json:"workers"`
-	MBPerSec    float64 `json:"mb_per_s"`
-	NsPerCorpus int64   `json:"ns_per_corpus"`
-}
-
-// tokenizerReport is the BENCH_tokenizer.json document.
-type tokenizerReport struct {
-	Benchmark      string            `json:"benchmark"`
-	Date           string            `json:"date"`
-	GoVersion      string            `json:"go_version"`
-	GOMAXPROCS     int               `json:"gomaxprocs"`
-	CorpusBytes    int64             `json:"corpus_bytes"`
-	CorpusDocs     int               `json:"corpus_docs"`
-	TargetBytes    int64             `json:"target_bytes"`
-	Results        []tokenizerResult `json:"results"`
-	SpeedupWorker1 float64           `json:"speedup_workers1,omitempty"`
-}
-
-// e12 is the tokenizer substrate benchmark behind the service-level
-// numbers: whole-corpus MB/s at increasing worker counts, written to
-// BENCH_tokenizer.json with -json. The corpus is a deterministic mix
-// of clean, error-injected, and raw-text-heavy documents; each row
-// streams -total-mb megabytes through per-worker tokenizers.
-func e12() {
-	var docs []string
-	var corpusBytes int64
-	target := int64(corpusMB) << 20
-	for seed := int64(1); corpusBytes < target; seed++ {
-		docs = append(docs, corpus.GenerateSized(seed, 384<<10, corpus.ErrorRates{}))
-		docs = append(docs, corpus.GenerateSized(seed+100, 192<<10, corpus.Uniform(0.1)))
-		docs = append(docs, corpus.GenerateRawText(128))
-		corpusBytes = 0
-		for _, d := range docs {
-			corpusBytes += int64(len(d))
-		}
-	}
-	rounds := (int64(totalMB)<<20 + corpusBytes - 1) / corpusBytes
-	if rounds < 1 {
-		rounds = 1
-	}
-
-	workerCounts := []int{1, 4}
-	if n := runtime.GOMAXPROCS(0); n > 4 {
-		workerCounts = append(workerCounts, n)
-	}
-
-	impls := []struct {
-		name string
-		mk   func() streamTokenizer
-	}{
-		{"table-driven", func() streamTokenizer { return htmltoken.New("") }},
-	}
-	if newReference != nil {
-		impls = append(impls, struct {
-			name string
-			mk   func() streamTokenizer
-		}{"reference-per-byte", newReference})
-	}
-
-	report := tokenizerReport{
-		Benchmark:   "tokenizer-corpus",
-		Date:        time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		CorpusBytes: corpusBytes,
-		CorpusDocs:  len(docs),
-		TargetBytes: rounds * corpusBytes,
-	}
-
-	fmt.Printf("corpus: %d documents, %.1f MB; %d passes per row\n",
-		len(docs), float64(corpusBytes)/(1<<20), rounds)
-	fmt.Printf("%-20s %8s %12s %12s\n", "impl", "workers", "time/corpus", "MB/s")
-	for _, impl := range impls {
-		for _, workers := range workerCounts {
-			elapsed := tokenizeRounds(docs, impl.mk, workers, rounds)
-			perCorpus := elapsed / time.Duration(rounds)
-			mbs := float64(rounds*corpusBytes) / elapsed.Seconds() / 1e6
-			report.Results = append(report.Results, tokenizerResult{
-				Impl: impl.name, Workers: workers,
-				MBPerSec: mbs, NsPerCorpus: perCorpus.Nanoseconds(),
-			})
-			fmt.Printf("%-20s %8d %12s %12.1f\n",
-				impl.name, workers, perCorpus.Round(time.Microsecond), mbs)
-		}
-	}
-
-	if newReference != nil {
-		var newW1, refW1 float64
-		for _, r := range report.Results {
-			if r.Workers == 1 {
-				switch r.Impl {
-				case "table-driven":
-					newW1 = r.MBPerSec
-				case "reference-per-byte":
-					refW1 = r.MBPerSec
-				}
-			}
-		}
-		if refW1 > 0 {
-			report.SpeedupWorker1 = newW1 / refW1
-			fmt.Printf("speedup at 1 worker: %.2fx\n", report.SpeedupWorker1)
-		}
-	} else {
-		fmt.Println("(build with -tags tokendiff for the old-vs-new comparison row)")
-	}
-
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "weblint-bench:", err)
-			os.Exit(2)
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "weblint-bench:", err)
-			os.Exit(2)
-		}
-		fmt.Printf("wrote %s\n", jsonPath)
-	}
-}
-
-// tokenizeRounds streams the corpus `rounds` times through per-worker
-// tokenizers, workers pulling whole passes from a shared counter, and
-// returns the wall time.
-func tokenizeRounds(docs []string, mk func() streamTokenizer, workers int, rounds int64) time.Duration {
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tz := mk()
-			var tok htmltoken.Token
-			for next.Add(1) <= rounds {
-				for _, doc := range docs {
-					tz.Reset(doc)
-					n := 0
-					for tz.NextInto(&tok) {
-						n++
-					}
-					if n == 0 {
-						fmt.Fprintln(os.Stderr, "weblint-bench: tokenizer produced no tokens")
-						os.Exit(2)
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return time.Since(start)
-}
+// jsonPath is where e13 and e14 write their reports (-json).
+var jsonPath string
 
 // e13 configuration and outcome, set from flags / read by run.
 var (

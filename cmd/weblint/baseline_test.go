@@ -1,6 +1,9 @@
 package main
 
 import (
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -197,5 +200,60 @@ func TestBaselineFlagsMutuallyExclusive(t *testing.T) {
 	code, _, stderr := runCLI(t, "", "-norc", "-baseline", "x.json", "-baseline-update", "y.json", path)
 	if code != 2 || !strings.Contains(stderr, "mutually exclusive") {
 		t.Fatalf("exit = %d, stderr = %q", code, stderr)
+	}
+}
+
+// twoImgDoc has two img-alt findings in distinct contexts, plus three
+// more on its other lines: five findings, five fingerprints when each
+// is fingerprinted in its own context.
+const twoImgDoc = "<HTML>\n<IMG SRC=\"a.gif\">\n<P>x</P>\n<IMG SRC=\"b.gif\">\n</HTML>\n"
+
+// TestBaselineFingerprintsLintedBytes: stdin and -u documents have no
+// file to re-read, so the baseline must fingerprint the bytes that
+// were linted. Each run must record one count-1 fingerprint per
+// finding, as a file run does; an empty context collapses the two
+// img-alt findings of a document onto one count-2 fingerprint.
+func TestBaselineFingerprintsLintedBytes(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, twoImgDoc)
+	}))
+	defer srv.Close()
+	file := writeTemp(t, "two.html", twoImgDoc)
+
+	for _, tc := range []struct {
+		name  string
+		stdin string
+		args  []string
+		want  int
+	}{
+		{"file", "", []string{file}, 5},
+		{"stdin", twoImgDoc, []string{"-"}, 5},
+		{"one URL", "", []string{"-u", srv.URL + "/a.html"}, 5},
+		{"two URLs", "", []string{"-u", srv.URL + "/a.html", srv.URL + "/b.html"}, 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			basePath := filepath.Join(t.TempDir(), "b.json")
+			args := append([]string{"-norc", "-baseline-write", basePath}, tc.args...)
+			if code, _, stderr := runCLI(t, tc.stdin, args...); code != 0 {
+				t.Fatalf("exit = %d, stderr=%q", code, stderr)
+			}
+			base, err := baseline.Load(basePath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(base.Findings) != tc.want {
+				t.Errorf("recorded %d fingerprints, want %d: %v", len(base.Findings), tc.want, base.Findings)
+			}
+			for fp, n := range base.Findings {
+				if n != 1 {
+					t.Errorf("fingerprint %s has count %d: findings collapsed onto an empty context", fp, n)
+				}
+			}
+			// The same documents diffed against the record are clean.
+			args = append([]string{"-norc", "-baseline", basePath}, tc.args...)
+			if code, out, stderr := runCLI(t, tc.stdin, args...); code != 0 || out != "" {
+				t.Errorf("re-run against the record: exit %d, out=%q, stderr=%q", code, out, stderr)
+			}
+		})
 	}
 }

@@ -30,21 +30,17 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"cmp"
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 
 	"weblint/internal/baseline"
-	"weblint/internal/bufpool"
 	"weblint/internal/bytestr"
 	"weblint/internal/config"
 	"weblint/internal/engine"
@@ -91,18 +87,19 @@ type cli struct {
 	walkSrc *walkSource
 }
 
-// walkSource resolves message file paths for baseline fingerprinting
-// on runs that include -R site walks. Sitewalk emits each page's File
-// as a root-relative slash path, which the plain FileSource can only
-// read when the walk root happens to be the working directory — from
-// anywhere else every lookup missed, contexts came back empty, and
-// same-rule findings across a file collapsed onto one weak
-// fingerprint. Each walk registers its root before walking; resolution
-// tries the path as given first (plain file arguments), then joined
-// onto each registered root.
+// walkSource resolves message file paths to document text for
+// baseline fingerprinting. A file, URL or stdin argument is served
+// from the bytes the engine linted, which the CLI sets as the current
+// document before replaying its findings: stdin and URLs have no file
+// to re-read, and a file is not read twice. Site walks read their own
+// pages, and sitewalk emits each page's File as a root-relative slash
+// path, so each walk registers its root before walking; resolution
+// then tries the path as given first, then joined onto each
+// registered root.
 type walkSource struct {
-	inner baseline.SourceFunc
-	roots []string
+	name, text string // the current document
+	inner      baseline.SourceFunc
+	roots      []string
 }
 
 func newWalkSource() *walkSource { return &walkSource{inner: baseline.FileSource()} }
@@ -110,6 +107,9 @@ func newWalkSource() *walkSource { return &walkSource{inner: baseline.FileSource
 func (s *walkSource) addRoot(root string) { s.roots = append(s.roots, root) }
 
 func (s *walkSource) source(file string) (string, bool) {
+	if file == s.name {
+		return s.text, true
+	}
 	if src, ok := s.inner(file); ok {
 		return src, true
 	}
@@ -360,20 +360,13 @@ func validateFixMode(c *cli, files []string) error {
 	return nil
 }
 
-// fixResult is the per-file outcome of a fix-mode run.
-type fixResult struct {
-	path  string
-	data  []byte // original content
-	fixed string
-	rep   fixit.Report
-	err   error
-}
-
 // runFix lints every file, applies the machine-applicable fixes, and
-// either rewrites the files in place (-fix, with a .orig backup) or
-// prints a unified diff (-fix-dry-run). Files are checked on -j
-// workers through the ordered engine core, so the output — and the
-// order files are rewritten in — is identical for any worker count.
+// either rewrites the files in place (-fix, with a .orig backup),
+// prints a unified diff (-fix-dry-run) or writes one patch per changed
+// file (-fix-diff-to). Files are checked on -j workers through the
+// engine, which emits them in input order with the bytes it linted,
+// so the output — and the order files are rewritten in — is identical
+// for any worker count.
 func runFix(c *cli, files []string, linter *lint.Linter, stdout, stderr io.Writer) int {
 	// Deduplicate the argument list: producers read files on -j
 	// workers while the ordered consumer rewrites them, so the same
@@ -382,16 +375,15 @@ func runFix(c *cli, files []string, linter *lint.Linter, stdout, stderr io.Write
 	// file — symlinks, ../ routes — are out of scope, as for any
 	// in-place rewriter.)
 	seen := make(map[string]bool, len(files))
-	deduped := files[:0:0]
+	var jobs []engine.Job
 	for _, f := range files {
 		key := filepath.Clean(f)
 		if seen[key] {
 			continue
 		}
 		seen[key] = true
-		deduped = append(deduped, f)
+		jobs = append(jobs, engine.Job{Path: f})
 	}
-	files = deduped
 
 	if c.fixDiffTo != "" {
 		if err := os.MkdirAll(c.fixDiffTo, 0o755); err != nil {
@@ -405,74 +397,66 @@ func runFix(c *cli, files []string, linter *lint.Linter, stdout, stderr io.Write
 	// for any -j.
 	patchNames := map[string]bool{}
 
-	workers := c.jobs
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	var opErr error
-	engine.OrderedSlice(workers, 4*workers, files,
-		func(_ int, path string) fixResult {
-			r := fixResult{path: path}
-			r.data, r.err = os.ReadFile(path)
-			if r.err != nil {
-				return r
-			}
-			msgs := linter.CheckString(path, bytestr.String(r.data))
-			r.fixed, r.rep = fixit.Apply(bytestr.String(r.data), msgs)
-			return r
-		},
-		func(_ int, r fixResult) bool {
-			if r.err != nil {
-				opErr = r.err
-				return false
-			}
-			if c.fixDry {
-				if r.fixed != bytestr.String(r.data) {
-					io.WriteString(stdout, fixit.UnifiedDiff(r.path, r.path+" (fixed)", bytestr.String(r.data), r.fixed))
-				}
-				return true
-			}
-			if c.fixDiffTo != "" {
-				if r.fixed == bytestr.String(r.data) {
-					return true
-				}
-				patch := fixit.UnifiedDiff(r.path, r.path+" (fixed)", bytestr.String(r.data), r.fixed)
-				name := patchName(r.path)
-				for i := 2; patchNames[name]; i++ {
-					name = strings.TrimSuffix(patchName(r.path), ".patch") + fmt.Sprintf("~%d.patch", i)
-				}
-				patchNames[name] = true
-				dest := filepath.Join(c.fixDiffTo, name)
-				if err := os.WriteFile(dest, []byte(patch), 0o644); err != nil {
-					opErr = err
-					return false
-				}
-				fmt.Fprintf(stdout, "%s: %s -> %s\n", r.path, r.rep.String(), dest)
-				return true
-			}
-			if !r.rep.Changed() {
-				return true
-			}
-			mode := fs.FileMode(0o644)
-			if st, err := os.Stat(r.path); err == nil {
-				mode = st.Mode().Perm()
-			}
-			if err := os.WriteFile(r.path+".orig", r.data, mode); err != nil {
-				opErr = err
-				return false
-			}
-			if err := os.WriteFile(r.path, []byte(r.fixed), mode); err != nil {
-				opErr = err
-				return false
-			}
-			fmt.Fprintf(stdout, "%s: %s\n", r.path, r.rep.String())
-			return true
-		})
+	eng := &engine.Engine{Linter: linter, Workers: c.jobs}
+	eng.Run(jobs, func(r engine.Result) bool {
+		if r.Err == nil {
+			r.Err = fixOne(c, r, patchNames, stdout)
+		}
+		opErr = r.Err
+		return opErr == nil
+	})
 	if opErr != nil {
 		fmt.Fprintf(stderr, "weblint: %v\n", opErr)
 		return 2
 	}
 	return 0
+}
+
+// fixOne applies the fixes of one linted file, in the mode c selects,
+// to the bytes that were linted.
+func fixOne(c *cli, r engine.Result, patchNames map[string]bool, stdout io.Writer) error {
+	path, data := r.Name, r.Src
+	orig := bytestr.String(data)
+	fixed, rep := fixit.Apply(orig, r.Messages)
+	if c.fixDry {
+		if fixed != orig {
+			io.WriteString(stdout, fixit.UnifiedDiff(path, path+" (fixed)", orig, fixed))
+		}
+		return nil
+	}
+	if c.fixDiffTo != "" {
+		if fixed == orig {
+			return nil
+		}
+		patch := fixit.UnifiedDiff(path, path+" (fixed)", orig, fixed)
+		name := patchName(path)
+		for i := 2; patchNames[name]; i++ {
+			name = strings.TrimSuffix(patchName(path), ".patch") + fmt.Sprintf("~%d.patch", i)
+		}
+		patchNames[name] = true
+		dest := filepath.Join(c.fixDiffTo, name)
+		if err := os.WriteFile(dest, []byte(patch), 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "%s: %s -> %s\n", path, rep.String(), dest)
+		return nil
+	}
+	if !rep.Changed() {
+		return nil
+	}
+	mode := fs.FileMode(0o644)
+	if st, err := os.Stat(path); err == nil {
+		mode = st.Mode().Perm()
+	}
+	if err := os.WriteFile(path+".orig", data, mode); err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, []byte(fixed), mode); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "%s: %s\n", path, rep.String())
+	return nil
 }
 
 // patchName maps an input path to a flat, filesystem-safe patch file
@@ -485,122 +469,106 @@ func patchName(path string) string {
 	return s + ".patch"
 }
 
-// checkArgs checks every argument, streaming all diagnostics into
-// sink. It returns the first operational error (unreadable file,
-// failed fetch, usage mistake), at which point checking stops — later
-// arguments are never read, matching the tool's historical behaviour.
-func checkArgs(c *cli, files []string, linter *lint.Linter, stdin io.Reader, sink warn.Sink) error {
-	// Multi-document runs go through the batch engine: documents are
-	// linted on -j workers (default: all CPUs) and streamed in input
-	// order, so the output is byte-identical to a sequential run.
-	if jobs, ok := batchJobs(c, files); ok {
-		workers := c.jobs
-		if workers <= 0 && c.urlMode {
-			// URL batches stay sequential unless -j asks for more:
-			// parallel GETs against someone's server must be opt-in,
-			// the same politeness default the robot keeps.
-			workers = 1
-		}
-		eng := &engine.Engine{Linter: linter, Workers: workers}
-		return eng.RunTo(jobs, sink)
+// checkArgs checks every argument in order, streaming all diagnostics
+// into sink. Files, URLs and stdin run as batch-engine jobs on -j
+// workers (default: all CPUs, or 1 with -u), streamed in input order,
+// so the output is byte-identical to a sequential run; a directory
+// walks its site once the jobs before it have been emitted. It returns
+// the first operational error (unreadable file, failed fetch, usage
+// mistake), at which point checking stops — later arguments are never
+// linted, matching the tool's historical behaviour.
+func checkArgs(c *cli, args []string, linter *lint.Linter, stdin io.Reader, sink warn.Sink) error {
+	workers := c.jobs
+	if workers <= 0 && c.urlMode {
+		// URL batches stay sequential unless -j asks for more:
+		// parallel GETs against someone's server must be opt-in,
+		// the same politeness default the robot keeps.
+		workers = 1
 	}
-
-	for _, arg := range files {
-		var read func(*bytes.Buffer) error
-		switch {
-		case arg == "-":
-			read = func(buf *bytes.Buffer) error {
-				if _, err := buf.ReadFrom(stdin); err != nil {
-					return fmt.Errorf("reading stdin: %w", err)
-				}
-				return nil
+	eng := &engine.Engine{Linter: linter, Workers: workers}
+	var jobs []engine.Job
+	var opErr error
+	live := true
+	// lintJobs runs the jobs gathered so far. Each document's text
+	// becomes the baseline source's current document before its
+	// findings replay; Src is recycled after emit, hence the copy.
+	lintJobs := func() {
+		eng.Run(jobs, func(r engine.Result) bool {
+			if r.Err != nil {
+				// Job errors already name their document.
+				opErr = r.Err
+				return false
 			}
-		case c.urlMode:
-			read = func(buf *bytes.Buffer) error { return lint.ReadURL(context.Background(), arg, buf) }
-		default:
-			st, err := os.Stat(arg)
-			if err != nil {
-				return err
+			if c.walkSrc != nil {
+				c.walkSrc.name, c.walkSrc.text = r.Name, string(r.Src)
 			}
-			if st.IsDir() {
-				if !c.recurse {
-					return fmt.Errorf("%s is a directory (use -R to check a site)", arg)
-				}
-				// The walk streams directly: page messages as each
-				// page's turn comes up, site-level messages at the end.
-				// Pages are reported root-relative; the baseline source
-				// needs the root to find their text on disk.
-				if c.walkSrc != nil {
-					c.walkSrc.addRoot(arg)
-				}
-				rep, err := sitewalk.Walk(arg, sitewalk.Options{
-					Linter: linter, Workers: c.jobs, Sink: sink,
-				})
-				if err != nil {
-					return err
-				}
-				if rep.Cancelled {
-					// The sink is dead (e.g. stdout closed): checking
-					// further arguments would be wasted I/O.
-					return nil
-				}
-				continue
-			}
-			read = func(buf *bytes.Buffer) error { return lint.ReadFile(arg, buf) }
+			live = r.Replay(sink)
+			return live
+		})
+		jobs = jobs[:0]
+	}
+	for _, arg := range args {
+		job, isDir, err := argJob(c, arg, stdin)
+		if err == nil && !isDir {
+			jobs = append(jobs, job)
+			continue
 		}
-		ok, err := checkOne(linter, sink, arg, read)
+		// An unusable argument or a directory ends the batch: the
+		// arguments before it are checked first.
+		if lintJobs(); opErr != nil || !live {
+			return opErr
+		}
 		if err != nil {
 			return err
 		}
-		if !ok {
+		// The walk streams directly: page messages as each page's turn
+		// comes up, site-level messages at the end. Pages are reported
+		// root-relative; the baseline source needs the root to find
+		// their text on disk.
+		if c.walkSrc != nil {
+			c.walkSrc.addRoot(arg)
+		}
+		rep, err := sitewalk.Walk(arg, sitewalk.Options{Linter: linter, Workers: c.jobs, Sink: sink})
+		if err != nil {
+			return err
+		}
+		if rep.Cancelled {
+			// The sink is dead (e.g. stdout closed): checking further
+			// arguments would be wasted I/O.
 			return nil
 		}
 	}
-	return nil
+	lintJobs()
+	return opErr
 }
 
-// checkOne reads one document with read into a pooled buffer, checks
-// it into a Recorder under name, and replays it — suppression stats
-// included — into sink in sorted order (the per-document output
-// contract CheckString keeps). The bool result reports whether the
-// sink accepts more.
-func checkOne(l *lint.Linter, sink warn.Sink, name string, read func(*bytes.Buffer) error) (bool, error) {
-	buf := bufpool.Get()
-	defer bufpool.Put(buf)
-	if err := read(buf); err != nil {
-		return false, err
-	}
-	var rec warn.Recorder
-	l.Check(context.Background(), name, buf.Bytes(), &rec)
-	warn.SortByLine(rec.Messages)
-	return rec.Replay(sink), nil
-}
-
-// batchJobs decides whether the argument list can run through the
-// batch engine and builds its jobs. Only multi-argument runs over
-// plain files (or, with -u, URLs) batch; stdin, directories and
-// unstattable arguments keep the sequential path so error handling is
-// exactly the seed behaviour.
-func batchJobs(c *cli, files []string) ([]engine.Job, bool) {
-	if len(files) < 2 {
-		return nil, false
-	}
-	jobs := make([]engine.Job, len(files))
-	for i, arg := range files {
-		if arg == "-" {
-			return nil, false
+// argJob turns one argument into an engine job: stdin ("-") is read
+// into memory, a -u argument is a URL, anything else a file. isDir
+// reports a directory for -R to walk instead.
+func argJob(c *cli, arg string, stdin io.Reader) (job engine.Job, isDir bool, err error) {
+	switch {
+	case arg == "-":
+		// ReadAll's result is never nil, so an empty stdin is an empty
+		// document, not a job without a source.
+		src, err := io.ReadAll(stdin)
+		if err != nil {
+			return job, false, fmt.Errorf("reading stdin: %w", err)
 		}
-		if c.urlMode {
-			jobs[i] = engine.Job{URL: arg}
-			continue
-		}
-		st, err := os.Stat(arg)
-		if err != nil || st.IsDir() {
-			return nil, false
-		}
-		jobs[i] = engine.Job{Path: arg}
+		return engine.Job{Name: "-", Src: src}, false, nil
+	case c.urlMode:
+		return engine.Job{URL: arg}, false, nil
 	}
-	return jobs, true
+	st, err := os.Stat(arg)
+	if err != nil {
+		return job, false, err
+	}
+	if st.IsDir() {
+		if !c.recurse {
+			return job, false, fmt.Errorf("%s is a directory (use -R to check a site)", arg)
+		}
+		return job, true, nil
+	}
+	return engine.Job{Path: arg}, false, nil
 }
 
 // buildSettings performs the configuration layering of the paper's

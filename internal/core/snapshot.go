@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"maps"
 	"slices"
+	"unsafe"
 
 	"weblint/internal/htmltoken"
 	"weblint/internal/textpos"
@@ -72,6 +73,25 @@ func (c *Checker) Snapshot() *Snapshot {
 	s := &Snapshot{overlay: c.em.CloneOverlay()}
 	s.copyFrom(&c.docState)
 	return s
+}
+
+// Bytes estimates the heap the snapshot holds: every stack entry with
+// its text buffer, plus a word per accum index and mapEntryBytes per
+// map entry. A deep page's snapshots copy its whole open stack, so the
+// incremental Session spaces its checkpoints by this.
+func (s *Snapshot) Bytes() int {
+	const mapEntryBytes = 32 // a string header and a word of value
+	n := 8*len(s.accum) + mapEntryBytes*(len(s.openTop)+len(s.pendingTop)+
+		len(s.seenOnce)+len(s.ids)+len(s.anchors)+len(s.metaNames)+len(s.overlay))
+	for _, stack := range [][]*open{s.stack, s.pending} {
+		n += 8 * len(stack)
+		for _, o := range stack {
+			if o != nil {
+				n += int(unsafe.Sizeof(*o)) + cap(o.text)
+			}
+		}
+	}
+	return n
 }
 
 // restoreMap replaces dst's contents with a copy of src, reusing dst's

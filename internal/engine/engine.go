@@ -5,9 +5,9 @@
 // order.
 //
 // Every fleet surface in the repo lints a corpus, not a page: the
-// multi-file command line, the -R site recursion, and the poacher
-// robot. The engine is the shared substrate: it owns the scheduling,
-// the surfaces own the jobs. Ordering is part of the contract — the
+// command line, the -R site recursion, and the poacher robot. The
+// engine is the shared substrate: it owns the scheduling, the
+// surfaces own the jobs. Ordering is part of the contract — the
 // output of a parallel run is byte-identical to the sequential run
 // regardless of how the scheduler interleaves workers, so adding -j
 // can never change what a build log or a diff-based test sees.
@@ -25,6 +25,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -59,6 +60,12 @@ type Result struct {
 	Index int
 	// Name is the document name messages carry.
 	Name string
+	// Src is the document the job was checked against: the job's own
+	// Src, or the bytes read from its Path or URL. It is valid only
+	// until Run's emit returns, when the engine recycles a Path or URL
+	// job's read buffer; copy it to keep it. RunAll and RunTo never
+	// expose it, and it is nil when Err is set.
+	Src []byte
 	// Recorder holds the job's finding stream: Messages in source
 	// order, and the IDs of emissions dropped because their message was
 	// disabled, which RunTo replays so per-rule suppression stats
@@ -70,6 +77,8 @@ type Result struct {
 	// but the consumer decides: Run's emit callback may cancel, and
 	// RunTo cancels the batch on the first error it sees.
 	Err error
+
+	buf *bytes.Buffer // pooled read buffer behind Src, recycled after emit
 }
 
 // Engine is a reusable batch-lint configuration. The zero value lints
@@ -79,11 +88,9 @@ type Engine struct {
 	// Linter checks the documents; nil means a default Linter,
 	// constructed once on first use.
 	Linter *lint.Linter
-	// Workers is the worker-pool size; <= 0 means GOMAXPROCS.
+	// Workers is the worker-pool size; <= 0 means GOMAXPROCS. At most
+	// 4x that many results are buffered ahead of the collector.
 	Workers int
-	// Window bounds how many results may be buffered ahead of the
-	// collector; <= 0 means 4x the worker count.
-	Window int
 
 	defaultOnce   sync.Once
 	defaultLinter *lint.Linter
@@ -109,26 +116,32 @@ func (e *Engine) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-func (e *Engine) window() int {
-	if e.Window > 0 {
-		return e.Window
-	}
-	return 4 * e.workers()
-}
-
 // Run lints every job and calls emit once per job, in input order,
-// from the calling goroutine. Returning false from emit cancels the
-// batch: no further jobs are dispatched, already-dispatched jobs
-// finish and are discarded, and Run returns once the pool drains.
+// from the calling goroutine. Result.Src is valid until emit returns.
+// Returning false from emit cancels the batch: no further jobs are
+// dispatched, already-dispatched jobs finish and are discarded, and
+// Run returns once the pool drains.
 func (e *Engine) Run(jobs []Job, emit func(Result) bool) {
-	OrderedSlice(e.workers(), e.window(), jobs, e.lintJob, func(_ int, r Result) bool { return emit(r) })
+	w := e.workers()
+	OrderedSlice(w, 4*w, jobs, e.lintJob, func(_ int, r Result) bool {
+		ok := emit(r)
+		if r.buf != nil {
+			bufpool.Put(r.buf)
+		}
+		return ok
+	})
 }
 
-// RunAll lints every job and returns the results in input order; a
-// convenience for batches small enough to hold in memory at once.
+// RunAll lints every job and returns the results in input order, with
+// Src cleared; a convenience for batches small enough to hold in
+// memory at once.
 func (e *Engine) RunAll(jobs []Job) []Result {
 	out := make([]Result, 0, len(jobs))
-	e.Run(jobs, func(r Result) bool { out = append(out, r); return true })
+	e.Run(jobs, func(r Result) bool {
+		r.Src, r.buf = nil, nil
+		out = append(out, r)
+		return true
+	})
 	return out
 }
 
@@ -159,46 +172,45 @@ func (e *Engine) RunTo(jobs []Job, sink warn.Sink) error {
 
 // lintJob checks one job, recovering panics into Result.Err so a
 // poisoned document cannot wedge the pool. Path and URL jobs are read
-// into a pooled buffer first; a read or fetch error fails before the
-// check runs, so it records nothing.
+// into a pooled buffer first, which Run recycles after emit; a read or
+// fetch error fails before the check runs, so it records nothing.
 func (e *Engine) lintJob(idx int, j Job) (res Result) {
 	res.Index = idx
 	res.Name = j.Name
 	defer func() {
 		if p := recover(); p != nil {
-			res.Recorder = warn.Recorder{}
+			res.Recorder, res.Src = warn.Recorder{}, nil
 			res.Err = fmt.Errorf("engine: check of %s panicked: %v", res.Name, p)
 		}
 	}()
-	src := j.Src
-	if src == nil {
-		buf := bufpool.Get()
-		defer bufpool.Put(buf)
+	res.Src = j.Src
+	if res.Src == nil {
+		res.buf = bufpool.Get()
 		switch {
 		case j.Path != "":
 			if res.Name == "" {
 				res.Name = j.Path
 			}
-			res.Err = lint.ReadFile(j.Path, buf)
+			res.Err = lint.ReadFile(j.Path, res.buf)
 		case j.URL != "":
 			if res.Name == "" {
 				res.Name = j.URL
 			}
-			res.Err = lint.ReadURL(context.TODO(), j.URL, buf)
+			res.Err = lint.ReadURL(context.TODO(), j.URL, res.buf)
 		default:
 			res.Err = errors.New("engine: job has no source (Src, Path or URL)")
 		}
 		if res.Err != nil {
 			return res
 		}
-		src = buf.Bytes()
+		res.Src = res.buf.Bytes()
 	} else if res.Name == "" {
 		res.Name = "-"
 	}
 	// Check into the result's Recorder: it collects the messages (sorted
 	// below, matching CheckString's contract) and additionally captures
 	// suppressed-emission IDs for per-rule stats.
-	e.linter().Check(context.TODO(), res.Name, src, &res.Recorder)
+	e.linter().Check(context.TODO(), res.Name, res.Src, &res.Recorder)
 	warn.SortByLine(res.Messages)
 	return res
 }

@@ -324,3 +324,40 @@ func TestURLJobBodyCap(t *testing.T) {
 		t.Fatalf("%d messages recorded for an over-cap body", len(r.Messages))
 	}
 }
+
+// TestResultSrcIsTheLintedDocument: emit sees the bytes each job was
+// checked against — a Src job's own, a Path or URL job's read buffer —
+// and nil for a job that could not be read. RunAll clears Src, since
+// a read buffer is recycled once emit returns.
+func TestResultSrcIsTheLintedDocument(t *testing.T) {
+	const page = "<HTML><BODY><IMG SRC=\"x.gif\"></BODY></HTML>"
+	dir := t.TempDir()
+	path := filepath.Join(dir, "page.html")
+	if err := os.WriteFile(path, []byte(page), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, page)
+	}))
+	defer srv.Close()
+
+	jobs := []Job{{Src: []byte(page)}, {Path: path}, {URL: srv.URL}, {Path: filepath.Join(dir, "missing.html")}}
+	for _, workers := range adversarialWorkerCounts {
+		eng := &Engine{Workers: workers}
+		eng.Run(jobs, func(r Result) bool {
+			if r.Err != nil {
+				if r.Src != nil {
+					t.Errorf("workers=%d: job %d failed (%v) but carries %d bytes", workers, r.Index, r.Err, len(r.Src))
+				}
+			} else if string(r.Src) != page {
+				t.Errorf("workers=%d: job %d Src = %q, want the page", workers, r.Index, r.Src)
+			}
+			return true
+		})
+		for _, r := range eng.RunAll(jobs) {
+			if r.Src != nil {
+				t.Errorf("workers=%d: RunAll result %d keeps Src", workers, r.Index)
+			}
+		}
+	}
+}

@@ -39,8 +39,6 @@ import (
 // Options configures a Client. The zero value gets conservative
 // service defaults; see the field comments.
 type Options struct {
-	// ConnectTimeout bounds TCP connect + TLS handshake (default 5s).
-	ConnectTimeout time.Duration
 	// Timeout bounds the whole request, body read included
 	// (default 15s). A per-call context deadline may shorten it.
 	Timeout time.Duration
@@ -58,6 +56,9 @@ type Options struct {
 	// UserAgent is sent with requests (default "weblint-fetch/1.0").
 	UserAgent string
 }
+
+// connectTimeout bounds TCP connect and, separately, the TLS handshake.
+const connectTimeout = 5 * time.Second
 
 // ErrBodyTooLarge reports a response body over the MaxBody cap.
 var ErrBodyTooLarge = errors.New("response body exceeds size limit")
@@ -78,9 +79,6 @@ type Client struct {
 
 // New builds a Client from options, filling defaults.
 func New(o Options) *Client {
-	if o.ConnectTimeout <= 0 {
-		o.ConnectTimeout = 5 * time.Second
-	}
 	if o.Timeout <= 0 {
 		o.Timeout = 15 * time.Second
 	}
@@ -94,7 +92,7 @@ func New(o Options) *Client {
 		o.UserAgent = "weblint-fetch/1.0"
 	}
 
-	dialer := &net.Dialer{Timeout: o.ConnectTimeout}
+	dialer := &net.Dialer{Timeout: connectTimeout}
 	if !o.AllowPrivate {
 		// The guard runs against the address actually being connected
 		// to, after DNS resolution — the only point where a rebinding
@@ -114,7 +112,7 @@ func New(o Options) *Client {
 	transport := &http.Transport{
 		Proxy:                 http.ProxyFromEnvironment,
 		DialContext:           dialer.DialContext,
-		TLSHandshakeTimeout:   o.ConnectTimeout,
+		TLSHandshakeTimeout:   connectTimeout,
 		ResponseHeaderTimeout: o.Timeout,
 		MaxIdleConns:          32,
 		IdleConnTimeout:       30 * time.Second,

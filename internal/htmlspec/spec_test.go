@@ -3,8 +3,6 @@ package htmlspec
 import (
 	"strings"
 	"testing"
-
-	"weblint/internal/dtd"
 )
 
 func TestHTML40ElementCoverage(t *testing.T) {
@@ -393,62 +391,5 @@ func TestElementNamesSorted(t *testing.T) {
 		if names[i-1] >= names[i] {
 			t.Fatalf("names not sorted at %d: %s >= %s", i, names[i-1], names[i])
 		}
-	}
-}
-
-// TestFromDTDAgreement cross-checks the DTD-generated tables against
-// the hand-written ones, the consistency check the paper's Section 6.1
-// anticipates.
-func TestFromDTDAgreement(t *testing.T) {
-	gen := FromDTD(dtd.HTML40(), "HTML 4.0")
-	hand := HTML40()
-	for _, name := range gen.ElementNames() {
-		g := gen.Element(name)
-		h := hand.Element(name)
-		if h == nil {
-			t.Errorf("DTD defines %s; hand-written tables do not", name)
-			continue
-		}
-		if g.Empty != h.Empty {
-			t.Errorf("%s: Empty mismatch (dtd=%v hand=%v)", name, g.Empty, h.Empty)
-		}
-		if g.OmitClose != h.OmitClose {
-			t.Errorf("%s: OmitClose mismatch (dtd=%v hand=%v)", name, g.OmitClose, h.OmitClose)
-		}
-		// Required attributes must agree where the DTD subset
-		// declares the element's ATTLIST — with one deliberate
-		// divergence: the HTML 4.0 DTD makes IMG ALT #REQUIRED,
-		// but weblint reports missing ALT as the softer img-alt
-		// warning rather than a required-attribute error, so the
-		// hand table leaves ALT optional.
-		if len(g.Attrs) > 0 {
-			gr := strings.Join(g.RequiredAttrs(), ",")
-			hr := strings.Join(h.RequiredAttrs(), ",")
-			if name == "img" {
-				if gr != "alt,src" || hr != "src" {
-					t.Errorf("img divergence changed: dtd=%s hand=%s", gr, hr)
-				}
-				continue
-			}
-			if gr != hr {
-				t.Errorf("%s: required attrs differ (dtd=%s hand=%s)", name, gr, hr)
-			}
-		}
-	}
-}
-
-func TestFromDTDBehaviourFlags(t *testing.T) {
-	gen := FromDTD(dtd.HTML40(), "HTML 4.0")
-	if !gen.Element("a").Inline || !gen.Element("a").NoSelfNest {
-		t.Error("A should be inline and non-self-nesting from DTD -(A)")
-	}
-	if !gen.Element("table").Structural {
-		t.Error("TABLE should be structural")
-	}
-	if !gen.Element("title").OnceOnly || !gen.Element("title").HeadOnly {
-		t.Error("TITLE behaviour flags missing")
-	}
-	if !gen.HTML40 {
-		t.Error("version flag not derived")
 	}
 }

@@ -14,8 +14,7 @@ import (
 // differential oracle for the SWAR/byte-class rewrite. It is compiled
 // only under the tokendiff build tag, where the differential tests
 // assert that both implementations produce byte-identical token
-// streams and weblint-bench uses it as the "before" measurement in
-// BENCH_tokenizer.json.
+// streams.
 //
 // The one deliberate stream change of the rewrite — dropping the
 // zero-length raw-text token that used to be emitted for

@@ -56,7 +56,9 @@ func ApplyEdits(doc []byte, edits []Edit) []byte {
 // defaultCheckpointSpacing balances re-lint window length (an edit
 // re-lints from the previous checkpoint to the next one that re-syncs,
 // so roughly 2× the spacing) against snapshot memory (a 1 MiB document
-// keeps ~64 snapshots).
+// keeps ~64 snapshots). A snapshot larger than the spacing stretches
+// the gap after it to its own size (see gap), so snapshots never hold
+// much more than the document spans, however deep its nesting.
 const defaultCheckpointSpacing = 16 << 10
 
 // checkpoint is one resumable position: the checker snapshot as of a
@@ -208,13 +210,22 @@ func (s *Session) arm(dst *[]warn.Event) {
 	s.em.SetEventSink(func(ev warn.Event) { *s.rec = append(*s.rec, ev) })
 }
 
-// takeCheckpoint snapshots the checker at token-boundary offset off.
-func (s *Session) takeCheckpoint(dst []checkpoint, off, events int) []checkpoint {
+// takeCheckpoint snapshots the checker at token-boundary offset off,
+// and returns the offset the next checkpoint may come at.
+func (s *Session) takeCheckpoint(dst []checkpoint, off, events int) ([]checkpoint, int) {
 	hor := s.tz.Horizon()
 	if hor < s.horFloor {
 		hor = s.horFloor
 	}
-	return append(dst, checkpoint{off: off, events: events, hor: hor, snap: s.ck.Snapshot()})
+	snap := s.ck.Snapshot()
+	return append(dst, checkpoint{off: off, events: events, hor: hor, snap: snap}), off + s.gap(snap)
+}
+
+// gap is the distance from a checkpoint holding snap to the next one:
+// the spacing, or more when snap outgrows defaultCheckpointSpacing,
+// scaled with the spacing so tests' tiny spacings stay as dense.
+func (s *Session) gap(snap *core.Snapshot) int {
+	return max(s.spacing, snap.Bytes()*s.spacing/defaultCheckpointSpacing)
 }
 
 // lintAll performs the initial full lint, recording events and taking
@@ -228,14 +239,13 @@ func (s *Session) lintAll() {
 	s.ck.Reset(s.em, s.l.checkOpts(s.name))
 	s.tz.Reset(s.text)
 	s.horFloor = 0
-	s.ckpts = s.takeCheckpoint(s.ckpts, 0, 0)
-	next := s.spacing
+	var next int
+	s.ckpts, next = s.takeCheckpoint(s.ckpts, 0, 0)
 	var tok htmltoken.Token
 	for s.tz.NextInto(&tok) {
 		s.ck.Step(&tok)
 		if b := s.tz.Pos(); b >= next && !s.tz.InRawText() {
-			s.ckpts = s.takeCheckpoint(s.ckpts, b, len(s.events))
-			next = b + s.spacing
+			s.ckpts, next = s.takeCheckpoint(s.ckpts, b, len(s.events))
 		}
 	}
 	s.ck.Finish()
@@ -276,7 +286,7 @@ func (s *Session) applyOne(e Edit) {
 	var win []warn.Event
 	s.arm(&win)
 	var winCk []checkpoint
-	nextCk := rc.off + s.spacing
+	nextCk := rc.off + s.gap(rc.snap)
 
 	// First sync candidate: the first checkpoint past the replaced
 	// span. Checkpoints inside (restore, end) are damaged and will be
@@ -308,8 +318,7 @@ func (s *Session) applyOne(e Edit) {
 			cand++
 		}
 		if b >= nextCk {
-			winCk = s.takeCheckpoint(winCk, b, len(win))
-			nextCk = b + s.spacing
+			winCk, nextCk = s.takeCheckpoint(winCk, b, len(win))
 		}
 	}
 	s.ck.Finish()

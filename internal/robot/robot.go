@@ -53,8 +53,8 @@ type Page struct {
 	Err error
 }
 
-// Robot crawls a web site. The zero value is usable; fields customise
-// behaviour.
+// Robot crawls a web site, following links only within the start
+// URL's host. The zero value is usable; fields customise behaviour.
 type Robot struct {
 	// Client is the HTTP client (nil: 15-second timeout).
 	Client *http.Client
@@ -67,9 +67,6 @@ type Robot struct {
 	// Delay is the politeness delay between requests to one host
 	// (default none, suitable for checking your own site).
 	Delay time.Duration
-	// SameHost restricts traversal to the start URL's host
-	// (default true via NewRobot; the zero value does not restrict).
-	SameHost bool
 	// IgnoreRobotsTxt skips the robots exclusion protocol; only
 	// appropriate when checking your own server.
 	IgnoreRobotsTxt bool
@@ -86,7 +83,7 @@ type Robot struct {
 
 // NewRobot returns a Robot with the defaults used by poacher.
 func NewRobot() *Robot {
-	return &Robot{SameHost: true}
+	return &Robot{}
 }
 
 func (r *Robot) client() *http.Client {
@@ -221,7 +218,7 @@ func (r *Robot) CrawlWhile(start string, visit func(Page) bool) (int, error) {
 			if next.Scheme != "http" && next.Scheme != "https" {
 				continue
 			}
-			if r.SameHost && next.Host != base.Host {
+			if next.Host != base.Host {
 				continue
 			}
 			key := canonical(next)

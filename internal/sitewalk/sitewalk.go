@@ -36,12 +36,6 @@ import (
 type Options struct {
 	// Linter checks each page; nil means a default Linter.
 	Linter *lint.Linter
-	// IndexNames are the file names accepted as directory indexes.
-	// Default: index.html, index.htm.
-	IndexNames []string
-	// Extensions are the file name extensions treated as HTML.
-	// Default: .html, .htm.
-	Extensions []string
 	// CheckLocalLinks verifies that relative link targets exist on
 	// disk (default true; set SkipLocalLinks to disable).
 	SkipLocalLinks bool
@@ -96,12 +90,6 @@ func Walk(root string, o Options) (*Report, error) {
 	if o.Linter == nil {
 		o.Linter = lint.MustNew(lint.Options{})
 	}
-	if len(o.IndexNames) == 0 {
-		o.IndexNames = []string{"index.html", "index.htm"}
-	}
-	if len(o.Extensions) == 0 {
-		o.Extensions = []string{".html", ".htm"}
-	}
 
 	rep := &Report{}
 	dirs := map[string][]string{} // dir (rel) -> html files within
@@ -114,20 +102,17 @@ func Walk(root string, o Options) (*Report, error) {
 		if d.IsDir() {
 			return nil
 		}
-		ext := strings.ToLower(filepath.Ext(p))
-		for _, want := range o.Extensions {
-			if ext == want {
-				rel, rerr := filepath.Rel(root, p)
-				if rerr != nil {
-					return rerr
-				}
-				rel = filepath.ToSlash(rel)
-				pages = append(pages, rel)
-				dir := path.Dir(rel)
-				dirs[dir] = append(dirs[dir], path.Base(rel))
-				break
-			}
+		if ext := strings.ToLower(filepath.Ext(p)); ext != ".html" && ext != ".htm" {
+			return nil
 		}
+		rel, err := filepath.Rel(root, p)
+		if err != nil {
+			return err
+		}
+		rel = filepath.ToSlash(rel)
+		pages = append(pages, rel)
+		dir := path.Dir(rel)
+		dirs[dir] = append(dirs[dir], path.Base(rel))
 		return nil
 	})
 	if err != nil {
@@ -229,7 +214,7 @@ func Walk(root string, o Options) (*Report, error) {
 	}
 	sort.Strings(dirNames)
 	for _, d := range dirNames {
-		if !hasIndex(dirs[d], o.IndexNames) {
+		if !hasIndex(dirs[d]) {
 			display := d
 			if display == "." {
 				display = "./"
@@ -247,7 +232,7 @@ func Walk(root string, o Options) (*Report, error) {
 	// Orphan pages: not referenced by any other page, and not a
 	// directory index (indexes are reachable via their directory).
 	for _, page := range pages {
-		if referenced[page] || isIndexName(path.Base(page), o.IndexNames) {
+		if referenced[page] || isIndexName(path.Base(page)) {
 			continue
 		}
 		if !emit(warn.Message{
@@ -328,7 +313,7 @@ func checkPage(root, page string, o *Options, pageSet map[string]bool) pageResul
 			continue // fragment-only or empty reference
 		}
 		// Directory references resolve through index files.
-		if resolved, ok := resolveIndex(root, target, o.IndexNames); ok {
+		if resolved, ok := resolveIndex(root, target); ok {
 			target = resolved
 		}
 		if pageSet[target] {
@@ -363,8 +348,12 @@ func resolveLocal(page, url string) string {
 	return path.Clean(path.Join(path.Dir(page), url))
 }
 
+// indexNames are the file names accepted as directory indexes, in the
+// order a directory reference tries them.
+var indexNames = [...]string{"index.html", "index.htm"}
+
 // resolveIndex maps a directory reference to its index file.
-func resolveIndex(root, target string, indexNames []string) (string, bool) {
+func resolveIndex(root, target string) (string, bool) {
 	full := filepath.Join(root, filepath.FromSlash(target))
 	st, err := os.Stat(full)
 	if err != nil || !st.IsDir() {
@@ -385,16 +374,16 @@ func existsLocal(root, target string) bool {
 	return err == nil
 }
 
-func hasIndex(files []string, indexNames []string) bool {
+func hasIndex(files []string) bool {
 	for _, f := range files {
-		if isIndexName(f, indexNames) {
+		if isIndexName(f) {
 			return true
 		}
 	}
 	return false
 }
 
-func isIndexName(name string, indexNames []string) bool {
+func isIndexName(name string) bool {
 	for _, idx := range indexNames {
 		if strings.EqualFold(name, idx) {
 			return true

@@ -220,7 +220,9 @@ func NewSettings() *Settings { return config.NewSettings() }
 type BatchJob = engine.Job
 
 // BatchResult is the outcome of one batch job, delivered in input
-// order.
+// order. Its Src, the bytes the job was checked against, is valid only
+// until the Run callback returns, when a Path or URL job's read buffer
+// is recycled; RunAll clears it.
 type BatchResult = engine.Result
 
 // BatchEngine lints a stream of jobs on a bounded worker pool and
