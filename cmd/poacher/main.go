@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"weblint/internal/baseline"
+	"weblint/internal/engine"
 	"weblint/internal/linkcheck"
 	"weblint/internal/lint"
 	"weblint/internal/render"
@@ -84,22 +85,22 @@ func run(args []string) int {
 	// Baseline layers: the filter forwards only findings the baseline
 	// does not cover (so the renderer and the exit policy see just the
 	// new ones); the recorder — outermost — captures everything for
-	// -baseline-write. Page bodies are handed to the fingerprinter
-	// per page, below, so contexts hash the page actually crawled.
-	pageSource := func(string) (string, bool) { return "", false }
-	curSource := func(file string) (string, bool) { return pageSource(file) }
+	// -baseline-write. Each crawled page's body is handed to every
+	// layer, below, so contexts hash the page actually crawled.
+	var docs []func(name, src string)
 	if *baselineFile != "" {
 		base, err := baseline.Load(*baselineFile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "poacher: %v\n", err)
 			return 2
 		}
-		sink = baseline.NewFilter(base, sink, curSource)
+		filter := baseline.NewFilter(base, sink)
+		sink, docs = filter, append(docs, filter.Document)
 	}
 	var rec *baseline.Recorder
 	if *baselineWrite != "" {
-		rec = baseline.NewRecorder(sink, curSource)
-		sink = rec
+		rec = baseline.NewRecorder(sink)
+		sink, docs = rec, append(docs, rec.Document)
 	}
 	// write honours the sink contract: once the renderer cancels,
 	// nothing more is written and the crawl stops instead of politely
@@ -132,6 +133,8 @@ func run(args []string) int {
 
 	stats := robot.NewCrawlStats()
 	external := map[string]bool{}
+	eng := engine.New(linter)
+	var lintErr error // a check that panicked stops the crawl
 
 	_, err = r.CrawlWhile(start, func(p robot.Page) bool {
 		stats.Record(p)
@@ -152,13 +155,19 @@ func run(args []string) int {
 		if !*quiet {
 			fmt.Fprintf(aux, "checking %s (%d links)\n", p.URL, len(p.Links))
 		}
-		pageSource = baseline.StaticSource(p.URL, p.Body)
-		// The page's findings go out sorted by line, as the CLI prints
-		// them, and its suppressions with them: Replay feeds those to
-		// the summary and the json renderer, which write cannot.
-		var found warn.Recorder
-		linter.CheckStringTo(p.URL, p.Body, &found)
-		warn.SortByLine(found.Messages)
+		// The page goes through the engine's per-document step, as the
+		// CLI's documents do: its findings come out sorted by line, and
+		// its suppressions with them, which Replay feeds to the summary
+		// and the json renderer. Converting the body never yields nil,
+		// so an empty page is an empty document.
+		found := eng.Lint(engine.Job{Name: p.URL, Src: []byte(p.Body)})
+		if found.Err != nil {
+			lintErr = found.Err
+			return false
+		}
+		for _, doc := range docs {
+			doc(p.URL, p.Body)
+		}
 		if !found.Replay(sink) {
 			cancelled = true
 			return false
@@ -170,6 +179,9 @@ func run(args []string) int {
 		}
 		return true
 	})
+	if err == nil {
+		err = lintErr
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "poacher: %v\n", err)
 		return 2

@@ -253,3 +253,28 @@ func TestPoacherBaseline(t *testing.T) {
 		t.Fatalf("empty-baseline crawl exit = %d, out:\n%s", code, out)
 	}
 }
+
+// TestPoacherBaselineAndWrite: with -baseline and -baseline-write
+// together, every page reaches both layers. A crawl against its own
+// baseline renders nothing, exits 0, and re-records the same file;
+// binding only the outer layer would report every finding as new.
+func TestPoacherBaselineAndWrite(t *testing.T) {
+	srv := testSite(t)
+	dir := t.TempDir()
+	first, second := dir+"/first.json", dir+"/second.json"
+	if code, _ := capture(t, "-q", "-baseline-write", first, srv.URL+"/"); code != 0 {
+		t.Fatalf("baseline-write exit = %d", code)
+	}
+	code, out := capture(t, "-q", "-baseline", first, "-baseline-write", second, srv.URL+"/")
+	if code != 0 || strings.TrimSpace(out) != "" {
+		t.Fatalf("crawl against its own baseline: exit = %d, out:\n%s", code, out)
+	}
+	a, errA := os.ReadFile(first)
+	b, errB := os.ReadFile(second)
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
+	if !bytes.Equal(a, b) {
+		t.Errorf("re-recorded baseline differs:\n%s\nwant:\n%s", b, a)
+	}
+}

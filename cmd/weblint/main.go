@@ -82,43 +82,9 @@ type cli struct {
 	baselineWrite  string
 	baselineUpdate string
 
-	// walkSrc resolves message paths to document text for baseline
-	// fingerprinting; set only when a baseline flag is active.
-	walkSrc *walkSource
-}
-
-// walkSource resolves message file paths to document text for
-// baseline fingerprinting. A file, URL or stdin argument is served
-// from the bytes the engine linted, which the CLI sets as the current
-// document before replaying its findings: stdin and URLs have no file
-// to re-read, and a file is not read twice. Site walks read their own
-// pages, and sitewalk emits each page's File as a root-relative slash
-// path, so each walk registers its root before walking; resolution
-// then tries the path as given first, then joined onto each
-// registered root.
-type walkSource struct {
-	name, text string // the current document
-	inner      baseline.SourceFunc
-	roots      []string
-}
-
-func newWalkSource() *walkSource { return &walkSource{inner: baseline.FileSource()} }
-
-func (s *walkSource) addRoot(root string) { s.roots = append(s.roots, root) }
-
-func (s *walkSource) source(file string) (string, bool) {
-	if file == s.name {
-		return s.text, true
-	}
-	if src, ok := s.inner(file); ok {
-		return src, true
-	}
-	for _, root := range s.roots {
-		if src, ok := s.inner(filepath.Join(root, filepath.FromSlash(file))); ok {
-			return src, true
-		}
-	}
-	return "", false
+	// doc hands a document's linted bytes to the active baseline layer
+	// before its findings are written; nil without a baseline flag.
+	doc func(name, src string)
 }
 
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
@@ -230,15 +196,13 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "weblint: %v\n", err)
 			return 2
 		}
-		c.walkSrc = newWalkSource()
-		filter = baseline.NewFilter(base, sink, c.walkSrc.source)
-		sink = filter
+		filter = baseline.NewFilter(base, sink)
+		sink, c.doc = filter, filter.Document
 	}
 	var rec *baseline.Recorder
 	if c.baselineWrite != "" {
-		c.walkSrc = newWalkSource()
-		rec = baseline.NewRecorder(sink, c.walkSrc.source)
-		sink = rec
+		rec = baseline.NewRecorder(sink)
+		sink, c.doc = rec, rec.Document
 	}
 
 	opErr := checkArgs(&c, files, linter, stdin, sink)
@@ -489,23 +453,23 @@ func checkArgs(c *cli, args []string, linter *lint.Linter, stdin io.Reader, sink
 	var jobs []engine.Job
 	var opErr error
 	live := true
-	// lintJobs runs the jobs gathered so far. Each document's text
-	// becomes the baseline source's current document before its
-	// findings replay; Src is recycled after emit, hence the copy.
-	lintJobs := func() {
-		eng.Run(jobs, func(r engine.Result) bool {
-			if r.Err != nil {
-				// Job errors already name their document.
-				opErr = r.Err
-				return false
-			}
-			if c.walkSrc != nil {
-				c.walkSrc.name, c.walkSrc.text = r.Name, string(r.Src)
-			}
-			live = r.Replay(sink)
-			return live
-		})
-		jobs = jobs[:0]
+	// emit writes one linted document's findings, for a file, URL or
+	// stdin job and for a walked page alike. The baseline layer gets
+	// the bytes that were linted first: it never looks a document up
+	// by name. Src is valid while emit runs, and nothing reads the
+	// binding after emit returns but the next document's findings,
+	// which rebind it.
+	emit := func(r engine.Result) bool {
+		if r.Err != nil {
+			// Job errors already name their document.
+			opErr = r.Err
+			return false
+		}
+		if c.doc != nil {
+			c.doc(r.Name, bytestr.String(r.Src))
+		}
+		live = r.Replay(sink)
+		return live
 	}
 	for _, arg := range args {
 		job, isDir, err := argJob(c, arg, stdin)
@@ -515,31 +479,44 @@ func checkArgs(c *cli, args []string, linter *lint.Linter, stdin io.Reader, sink
 		}
 		// An unusable argument or a directory ends the batch: the
 		// arguments before it are checked first.
-		if lintJobs(); opErr != nil || !live {
+		eng.Run(jobs, emit)
+		jobs = jobs[:0]
+		if opErr != nil || !live {
 			return opErr
 		}
 		if err != nil {
 			return err
 		}
-		// The walk streams directly: page messages as each page's turn
-		// comes up, site-level messages at the end. Pages are reported
-		// root-relative; the baseline source needs the root to find
-		// their text on disk.
-		if c.walkSrc != nil {
-			c.walkSrc.addRoot(arg)
-		}
-		rep, err := sitewalk.Walk(arg, sitewalk.Options{Linter: linter, Workers: c.jobs, Sink: sink})
-		if err != nil {
+		// The walk streams each page through emit as its turn in walk
+		// order comes up; the site-level findings follow.
+		rep, err := sitewalk.Walk(arg, sitewalk.Options{Linter: linter, Workers: c.jobs, Page: emit})
+		if err != nil || rep.Cancelled || !writeSite(c, arg, rep.Messages, sink) {
+			// A cancelled walk means the sink is dead (e.g. stdout
+			// closed): checking further arguments would be wasted I/O.
 			return err
 		}
-		if rep.Cancelled {
-			// The sink is dead (e.g. stdout closed): checking further
-			// arguments would be wasted I/O.
-			return nil
+	}
+	eng.Run(jobs, emit)
+	return opErr
+}
+
+// writeSite writes a walk's site-level findings, reporting whether the
+// sink took them all. They arrive after their pages' buffers are gone,
+// so each is bound to the page it names, read again from the walk's
+// root; a directory, which no-index-file names, reads as empty.
+func writeSite(c *cli, root string, msgs []warn.Message, sink warn.Sink) bool {
+	bound := ""
+	for _, m := range msgs {
+		if c.doc != nil && m.File != bound {
+			bound = m.File
+			src, _ := os.ReadFile(filepath.Join(root, filepath.FromSlash(m.File)))
+			c.doc(m.File, bytestr.String(src))
+		}
+		if !sink.Write(m) {
+			return false
 		}
 	}
-	lintJobs()
-	return opErr
+	return true
 }
 
 // argJob turns one argument into an engine job: stdin ("-") is read

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -168,5 +170,99 @@ func TestWalkBaselineUpdateCycle(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 1 || !strings.Contains(lines[0], "img-alt") {
 		t.Errorf("want exactly the reintroduced img-alt finding, got:\n%s", out)
+	}
+}
+
+// The two pages of the working-directory tests: a/site/page.html and a
+// different a/page.html with the same root-relative name. Looking a
+// walked page up by name from a/ would find the wrong one.
+const (
+	inSitePage  = "<HTML>\n<P>x</P>\n<IMG SRC=\"a.gif\">\n<IMG SRC=\"b.gif\">\n</HTML>\n"
+	outSidePage = "<HTML>\n<IMG SRC=\"a.gif\">\n</HTML>\n"
+)
+
+// writeNestedSite writes a/site/page.html and a/page.html under a temp
+// directory and returns a.
+func writeNestedSite(t *testing.T) string {
+	t.Helper()
+	a := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(a, "site"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for path, body := range map[string]string{"site/page.html": inSitePage, "page.html": outSidePage} {
+		if err := os.WriteFile(filepath.Join(a, filepath.FromSlash(path)), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return a
+}
+
+// recordIn runs weblint with args from dir and returns the baseline it
+// wrote to a fresh file.
+func recordIn(t *testing.T, dir string, args ...string) []byte {
+	t.Helper()
+	t.Chdir(dir)
+	basePath := filepath.Join(t.TempDir(), "b.json")
+	args = append([]string{"-norc", "-R", "-baseline-write", basePath}, args...)
+	if code, _, stderr := runCLI(t, "", args...); code != 0 {
+		t.Fatalf("record %v in %s: exit = %d, stderr=%q", args, dir, code, stderr)
+	}
+	data, err := os.ReadFile(basePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestWalkBaselineIgnoresWorkingDirectory: a -R baseline fingerprints
+// each page's own bytes, so recording the site from inside it and from
+// its parent, where a different page.html sits, writes the same file,
+// and either record diffs clean from the other directory.
+func TestWalkBaselineIgnoresWorkingDirectory(t *testing.T) {
+	a := writeNestedSite(t)
+	site := filepath.Join(a, "site")
+	inside := recordIn(t, site, ".")
+	outside := recordIn(t, a, "site")
+	if !bytes.Equal(inside, outside) {
+		t.Fatalf("baseline recorded in the site differs from the one recorded in its parent:\n%s\nvs\n%s", inside, outside)
+	}
+	for _, tc := range []struct{ record, dir, arg string }{
+		{"inside", a, "site"},
+		{"outside", site, "."},
+	} {
+		basePath := filepath.Join(t.TempDir(), "b.json")
+		if err := os.WriteFile(basePath, inside, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Chdir(tc.dir)
+		code, out, stderr := runCLI(t, "", "-norc", "-R", "-baseline", basePath, tc.arg)
+		if code != 0 || out != "" {
+			t.Errorf("record made %s, diffed from %s: exit %d, out=%q, stderr=%q", tc.record, tc.dir, code, out, stderr)
+		}
+	}
+}
+
+// TestWalkBaselineMixedList: a file and a walked page with the same
+// name each fingerprint against their own bytes. Recording page.html
+// and site/ together writes exactly the fingerprints of page.html
+// alone plus those of the in-site walk.
+func TestWalkBaselineMixedList(t *testing.T) {
+	a := writeNestedSite(t)
+	want := map[string]int{}
+	for _, data := range [][]byte{recordIn(t, a, "page.html"), recordIn(t, filepath.Join(a, "site"), ".")} {
+		base, err := baseline.Parse(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for fp, n := range base.Findings {
+			want[fp] += n
+		}
+	}
+	got, err := baseline.Parse(recordIn(t, a, "page.html", "site"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !maps.Equal(got.Findings, want) {
+		t.Errorf("mixed list recorded %v, want %v", got.Findings, want)
 	}
 }

@@ -41,7 +41,7 @@ func main() {
 		}
 	}
 
-	report, err := sitewalk.Walk(root, sitewalk.Options{CollectExternal: true})
+	report, err := sitewalk.Walk(root, sitewalk.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -26,7 +26,10 @@
 // a Recorder counts every finding into a File, and a Filter forwards
 // only the findings a baseline does not cover. Both forward
 // suppression observations, so per-rule suppression stats survive
-// them.
+// them. Neither looks a document up by name: the caller hands each
+// layer the bytes it linted (Document) before writing that document's
+// findings, so a context is always taken from the text the finding
+// was produced on.
 package baseline
 
 import (
@@ -147,82 +150,28 @@ func Fingerprint(id, file, context string) string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// SourceFunc resolves a document's full text for context extraction.
-// The boolean result reports whether the text is available; findings
-// in unavailable documents fingerprint with an empty context (rule ID
-// and document name still discriminate).
-type SourceFunc func(file string) (string, bool)
-
-// FileSource returns a SourceFunc reading documents from disk with a
-// small bounded cache. It is the right source for CLI runs whose
-// message File fields are paths: the stream arrives grouped per
-// document, so one live entry does the real work, and the bound keeps
-// a 10k-file run from pinning every file's text until exit (the same
-// reasoning as the fingerprinter's own index-cache bound).
-func FileSource() SourceFunc {
-	cache := map[string]*string{}
-	return func(file string) (string, bool) {
-		if s, ok := cache[file]; ok {
-			if s == nil {
-				return "", false
-			}
-			return *s, true
-		}
-		if len(cache) >= indexCacheMax {
-			clear(cache)
-		}
-		data, err := os.ReadFile(file)
-		if err != nil {
-			cache[file] = nil
-			return "", false
-		}
-		s := string(data)
-		cache[file] = &s
-		return s, true
-	}
-}
-
-// StaticSource returns a SourceFunc serving one in-memory document —
-// the right source when a single submission is being checked (the
-// gateway) or when the caller swaps documents per check (poacher).
-func StaticSource(name, src string) SourceFunc {
-	return func(file string) (string, bool) {
-		if file == name {
-			return src, true
-		}
-		return "", false
-	}
-}
-
 // tagSpan is the byte range [start, end) of one markup token.
 type tagSpan struct{ start, end int }
 
-// docInfo caches everything context extraction needs for one document:
-// its line index in the tokenizer's convention, which message lines
-// count in, its text, and the byte spans of its markup tokens in
-// document order.
-type docInfo struct {
-	ix    *textpos.Index
-	src   string
-	spans []tagSpan
-}
-
-// fingerprinter computes message fingerprints, caching one document
-// record per file.
+// fingerprinter computes message fingerprints against the document
+// bound by Document. Context extraction needs the document's line
+// index, in the tokenizer's convention, which message lines count in,
+// and the byte spans of its markup tokens in document order; both are
+// built on the bound document's first finding, so a clean document
+// costs nothing.
 type fingerprinter struct {
-	src  SourceFunc
-	docs map[string]*docInfo
+	name, src string
+	ix        *textpos.Index // nil until built
+	spans     []tagSpan
 }
 
-func newFingerprinter(src SourceFunc) fingerprinter {
-	return fingerprinter{src: src, docs: map[string]*docInfo{}}
+// Document binds the findings written after it to the document name
+// with text src; a finding naming another document fingerprints with
+// an empty context. Only the writes made before the next Document read
+// src, so it must stay unchanged while they run.
+func (fp *fingerprinter) Document(name, src string) {
+	*fp = fingerprinter{name: name, src: src}
 }
-
-// indexCacheMax bounds the per-document cache. Message streams arrive
-// grouped by document, so one live entry does the real work; the cap
-// only stops a crawl-length run (poacher visits hundreds of pages)
-// from pinning every page's text until the run ends.
-const indexCacheMax = 16
 
 // tagSpans tokenizes src and collects the byte span of every markup
 // token (everything except plain text). Tokens arrive in document
@@ -240,47 +189,32 @@ func tagSpans(src string) []tagSpan {
 	return spans
 }
 
-func (fp *fingerprinter) doc(file string) *docInfo {
-	if d, ok := fp.docs[file]; ok {
-		return d
-	}
-	var d *docInfo
-	if fp.src != nil {
-		if text, have := fp.src(file); have {
-			d = &docInfo{ix: textpos.NewLF(text), src: text, spans: tagSpans(text)}
-		}
-	}
-	if len(fp.docs) >= indexCacheMax {
-		clear(fp.docs)
-	}
-	fp.docs[file] = d // nil caches the miss too
-	return d
-}
-
 // context returns the whitespace-collapsed text of the markup token
 // enclosing the message position, the trimmed line text when the
-// position falls in plain text, or "" when the document is
-// unavailable. Keying on the enclosing token makes fingerprints
-// survive reflowing a multi-line tag: the collapsed token text is
-// identical however the attributes wrap.
+// position falls in plain text, or "" when the message names a
+// document other than the bound one. Keying on the enclosing token
+// makes fingerprints survive reflowing a multi-line tag: the collapsed
+// token text is identical however the attributes wrap.
 func (fp *fingerprinter) context(m warn.Message) string {
-	d := fp.doc(m.File)
-	if d == nil {
+	if m.File != fp.name {
 		return ""
 	}
-	off := d.ix.LineStart(m.Line - 1)
+	if fp.ix == nil {
+		fp.ix, fp.spans = textpos.NewLF(fp.src), tagSpans(fp.src)
+	}
+	off := fp.ix.LineStart(m.Line - 1)
 	if m.Col > 0 {
 		off += m.Col - 1
 	}
-	if off > len(d.src) {
-		off = len(d.src)
+	if off > len(fp.src) {
+		off = len(fp.src)
 	}
 	// Last span starting at or before off.
-	i := sort.Search(len(d.spans), func(i int) bool { return d.spans[i].start > off }) - 1
-	if i >= 0 && off < d.spans[i].end {
-		return collapseSpace(d.src[d.spans[i].start:d.spans[i].end])
+	i := sort.Search(len(fp.spans), func(i int) bool { return fp.spans[i].start > off }) - 1
+	if i >= 0 && off < fp.spans[i].end {
+		return collapseSpace(fp.src[fp.spans[i].start:fp.spans[i].end])
 	}
-	return d.ix.LineText(m.Line - 1)
+	return fp.ix.LineText(m.Line - 1)
 }
 
 // collapseSpace trims s and collapses every internal whitespace run to
@@ -322,23 +256,24 @@ func (fp *fingerprinter) of(m warn.Message) string {
 
 // Recorder is a warn.Sink recording every finding into a baseline File
 // and forwarding it to Next (a nil Next records without forwarding).
+// Document binds the findings written after it to their document's
+// text.
 type Recorder struct {
 	// Next receives every message after recording.
 	Next warn.Sink
 
 	file *File
-	fp   fingerprinter
+	fingerprinter
 }
 
-// NewRecorder returns a Recorder over an empty baseline, resolving
-// finding contexts through src.
-func NewRecorder(next warn.Sink, src SourceFunc) *Recorder {
-	return &Recorder{Next: next, file: New(), fp: newFingerprinter(src)}
+// NewRecorder returns a Recorder over an empty baseline.
+func NewRecorder(next warn.Sink) *Recorder {
+	return &Recorder{Next: next, file: New()}
 }
 
 // Write records m and forwards it.
 func (r *Recorder) Write(m warn.Message) bool {
-	r.file.Add(r.fp.of(m))
+	r.file.Add(r.of(m))
 	if r.Next == nil {
 		return true
 	}
@@ -358,14 +293,15 @@ func (r *Recorder) File() *File { return r.file }
 // Filter is a warn.Sink forwarding only the findings a baseline does
 // not cover. Each baselined fingerprint carries an allowance equal to
 // its recorded count: the first N findings matching it are absorbed,
-// further ones are new and flow through.
+// further ones are new and flow through. Document binds the findings
+// written after it to their document's text.
 type Filter struct {
 	// Next receives the new findings.
 	Next warn.Sink
 
 	remaining map[string]int
 	used      map[string]int
-	fp        fingerprinter
+	fingerprinter
 
 	// New counts the findings forwarded (not covered by the baseline);
 	// Matched counts the findings the baseline absorbed.
@@ -373,19 +309,18 @@ type Filter struct {
 	Matched int
 }
 
-// NewFilter returns a Filter diffing against base, resolving finding
-// contexts through src.
-func NewFilter(base *File, next warn.Sink, src SourceFunc) *Filter {
+// NewFilter returns a Filter diffing against base.
+func NewFilter(base *File, next warn.Sink) *Filter {
 	remaining := make(map[string]int, len(base.Findings))
 	for k, v := range base.Findings {
 		remaining[k] = v
 	}
-	return &Filter{Next: next, remaining: remaining, used: map[string]int{}, fp: newFingerprinter(src)}
+	return &Filter{Next: next, remaining: remaining, used: map[string]int{}}
 }
 
 // Write absorbs baselined findings and forwards new ones.
 func (f *Filter) Write(m warn.Message) bool {
-	fp := f.fp.of(m)
+	fp := f.of(m)
 	if f.remaining[fp] > 0 {
 		f.remaining[fp]--
 		f.used[fp]++

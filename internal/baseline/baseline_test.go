@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -14,7 +13,8 @@ import (
 func record(t *testing.T, name, src string) *File {
 	t.Helper()
 	l := lint.MustNew(lint.Options{})
-	rec := NewRecorder(nil, StaticSource(name, src))
+	rec := NewRecorder(nil)
+	rec.Document(name, src)
 	l.CheckStringTo(name, src, rec)
 	return rec.File()
 }
@@ -24,7 +24,8 @@ func diff(t *testing.T, base *File, name, src string) ([]warn.Message, *Filter) 
 	t.Helper()
 	l := lint.MustNew(lint.Options{})
 	var col warn.Collector
-	f := NewFilter(base, &col, StaticSource(name, src))
+	f := NewFilter(base, &col)
+	f.Document(name, src)
 	l.CheckStringTo(name, src, f)
 	return col.Messages, f
 }
@@ -140,37 +141,40 @@ func TestMissingSourceStillFingerprints(t *testing.T) {
 	// Without source text the context is empty: rule and file still
 	// discriminate, and an unchanged run stays clean.
 	l := lint.MustNew(lint.Options{})
-	rec := NewRecorder(nil, nil)
+	rec := NewRecorder(nil)
 	l.CheckStringTo("gone.html", doc, rec)
 
 	var col warn.Collector
-	f := NewFilter(rec.File(), &col, nil)
+	f := NewFilter(rec.File(), &col)
 	l.CheckStringTo("gone.html", doc, f)
 	if len(col.Messages) != 0 {
 		t.Fatalf("context-less diff produced %d new findings", len(col.Messages))
 	}
 }
 
-func TestFileSourceReadsAndCachesMisses(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "p.html")
-	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
-		t.Fatal(err)
+// TestDocumentBindsFindings: a finding is fingerprinted against the
+// document bound before it, not against whatever text its name once
+// had, and a finding naming any other document gets the empty context.
+func TestDocumentBindsFindings(t *testing.T) {
+	img := warn.Message{ID: "img-alt", File: "p.html", Line: 2, Col: 1}
+	var fp fingerprinter
+	fp.Document("p.html", "<P>\n<IMG SRC=\"a.gif\">\n")
+	first := fp.of(img)
+	fp.Document("p.html", "<P>\n<IMG SRC=\"b.gif\">\n")
+	if fp.of(img) == first {
+		t.Error("rebinding p.html to other text kept the old context")
 	}
-	src := FileSource()
-	if text, ok := src(path); !ok || text != doc {
-		t.Fatalf("FileSource read = %q, %v", text, ok)
-	}
-	if _, ok := src(filepath.Join(dir, "absent.html")); ok {
-		t.Fatal("absent file reported available")
+	fp.Document("q.html", "<P>\n<IMG SRC=\"b.gif\">\n")
+	if got, want := fp.of(img), Fingerprint("img-alt", "p.html", ""); got != want {
+		t.Errorf("finding outside the bound document = %s, want the empty-context %s", got, want)
 	}
 }
 
 func TestSuppressionForwarding(t *testing.T) {
 	var sum warn.Summary
 	counting := sum.Sink(nil)
-	f := NewFilter(New(), counting, nil)
-	r := NewRecorder(f, nil)
+	f := NewFilter(New(), counting)
+	r := NewRecorder(f)
 	(&warn.Recorder{SuppressedIDs: []string{"img-alt", "img-alt"}}).Replay(r)
 	if sum.Suppressed["img-alt"] != 2 {
 		t.Fatalf("suppressions not forwarded through recorder+filter: %v", sum.Suppressed)
@@ -195,7 +199,8 @@ func TestReflowedTagKeepsFingerprint(t *testing.T) {
 
 func TestContextIsEnclosingTag(t *testing.T) {
 	src := "<P>\n<IMG\n SRC=\"a.gif\">\ntext here\n"
-	fp := newFingerprinter(StaticSource("d.html", src))
+	var fp fingerprinter
+	fp.Document("d.html", src)
 	// Positions on any line of a multi-line tag resolve to the same
 	// collapsed tag text.
 	for _, line := range []int{2, 3} {

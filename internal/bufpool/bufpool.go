@@ -1,6 +1,7 @@
 // Package bufpool pools whole-document read buffers for the intake
-// paths: lint.CheckFile, the batch engine's and the CLI's file and URL
-// reads, sitewalk, and the gateway's upload and fetch-by-URL handlers.
+// paths: lint.CheckFile, the batch engine's file and URL reads (which
+// the CLI and sitewalk go through), and the gateway's upload and
+// fetch-by-URL handlers.
 // Every one of those used to pay a fresh io.ReadAll allocation (and
 // growth copies) per request; with the pool a warm server reads each
 // document into recycled memory.

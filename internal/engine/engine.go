@@ -6,11 +6,13 @@
 //
 // Every fleet surface in the repo lints a corpus, not a page: the
 // command line, the -R site recursion, and the poacher robot. The
-// engine is the shared substrate: it owns the scheduling, the
-// surfaces own the jobs. Ordering is part of the contract — the
-// output of a parallel run is byte-identical to the sequential run
-// regardless of how the scheduler interleaves workers, so adding -j
-// can never change what a build log or a diff-based test sees.
+// engine is the shared substrate: Lint is the one per-document step
+// (read, check, sort by line, contain a panic) that all three run,
+// and Run schedules it over a batch; the surfaces own the jobs.
+// Ordering is part of the contract — the output of a parallel run is
+// byte-identical to the sequential run regardless of how the scheduler
+// interleaves workers, so adding -j can never change what a build log
+// or a diff-based test sees.
 //
 // # Concurrency model
 //
@@ -56,15 +58,16 @@ type Job struct {
 // Result is the outcome of one job.
 type Result struct {
 	// Index is the job's position in the input stream, counting from
-	// zero. Results are always delivered in increasing Index order.
+	// zero. Run delivers results in increasing Index order; Lint leaves
+	// it zero.
 	Index int
 	// Name is the document name messages carry.
 	Name string
 	// Src is the document the job was checked against: the job's own
 	// Src, or the bytes read from its Path or URL. It is valid only
-	// until Run's emit returns, when the engine recycles a Path or URL
-	// job's read buffer; copy it to keep it. RunAll and RunTo never
-	// expose it, and it is nil when Err is set.
+	// until Release, which Run calls when emit returns; copy it to keep
+	// it. RunAll and RunTo never expose it, and it is nil when Err is
+	// set.
 	Src []byte
 	// Recorder holds the job's finding stream: Messages in source
 	// order, and the IDs of emissions dropped because their message was
@@ -78,12 +81,12 @@ type Result struct {
 	// RunTo cancels the batch on the first error it sees.
 	Err error
 
-	buf *bytes.Buffer // pooled read buffer behind Src, recycled after emit
+	buf *bytes.Buffer // pooled read buffer behind Src, recycled by Release
 }
 
 // Engine is a reusable batch-lint configuration. The zero value lints
 // with a default Linter on GOMAXPROCS workers; an Engine may be shared
-// and its Run methods called concurrently.
+// and its methods called concurrently.
 type Engine struct {
 	// Linter checks the documents; nil means a default Linter,
 	// constructed once on first use.
@@ -117,17 +120,19 @@ func (e *Engine) workers() int {
 }
 
 // Run lints every job and calls emit once per job, in input order,
-// from the calling goroutine. Result.Src is valid until emit returns.
-// Returning false from emit cancels the batch: no further jobs are
-// dispatched, already-dispatched jobs finish and are discarded, and
-// Run returns once the pool drains.
+// from the calling goroutine. Result.Src is valid until emit returns,
+// when Run releases the result. Returning false from emit cancels the
+// batch: no further jobs are dispatched, already-dispatched jobs finish
+// and are discarded, and Run returns once the pool drains.
 func (e *Engine) Run(jobs []Job, emit func(Result) bool) {
 	w := e.workers()
-	OrderedSlice(w, 4*w, jobs, e.lintJob, func(_ int, r Result) bool {
+	OrderedSlice(w, 4*w, jobs, func(i int, j Job) Result {
+		r := e.Lint(j)
+		r.Index = i
+		return r
+	}, func(_ int, r Result) bool {
 		ok := emit(r)
-		if r.buf != nil {
-			bufpool.Put(r.buf)
-		}
+		r.Release()
 		return ok
 	})
 }
@@ -138,7 +143,7 @@ func (e *Engine) Run(jobs []Job, emit func(Result) bool) {
 func (e *Engine) RunAll(jobs []Job) []Result {
 	out := make([]Result, 0, len(jobs))
 	e.Run(jobs, func(r Result) bool {
-		r.Src, r.buf = nil, nil
+		r.Src, r.buf = nil, nil // Run releases its own copy
 		out = append(out, r)
 		return true
 	})
@@ -170,12 +175,13 @@ func (e *Engine) RunTo(jobs []Job, sink warn.Sink) error {
 	return firstErr
 }
 
-// lintJob checks one job, recovering panics into Result.Err so a
-// poisoned document cannot wedge the pool. Path and URL jobs are read
-// into a pooled buffer first, which Run recycles after emit; a read or
-// fetch error fails before the check runs, so it records nothing.
-func (e *Engine) lintJob(idx int, j Job) (res Result) {
-	res.Index = idx
+// Lint checks one job on the calling goroutine: the per-document step
+// every batch surface shares. A Path or URL job is read into a pooled
+// buffer first; a read or fetch error fails before the check runs, so
+// it records nothing. The findings are sorted by line, and a panic in
+// the check is recovered into Err, so a poisoned document cannot kill
+// a worker. Call Release once the result's Src is no longer needed.
+func (e *Engine) Lint(j Job) (res Result) {
 	res.Name = j.Name
 	defer func() {
 		if p := recover(); p != nil {
@@ -213,6 +219,15 @@ func (e *Engine) lintJob(idx int, j Job) (res Result) {
 	e.linter().Check(context.TODO(), res.Name, res.Src, &res.Recorder)
 	warn.SortByLine(res.Messages)
 	return res
+}
+
+// Release recycles the pooled buffer behind a Path or URL job's Src
+// and clears Src. The findings stay valid.
+func (r *Result) Release() {
+	if r.buf != nil {
+		bufpool.Put(r.buf)
+	}
+	r.Src, r.buf = nil, nil
 }
 
 // OrderedSlice is the fan-out/fan-in core: it runs fn over jobs on

@@ -483,7 +483,8 @@ func (h *Handler) serveMachine(w http.ResponseWriter, r *http.Request, name stri
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		filt = baseline.NewFilter(base, rd, baseline.StaticSource(name, bytestr.String(src)))
+		filt = baseline.NewFilter(base, rd)
+		filt.Document(name, bytestr.String(src))
 		sink = filt
 	}
 	rec.Replay(sink)
@@ -500,7 +501,8 @@ func (h *Handler) serveMachine(w http.ResponseWriter, r *http.Request, name stri
 // serveBaseline responds with a baseline document recording every
 // finding — the artifact a later baseline= diff request consumes.
 func (h *Handler) serveBaseline(w http.ResponseWriter, name string, src []byte, rec *warn.Recorder) {
-	b := baseline.NewRecorder(nil, baseline.StaticSource(name, bytestr.String(src)))
+	b := baseline.NewRecorder(nil)
+	b.Document(name, bytestr.String(src))
 	rec.Replay(b)
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(b.File().Encode())

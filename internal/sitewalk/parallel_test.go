@@ -5,10 +5,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"weblint/internal/corpus"
 	"weblint/internal/lint"
+	"weblint/internal/plugin"
 )
 
 // TestParallelEquivalence is the engine's contract applied to the
@@ -23,7 +25,7 @@ func TestParallelEquivalence(t *testing.T) {
 	root := writeSite(t, pages)
 	l := lint.MustNew(lint.Options{})
 
-	seq, err := Walk(root, Options{Linter: l, Workers: 1, CollectExternal: true})
+	seq, err := Walk(root, Options{Linter: l, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +36,7 @@ func TestParallelEquivalence(t *testing.T) {
 	// 0 must resolve to GOMAXPROCS, not to a single worker.
 	for _, workers := range []int{0, 2, 8, 64} {
 		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
-			par, err := Walk(root, Options{Linter: l, Workers: workers, CollectExternal: true})
+			par, err := Walk(root, Options{Linter: l, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,6 +78,33 @@ func TestParallelWalkError(t *testing.T) {
 		_, err := Walk(root, Options{Workers: workers})
 		if err == nil {
 			t.Fatalf("workers=%d: walk of site with unreadable page succeeded", workers)
+		}
+	}
+}
+
+// panicChecker is a content plugin that panics, standing in for a
+// poisoned page or a buggy plugin.
+type panicChecker struct{}
+
+func (panicChecker) Name() string       { return "panic" }
+func (panicChecker) Elements() []string { return []string{"style"} }
+func (panicChecker) Check(string, int, plugin.Report) {
+	panic("boom")
+}
+
+// TestWalkContainsCheckPanic: a check that panics on one page fails
+// the walk with an error naming that page, as the same panic fails an
+// engine job, instead of crashing the process from a worker goroutine.
+func TestWalkContainsCheckPanic(t *testing.T) {
+	root := writeSite(t, map[string]string{
+		"index.html":   `<HTML><HEAD><TITLE>i</TITLE></HEAD><BODY><A HREF="sub/bad.html">b</A></BODY></HTML>`,
+		"sub/bad.html": `<HTML><HEAD><STYLE>p{}</STYLE><TITLE>b</TITLE></HEAD><BODY>x</BODY></HTML>`,
+	})
+	l := lint.MustNew(lint.Options{Plugins: []plugin.ContentChecker{panicChecker{}}})
+	for _, workers := range []int{1, 4} {
+		_, err := Walk(root, Options{Linter: l, Workers: workers})
+		if err == nil || !strings.Contains(err.Error(), "sub/bad.html") || !strings.Contains(err.Error(), "panicked") {
+			t.Errorf("workers=%d: walk error = %v, want the panic in sub/bad.html", workers, err)
 		}
 	}
 }

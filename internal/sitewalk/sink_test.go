@@ -1,11 +1,13 @@
 package sitewalk
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"weblint/internal/engine"
 	"weblint/internal/warn"
 )
 
@@ -34,9 +36,17 @@ func buildSinkSite(t *testing.T) string {
 	return root
 }
 
-// TestWalkSinkMatchesReport: streaming a walk through a sink delivers
-// exactly the Report.Messages stream, for sequential and parallel
-// walks, and leaves Report.Messages empty.
+// siteLevel reports whether id is one of the site-level checks, which
+// stay in Report.Messages when Options.Page takes the pages.
+func siteLevel(id string) bool {
+	return id == "bad-fragment" || id == "no-index-file" || id == "orphan-page"
+}
+
+// TestWalkSinkMatchesReport: a walk streaming its pages through
+// Options.Page delivers, followed by the site-level messages it leaves
+// in Report.Messages, exactly the Report.Messages stream of a walk
+// without it, for sequential and parallel walks. Each page's result
+// carries its root-relative name and the bytes it was linted from.
 func TestWalkSinkMatchesReport(t *testing.T) {
 	root := buildSinkSite(t)
 	want, err := Walk(root, Options{})
@@ -48,39 +58,51 @@ func TestWalkSinkMatchesReport(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 4} {
-		var c warn.Collector
-		rep, err := Walk(root, Options{Workers: workers, Sink: &c})
+		var got []warn.Message
+		var names []string
+		rep, err := Walk(root, Options{Workers: workers, Page: func(r engine.Result) bool {
+			src, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(r.Name)))
+			if err != nil || !bytes.Equal(r.Src, src) {
+				t.Errorf("workers=%d: %s: Src is not the page on disk (%v)", workers, r.Name, err)
+			}
+			names = append(names, r.Name)
+			got = append(got, r.Messages...)
+			return true
+		}})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if len(rep.Messages) != 0 {
-			t.Errorf("workers=%d: Report.Messages accumulated %d messages while streaming", workers, len(rep.Messages))
+		for _, m := range rep.Messages {
+			if !siteLevel(m.ID) {
+				t.Errorf("workers=%d: Report.Messages kept page message %+v while streaming", workers, m)
+			}
 		}
-		if !reflect.DeepEqual(c.Messages, want.Messages) {
-			t.Errorf("workers=%d: streamed walk differs from Report\n got %+v\nwant %+v", workers, c.Messages, want.Messages)
+		got = append(got, rep.Messages...)
+		if !reflect.DeepEqual(got, want.Messages) {
+			t.Errorf("workers=%d: streamed walk differs from Report\n got %+v\nwant %+v", workers, got, want.Messages)
 		}
-		if !reflect.DeepEqual(rep.Pages, want.Pages) {
-			t.Errorf("workers=%d: Pages differ", workers)
+		if !reflect.DeepEqual(names, want.Pages) || !reflect.DeepEqual(rep.Pages, want.Pages) {
+			t.Errorf("workers=%d: pages %v, want %v", workers, names, want.Pages)
 		}
 	}
 }
 
-// TestWalkSinkCancel: the sink returning false stops the walk without
-// error and without the remaining messages.
+// TestWalkSinkCancel: Page returning false stops the walk without
+// error, before the remaining pages and the site-level checks.
 func TestWalkSinkCancel(t *testing.T) {
 	root := buildSinkSite(t)
 	n := 0
-	rep, err := Walk(root, Options{Sink: warn.SinkFunc(func(warn.Message) bool {
+	rep, err := Walk(root, Options{Page: func(engine.Result) bool {
 		n++
 		return false
-	})})
+	}})
 	if err != nil {
 		t.Fatalf("cancelled walk errored: %v", err)
 	}
 	if n != 1 {
-		t.Errorf("sink saw %d messages after cancelling at the first", n)
+		t.Errorf("Page saw %d pages after cancelling at the first", n)
 	}
-	if rep == nil || !rep.Cancelled {
-		t.Errorf("cancelled walk must return a report with Cancelled set, got %+v", rep)
+	if rep == nil || !rep.Cancelled || len(rep.Messages) != 0 {
+		t.Errorf("cancelled walk must return a report with Cancelled set and no messages, got %+v", rep)
 	}
 }

@@ -6,17 +6,18 @@
 // page checked). Local relative links are verified against the
 // filesystem.
 //
-// The per-page phase (read, lint, extract links and anchors) runs on a
-// bounded worker pool — Options.Workers, default GOMAXPROCS — and the
-// link graph is merged in page order after each page completes, so the
-// Report is identical to a sequential walk regardless of scheduling.
-// Each page's source is read into a pooled buffer and dropped as soon
-// as its links and anchors have been extracted: the walk's memory is
-// bounded by the in-flight window, not by the size of the site.
+// The per-page phase runs on a bounded worker pool — Options.Workers,
+// default GOMAXPROCS. Each page goes through the engine's per-document
+// step, engine.Engine.Lint (read into a pooled buffer, check, sort by
+// line, contain a panic), and its links and anchors are extracted on
+// the same worker. Results are merged in page order, so the Report is
+// identical to a sequential walk regardless of scheduling. A page's
+// buffer is released once its result has been merged: the walk's
+// memory is bounded by the in-flight window, not by the size of the
+// site.
 package sitewalk
 
 import (
-	"context"
 	"io/fs"
 	"os"
 	"path"
@@ -25,7 +26,6 @@ import (
 	"sort"
 	"strings"
 
-	"weblint/internal/bufpool"
 	"weblint/internal/engine"
 	"weblint/internal/linkcheck"
 	"weblint/internal/lint"
@@ -34,26 +34,21 @@ import (
 
 // Options configures a site walk.
 type Options struct {
-	// Linter checks each page; nil means a default Linter.
+	// Linter checks each page; nil means the engine's default Linter.
 	Linter *lint.Linter
-	// CheckLocalLinks verifies that relative link targets exist on
-	// disk (default true; set SkipLocalLinks to disable).
-	SkipLocalLinks bool
-	// CollectExternal gathers external URLs for a remote link
-	// checker to validate.
-	CollectExternal bool
 	// Workers is the number of parallel workers for the per-page
-	// read/lint/extract phase; 0 means GOMAXPROCS, 1 forces a
+	// lint and link-scan phase; 0 means GOMAXPROCS, 1 forces a
 	// sequential walk. The Report is identical for every value.
 	Workers int
-	// Sink, when set, streams every message — each page's as soon as
-	// the page's turn in walk order comes up, the site-level messages
-	// (bad-fragment, no-index-file, orphan-page) after the last page —
-	// instead of accumulating them in Report.Messages. The message
-	// stream is identical to the Report slice for every worker count.
-	// The sink returning false cancels the walk: undispatched pages
-	// are never read, and Walk returns the report built so far.
-	Sink warn.Sink
+	// Page, when set, receives each page's result in walk order
+	// instead of Report.Messages accumulating its messages: the
+	// root-relative Name, the Src it was linted from (valid until Page
+	// returns), and its findings — the lint messages sorted by line,
+	// then its bad-link messages. Site-level messages (bad-fragment,
+	// no-index-file, orphan-page) stay in Report.Messages. Returning
+	// false cancels the walk: undispatched pages are never read, and
+	// Walk returns the report built so far.
+	Page func(engine.Result) bool
 }
 
 // Report is the outcome of walking a site.
@@ -61,36 +56,22 @@ type Report struct {
 	// Pages are the HTML files checked, relative to the root,
 	// sorted.
 	Pages []string
-	// Messages holds every message from every page, plus the
-	// site-level messages (no-index-file, orphan-page, bad-link).
+	// Messages holds every message from every page (unless
+	// Options.Page took them), then the site-level messages
+	// (bad-fragment, no-index-file, orphan-page).
 	Messages []warn.Message
-	// External are the distinct external URLs found, sorted (only
-	// when Options.CollectExternal was set).
+	// External are the distinct external URLs found, sorted.
 	External []string
-	// Cancelled reports that Options.Sink stopped the walk early by
+	// Cancelled reports that Options.Page stopped the walk early by
 	// returning false: the report covers only what ran before the
-	// cancellation, and callers driving several walks into one sink
+	// cancellation, and callers driving several walks into one output
 	// should stop too.
 	Cancelled bool
 }
 
-// MessagesFor returns the messages whose File matches name.
-func (r *Report) MessagesFor(name string) []warn.Message {
-	var out []warn.Message
-	for _, m := range r.Messages {
-		if m.File == name {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 // Walk checks every HTML page under root.
 func Walk(root string, o Options) (*Report, error) {
-	if o.Linter == nil {
-		o.Linter = lint.MustNew(lint.Options{})
-	}
-
+	eng := &engine.Engine{Linter: o.Linter}
 	rep := &Report{}
 	dirs := map[string][]string{} // dir (rel) -> html files within
 	var pages []string
@@ -126,53 +107,38 @@ func Walk(root string, o Options) (*Report, error) {
 		pageSet[p] = true
 	}
 
-	// Per-page phase: read, lint, extract links and anchors, and
-	// resolve link targets, in parallel. Each worker drops the page
-	// source (a pooled buffer) before returning — only the extracted
-	// strings survive into the merge. Results are merged in page order,
-	// so the link graph and the message stream come out exactly as a
+	// Per-page phase: lint, extract links and anchors, and resolve
+	// link targets, in parallel. Results are merged in page order, so
+	// the link graph and the message stream come out exactly as a
 	// sequential walk produces them.
 	referenced := map[string]bool{}
 	external := map[string]bool{}
 	anchors := map[string]map[string]bool{} // page -> defined anchors
 	var fragRefs []fragRef
 	var walkErr error
-	// emit delivers one message: into the caller's sink when streaming,
-	// into Report.Messages otherwise. Returning false cancels the walk
-	// and marks the report.
-	emit := func(m warn.Message) bool {
-		if o.Sink != nil {
-			if !o.Sink.Write(m) {
-				rep.Cancelled = true
-				return false
-			}
-			return true
-		}
-		rep.Messages = append(rep.Messages, m)
-		return true
-	}
 	workers := o.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	engine.OrderedSlice(workers, 0, pages,
 		func(_ int, page string) pageResult {
-			return checkPage(root, page, &o, pageSet)
+			return checkPage(eng, root, page, pageSet)
 		},
 		func(_ int, res pageResult) bool {
-			if res.err != nil {
+			defer res.Release()
+			if res.Err != nil {
 				// Cancel the batch: in-flight pages finish and are
 				// discarded, undispatched pages are never read.
-				walkErr = res.err
+				walkErr = res.Err
 				return false
 			}
-			if o.Sink == nil {
+			if o.Page == nil {
 				rep.Messages = append(rep.Messages, res.Messages...)
-			} else if !res.Replay(o.Sink) {
+			} else if !o.Page(res.Result) {
 				rep.Cancelled = true
 				return false
 			}
-			anchors[res.page] = res.anchors
+			anchors[res.Name] = res.anchors
 			for _, t := range res.refs {
 				referenced[t] = true
 			}
@@ -197,13 +163,11 @@ func Walk(root string, o Options) (*Report, error) {
 			continue // target missing entirely: bad-link covers it
 		}
 		if !defined[fr.frag] {
-			if !emit(warn.Message{
+			rep.Messages = append(rep.Messages, warn.Message{
 				ID: "bad-fragment", Category: warn.Warning,
 				File: fr.page, Line: fr.line,
 				Text: "anchor \"#" + fr.frag + "\" is not defined in " + fr.target,
-			}) {
-				return rep, nil
-			}
+			})
 		}
 	}
 
@@ -219,13 +183,11 @@ func Walk(root string, o Options) (*Report, error) {
 			if display == "." {
 				display = "./"
 			}
-			if !emit(warn.Message{
+			rep.Messages = append(rep.Messages, warn.Message{
 				ID: "no-index-file", Category: warn.Warning,
 				File: display, Line: 1,
 				Text: "directory " + display + " does not have an index file",
-			}) {
-				return rep, nil
-			}
+			})
 		}
 	}
 
@@ -235,21 +197,17 @@ func Walk(root string, o Options) (*Report, error) {
 		if referenced[page] || isIndexName(path.Base(page)) {
 			continue
 		}
-		if !emit(warn.Message{
+		rep.Messages = append(rep.Messages, warn.Message{
 			ID: "orphan-page", Category: warn.Warning,
 			File: page, Line: 1,
 			Text: "page " + page + " is not linked to by any other page checked",
-		}) {
-			return rep, nil
-		}
+		})
 	}
 
-	if o.CollectExternal {
-		for u := range external {
-			rep.External = append(rep.External, u)
-		}
-		sort.Strings(rep.External)
+	for u := range external {
+		rep.External = append(rep.External, u)
 	}
+	sort.Strings(rep.External)
 	return rep, nil
 }
 
@@ -260,41 +218,30 @@ type fragRef struct {
 	line               int
 }
 
-// pageResult carries everything the merge phase needs from one page.
-// It deliberately holds only extracted strings, never the source.
+// pageResult carries one page's engine result, whose Src stays held
+// until the merge releases it, and what the merge needs from its
+// links.
 type pageResult struct {
-	page string
-	err  error
-	// Recorder holds the lint messages, then bad-link messages, and the
+	// Result holds the lint messages, then bad-link messages, and the
 	// disabled-rule emission IDs in order.
-	warn.Recorder
+	engine.Result
 	anchors  map[string]bool // fragment anchors defined in the page
 	refs     []string        // local pages this page references
 	external []string        // external URLs found
 	fragRefs []fragRef
 }
 
-// checkPage reads, lints and link-scans one page. It runs on a worker
+// checkPage lints and link-scans one page. It runs on a worker
 // goroutine: everything it touches is either private, immutable for
-// the duration of the walk (Options, pageSet), or safe for concurrent
-// use (the Linter, os.Stat). The page source lives in a pooled buffer
-// that is released before returning — messages own their text and the
-// link scan clones what it extracts.
-func checkPage(root, page string, o *Options, pageSet map[string]bool) pageResult {
-	res := pageResult{page: page}
-	full := filepath.Join(root, filepath.FromSlash(page))
-	buf := bufpool.Get()
-	defer bufpool.Put(buf)
-	if res.err = lint.ReadFile(full, buf); res.err != nil {
+// the duration of the walk (pageSet), or safe for concurrent use (the
+// Engine, os.Stat).
+func checkPage(eng *engine.Engine, root, page string, pageSet map[string]bool) pageResult {
+	res := pageResult{Result: eng.Lint(engine.Job{Name: page, Path: filepath.Join(root, filepath.FromSlash(page))})}
+	if res.Err != nil {
 		return res
 	}
-	src := buf.Bytes()
-	// Lint into the Recorder (sorted below, matching CheckString) so
-	// per-rule suppression stats survive into the ordered merge.
-	o.Linter.Check(context.TODO(), page, src, &res.Recorder)
-	warn.SortByLine(res.Messages)
 	var links []linkcheck.Link
-	links, res.anchors = linkcheck.ScanBytes(src)
+	links, res.anchors = linkcheck.ScanBytes(res.Src)
 
 	for _, link := range links {
 		if linkcheck.IsExternal(link.URL) {
@@ -322,7 +269,7 @@ func checkPage(root, page string, o *Options, pageSet map[string]bool) pageResul
 			}
 			continue
 		}
-		if !o.SkipLocalLinks && !existsLocal(root, target) {
+		if !existsLocal(root, target) {
 			res.Messages = append(res.Messages, warn.Message{
 				ID: "bad-link", Category: warn.Error,
 				File: page, Line: link.Line,

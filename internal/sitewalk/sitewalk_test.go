@@ -218,43 +218,12 @@ func TestExternalLinksCollected(t *testing.T) {
 			`<A HREF="http://a.example/">dup</A></BODY></HTML>`,
 	}
 	root := writeSite(t, pages)
-	rep, err := Walk(root, Options{CollectExternal: true})
+	rep, err := Walk(root, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.External) != 2 {
 		t.Errorf("external = %v", rep.External)
-	}
-}
-
-func TestSkipLocalLinks(t *testing.T) {
-	pages := map[string]string{
-		"index.html": `<HTML><HEAD><TITLE>i</TITLE></HEAD><BODY><A HREF="missing.html">x</A></BODY></HTML>`,
-	}
-	root := writeSite(t, pages)
-	rep, err := Walk(root, Options{SkipLocalLinks: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if countID(rep.Messages, "bad-link") != 0 {
-		t.Error("bad-link reported despite SkipLocalLinks")
-	}
-}
-
-func TestMessagesFor(t *testing.T) {
-	pages := map[string]string{
-		"index.html": `<HTML><BODY>x</BODY></HTML>`,
-		"a.html":     `<HTML><HEAD><TITLE>a</TITLE></HEAD><BODY><A HREF="/index.html">i</A></BODY></HTML>`,
-	}
-	root := writeSite(t, pages)
-	rep, err := Walk(root, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range rep.MessagesFor("index.html") {
-		if m.File != "index.html" {
-			t.Errorf("MessagesFor leaked %q", m.File)
-		}
 	}
 }
 

@@ -51,7 +51,9 @@
 //	})
 //
 // The command-line tool exposes the same engine as weblint -j N, and
-// sitewalk.Walk runs its per-page phase on it.
+// sitewalk.Walk runs its per-page phase on it: every page goes through
+// BatchEngine.Lint, the one per-document step (read, check, sort by
+// line, contain a panic) that Run schedules over a batch.
 //
 // # Streaming diagnostics
 //
@@ -287,20 +289,23 @@ func UnifiedDiff(aName, bName, oldText, newText string) string {
 // Baseline records one run's findings so later runs can be diffed
 // against it: fingerprint -> occurrence count, serialised as JSON.
 // Fingerprints hash the rule ID, the document name, and the finding's
-// source line content — tolerant of line drift, counting multiplicity.
+// context: its enclosing tag's text, whitespace collapsed, or its
+// trimmed source line — tolerant of line drift and tag reflow,
+// counting multiplicity.
 type Baseline = baseline.File
 
-// BaselineSource resolves a document's text for baseline context
-// extraction; see FileBaselineSource for the disk-backed default.
-type BaselineSource = baseline.SourceFunc
-
 // BaselineRecorder is a Sink recording every finding into a Baseline
-// while forwarding the stream.
+// while forwarding the stream. It takes each finding's context from
+// the document bound by its Document method: call Document(name, src)
+// with the bytes that were linted before replaying a document's
+// findings. A finding naming another document fingerprints with an
+// empty context.
 type BaselineRecorder = baseline.Recorder
 
 // BaselineFilter is a Sink forwarding only findings a Baseline does
 // not cover — the "fail only on NEW findings" policy as a composable
-// pipeline stage.
+// pipeline stage. Like BaselineRecorder, it needs Document(name, src)
+// before each document's findings.
 type BaselineFilter = baseline.Filter
 
 // NewBaseline returns an empty baseline.
@@ -314,16 +319,12 @@ func ParseBaseline(data []byte) (*Baseline, error) { return baseline.Parse(data)
 
 // NewBaselineRecorder returns a recording pass-through sink; a nil
 // next records without forwarding.
-func NewBaselineRecorder(next Sink, src BaselineSource) *BaselineRecorder {
-	return baseline.NewRecorder(next, src)
+func NewBaselineRecorder(next Sink) *BaselineRecorder {
+	return baseline.NewRecorder(next)
 }
 
 // NewBaselineFilter returns a filtering sink diffing the stream
 // against base.
-func NewBaselineFilter(base *Baseline, next Sink, src BaselineSource) *BaselineFilter {
-	return baseline.NewFilter(base, next, src)
+func NewBaselineFilter(base *Baseline, next Sink) *BaselineFilter {
+	return baseline.NewFilter(base, next)
 }
-
-// FileBaselineSource resolves baseline contexts by reading documents
-// from disk, caching them for the run.
-func FileBaselineSource() BaselineSource { return baseline.FileSource() }
