@@ -28,12 +28,6 @@ func Lookup(name string) (Info, bool) {
 	return info, ok
 }
 
-// Known reports whether name is a known entity in HTML 4.0.
-func Known(name string) bool {
-	_, ok := table[name]
-	return ok
-}
-
 // KnownIn reports whether name is a known entity for the given HTML
 // version, where html40 selects the full 4.0 set and false restricts
 // to the 2.0/3.2 set.

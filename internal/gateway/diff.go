@@ -17,24 +17,18 @@ import (
 
 // diff.go lets a client that already submitted a document send edits
 // instead of resending it: POST diff=<the ETag of the base> plus
-// edits=<JSON span edits>. Recently submitted documents are retained
-// as bases (a bounded LRU, keyed by the same content hash the ETag
-// exposes). readDiff applies the edits to the base and hands the
-// edited document to the one submission path under the base's name,
-// so from there a diff is keyed, cached, coalesced, admitted, budgeted,
-// linted and rendered exactly like a paste or an upload, and its
-// response is the response to a full submission of the edited text.
-// The edited text is retained as a base in turn. A diff saves the
-// upload, not the lint. An unknown or evicted base answers 412
-// Precondition Failed: the client resubmits the full document.
-
-// diffEdit is the wire form of one span edit, mirroring lint.Edit:
-// bytes [start, end) of the current text are replaced by text.
-type diffEdit struct {
-	Start int    `json:"start"`
-	End   int    `json:"end"`
-	Text  string `json:"text"`
-}
+// edits=<a JSON list of lint.Edit>, each {"start", "end", "text"}
+// replacing bytes [start, end) of the current text by text. Recently
+// submitted documents are retained as bases (a bounded LRU, keyed by
+// the same content hash the ETag exposes). readDiff applies the edits
+// to the base and hands the edited document to the one submission path
+// under the base's name, so from there a diff is keyed, cached,
+// coalesced, admitted, budgeted, linted and rendered exactly like a
+// paste or an upload, and its response is the response to a full
+// submission of the edited text. The edited text is retained as a base
+// in turn. A diff saves the upload, not the lint. An unknown or evicted
+// base answers 412 Precondition Failed: the client resubmits the full
+// document.
 
 // maxDiffEdits bounds one request's edit list; an editor sync that
 // somehow batches more than this should resubmit the document.
@@ -126,7 +120,7 @@ func (h *Handler) readDiff(form url.Values, buf *bytes.Buffer) (name string, src
 	if !ok {
 		return "", nil, errors.New("diff= is not a weblint ETag")
 	}
-	var edits []diffEdit
+	var edits []lint.Edit
 	if err := json.Unmarshal([]byte(form.Get("edits")), &edits); err != nil {
 		return "", nil, fmt.Errorf("edits= is not a JSON edit list: %w", err)
 	}
@@ -141,16 +135,14 @@ func (h *Handler) readDiff(form url.Values, buf *bytes.Buffer) (name string, src
 	// text, so checking that sum bounds the result and lets buf hold
 	// every step without growing.
 	size := len(base.text)
-	le := make([]lint.Edit, len(edits))
-	for i, e := range edits {
+	for _, e := range edits {
 		size += len(e.Text)
-		le[i] = lint.Edit{Start: e.Start, End: e.End, Text: e.Text}
 	}
 	if int64(size) > h.maxUpload() {
 		return "", nil, errTooLarge
 	}
 	buf.Grow(size)
-	doc := lint.ApplyEdits(append(buf.AvailableBuffer(), base.text...), le)
+	doc := lint.ApplyEdits(append(buf.AvailableBuffer(), base.text...), edits)
 	buf.Write(doc)
 	return base.name, buf.Bytes(), nil
 }

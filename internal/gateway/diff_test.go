@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"weblint/internal/faultinject"
+	"weblint/internal/lint"
 	"weblint/internal/serve"
 )
 
@@ -32,7 +33,7 @@ func diffPage() string {
 // base: each edit, in order, against the result of the previous one;
 // an offset past either end moves to that end, and an end before the
 // start becomes the start.
-func applyReference(text string, edits []diffEdit) string {
+func applyReference(text string, edits []lint.Edit) string {
 	for _, e := range edits {
 		start := min(max(e.Start, 0), len(text))
 		end := min(max(e.End, start), len(text))
@@ -42,7 +43,7 @@ func applyReference(text string, edits []diffEdit) string {
 }
 
 // postDiff sends edits against the base that etag names.
-func postDiff(t testing.TB, h *Handler, etag string, edits []diffEdit, format string) *httptest.ResponseRecorder {
+func postDiff(t testing.TB, h *Handler, etag string, edits []lint.Edit, format string) *httptest.ResponseRecorder {
 	t.Helper()
 	raw, err := json.Marshal(edits)
 	if err != nil {
@@ -56,26 +57,26 @@ func postDiff(t testing.TB, h *Handler, etag string, edits []diffEdit, format st
 // inserted, and no edits at all.
 func diffCases(base string) []struct {
 	name  string
-	edits []diffEdit
+	edits []lint.Edit
 } {
 	needle := "<IMG SRC=\"25.gif\">"
 	off := strings.Index(base, needle)
 	body := strings.Index(base, "</BODY>")
 	return []struct {
 		name  string
-		edits []diffEdit
+		edits []lint.Edit
 	}{
 		// Replace one IMG with an unclosed B in the middle of the page.
-		{"replace", []diffEdit{{Start: off, End: off + len(needle), Text: "<B>bold"}}},
-		{"negative start", []diffEdit{{Start: -7, End: 0, Text: "<!DOCTYPE HTML PUBLIC \"-//W3C//DTD HTML 4.0//EN\">\n"}}},
-		{"start past end", []diffEdit{{Start: len(base) + 10, End: len(base) + 20, Text: "<P>after the end"}}},
-		{"end before start", []diffEdit{{Start: off, End: off - 5, Text: "<H1>x</H2>"}}},
-		{"end past end", []diffEdit{{Start: body, End: len(base) + 100, Text: "<P>cut"}}},
-		{"second edit inside first insert", []diffEdit{
+		{"replace", []lint.Edit{{Start: off, End: off + len(needle), Text: "<B>bold"}}},
+		{"negative start", []lint.Edit{{Start: -7, End: 0, Text: "<!DOCTYPE HTML PUBLIC \"-//W3C//DTD HTML 4.0//EN\">\n"}}},
+		{"start past end", []lint.Edit{{Start: len(base) + 10, End: len(base) + 20, Text: "<P>after the end"}}},
+		{"end before start", []lint.Edit{{Start: off, End: off - 5, Text: "<H1>x</H2>"}}},
+		{"end past end", []lint.Edit{{Start: body, End: len(base) + 100, Text: "<P>cut"}}},
+		{"second edit inside first insert", []lint.Edit{
 			{Start: off, End: off, Text: "<P>inserted <B>text</B></P>"},
 			{Start: off + 12, End: off + 15, Text: "<I>"},
 		}},
-		{"empty list", []diffEdit{}},
+		{"empty list", []lint.Edit{}},
 	}
 }
 
@@ -135,7 +136,7 @@ func TestDiffServesEditedDocument(t *testing.T) {
 func FuzzDiff(f *testing.F) {
 	base := diffPage()
 	for _, tc := range diffCases(base) {
-		var e [2]diffEdit
+		var e [2]lint.Edit
 		copy(e[:], tc.edits)
 		f.Add(base, e[0].Start, e[0].End, e[0].Text, e[1].Start, e[1].End, e[1].Text, uint8(len(tc.edits)))
 	}
@@ -148,13 +149,13 @@ func FuzzDiff(f *testing.F) {
 		if rec.Code != http.StatusOK || etag == "" {
 			t.Skip("base is not a lintable document")
 		}
-		edits := []diffEdit{{s1, e1, t1}, {s2, e2, t2}}[:n%3]
+		edits := []lint.Edit{{Start: s1, End: e1, Text: t1}, {Start: s2, End: e2, Text: t2}}[:n%3]
 		drec := postDiff(t, h, etag, edits, "json")
 
 		// The reference edits what the gateway decodes: JSON replaces
 		// invalid UTF-8 in edit texts.
 		raw, _ := json.Marshal(edits)
-		var sent []diffEdit
+		var sent []lint.Edit
 		if err := json.Unmarshal(raw, &sent); err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +181,7 @@ func TestDiffChains(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		ins := fmt.Sprintf("<P>round %d & counting</P>\n", i)
 		off := strings.Index(text, "</BODY>")
-		raw, _ := json.Marshal([]diffEdit{{Start: off, End: off, Text: ins}})
+		raw, _ := json.Marshal([]lint.Edit{{Start: off, End: off, Text: ins}})
 		drec := postValues(h, url.Values{"diff": {etag}, "edits": {string(raw)}, "format": {"json"}})
 		if drec.Code != http.StatusOK {
 			t.Fatalf("diff round %d: %d: %s", i, drec.Code, drec.Body.String())
@@ -206,7 +207,7 @@ func TestDiffChains(t *testing.T) {
 func TestDiffUnknownBase(t *testing.T) {
 	h := cachedHandler()
 	unknown := `"` + strings.Repeat("ab", 32) + `"`
-	raw, _ := json.Marshal([]diffEdit{{Start: 0, End: 0, Text: "x"}})
+	raw, _ := json.Marshal([]lint.Edit{{Start: 0, End: 0, Text: "x"}})
 	rec := postValues(h, url.Values{"diff": {unknown}, "edits": {string(raw)}})
 	if rec.Code != http.StatusPreconditionFailed {
 		t.Fatalf("unknown base: %d, want 412", rec.Code)
@@ -237,7 +238,7 @@ func TestDiffRespectsUploadLimit(t *testing.T) {
 	h.MaxUpload = int64(len(brokenPage) + 100)
 	rec := postValues(h, url.Values{"html": {brokenPage}})
 	etag := rec.Header().Get("ETag")
-	raw, _ := json.Marshal([]diffEdit{{Start: 0, End: 0, Text: strings.Repeat("x", 200)}})
+	raw, _ := json.Marshal([]lint.Edit{{Start: 0, End: 0, Text: strings.Repeat("x", 200)}})
 	if got := postValues(h, url.Values{"diff": {etag}, "edits": {string(raw)}}); got.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversize diff: %d, want 413", got.Code)
 	}
@@ -252,7 +253,7 @@ func TestDiffWithCacheOff(t *testing.T) {
 
 	const ins = "<P>new & more</P>\n"
 	off := strings.Index(base, "</BODY>")
-	raw, _ := json.Marshal([]diffEdit{{Start: off, End: off, Text: ins}})
+	raw, _ := json.Marshal([]lint.Edit{{Start: off, End: off, Text: ins}})
 	drec := postValues(h, url.Values{"diff": {etag}, "edits": {string(raw)}, "format": {"json"}})
 	full := postValues(h, url.Values{"html": {base[:off] + ins + base[off:]}, "format": {"json"}})
 	if drec.Code != http.StatusOK || drec.Header().Get("X-Weblint-Cache") != "miss" {
@@ -267,7 +268,7 @@ func TestDiffWithCacheOff(t *testing.T) {
 // and fault-injected like any submission's, so each way a lint can
 // fail answers a diff the way it answers an upload.
 func TestDiffTakesTheSubmissionPath(t *testing.T) {
-	edit := []diffEdit{{Start: 0, End: 0, Text: "<P>edited</P>\n"}}
+	edit := []lint.Edit{{Start: 0, End: 0, Text: "<P>edited</P>\n"}}
 	for _, tc := range []struct {
 		name  string
 		setup func(t *testing.T, h *Handler) (undo func())
@@ -316,7 +317,7 @@ func TestDiffCountsInMetrics(t *testing.T) {
 	etag := rec.Header().Get("ETag")
 	responses := 1
 	for i := 0; i < 3; i++ {
-		d := postDiff(t, h, etag, []diffEdit{{Start: 0, End: 0, Text: fmt.Sprintf("<P>%d</P>", i)}}, "html")
+		d := postDiff(t, h, etag, []lint.Edit{{Start: 0, End: 0, Text: fmt.Sprintf("<P>%d</P>", i)}}, "html")
 		if d.Code != http.StatusOK || d.Header().Get("X-Weblint-Cache") == "" {
 			t.Fatalf("diff %d: %d %q", i, d.Code, d.Header().Get("X-Weblint-Cache"))
 		}
@@ -338,7 +339,7 @@ func TestDiffToBlankAnswersLikeFullSubmission(t *testing.T) {
 	h := cachedHandler()
 	etag := postValues(h, url.Values{"html": {brokenPage}}).Header().Get("ETag")
 	const blank = " \n\t\n"
-	d := postDiff(t, h, etag, []diffEdit{{Start: 0, End: len(brokenPage), Text: blank}}, "html")
+	d := postDiff(t, h, etag, []lint.Edit{{Start: 0, End: len(brokenPage), Text: blank}}, "html")
 	full := postValues(cachedHandler(), url.Values{"html": {blank}})
 	if d.Code != full.Code || d.Body.String() != full.Body.String() ||
 		d.Header().Get("ETag") != full.Header().Get("ETag") {
@@ -354,7 +355,7 @@ func TestDiffHonoursIfNoneMatch(t *testing.T) {
 	etag := postValues(h, url.Values{"html": {brokenPage}}).Header().Get("ETag")
 	const ins = "<P>new</P>\n"
 	edited := postValues(cachedHandler(), url.Values{"html": {ins + brokenPage}}).Header().Get("ETag")
-	raw, _ := json.Marshal([]diffEdit{{Start: 0, End: 0, Text: ins}})
+	raw, _ := json.Marshal([]lint.Edit{{Start: 0, End: 0, Text: ins}})
 	form := url.Values{"diff": {etag}, "edits": {string(raw)}}
 	req := httptest.NewRequest(http.MethodPost, "/", strings.NewReader(form.Encode()))
 	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
@@ -406,7 +407,7 @@ func TestBaseCap(t *testing.T) {
 			}
 		}
 	}()
-	edits, _ := json.Marshal([]diffEdit{{Start: 0, End: 0, Text: "<!-- edited -->"}})
+	edits, _ := json.Marshal([]lint.Edit{{Start: 0, End: 0, Text: "<!-- edited -->"}})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

@@ -18,9 +18,6 @@ const (
 	VendorMicrosoft = "Microsoft"
 )
 
-// Vendors lists the known extension vendors in a stable order.
-var Vendors = []string{VendorNetscape, VendorMicrosoft}
-
 // addVendorExtensions layers the Netscape and Microsoft elements and
 // attributes into a base spec.
 func addVendorExtensions(s *Spec) {

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"weblint/internal/ascii"
-	"weblint/internal/bytestr"
 )
 
 // ReferenceTokenizer is the pre-table-driven tokenizer: per-byte
@@ -71,11 +70,6 @@ func (t *ReferenceTokenizer) Reset(src string) {
 			t.lineStarts = append(t.lineStarts, i+1)
 		}
 	}
-}
-
-// ResetBytes is Reset over a byte slice, without copying it.
-func (t *ReferenceTokenizer) ResetBytes(src []byte) {
-	t.Reset(bytestr.String(src))
 }
 
 func (t *ReferenceTokenizer) position(off int) (line, col int) {

@@ -138,17 +138,6 @@ type Token struct {
 	EmptyTag bool
 }
 
-// TagText reconstructs the tag as it appeared in the source, for use in
-// messages like the paper's
-//
-//	odd number of quotes in element <A HREF="a.html>
-func (t Token) TagText() string {
-	if t.Type == StartTag || t.Type == EndTag {
-		return t.Raw
-	}
-	return t.Raw
-}
-
 // Attr returns the first attribute with the given name,
 // case-insensitively, or nil.
 func (t Token) Attr(name string) *Attr {

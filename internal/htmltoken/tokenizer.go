@@ -107,24 +107,17 @@ func (t *Tokenizer) Reset(src string) {
 	}
 }
 
-// ResetAt is Reset positioned to begin scanning at byte offset pos,
-// for the incremental re-lint: the line index still covers the whole
+// ResetAtLines is Reset positioned to begin scanning at byte offset
+// pos, for the incremental re-lint, with a caller-supplied line-start
+// table — the same LF semantics Reset computes itself: offset 0
+// followed by one past every '\n'. The table covers the whole
 // document, so tokens carry the same positions a full scan would
 // produce. pos must lie on a token boundary of src that is outside
 // raw-text mode (the Session guarantees this by checkpointing only at
-// boundaries where InRawText reports false).
-func (t *Tokenizer) ResetAt(src string, pos int) {
-	t.Reset(src)
-	t.pos = pos
-	t.horizon = pos
-}
-
-// ResetAtLines is ResetAt with a caller-supplied line-start table —
-// the same LF semantics Reset computes itself: offset 0 followed by
-// one past every '\n'. The incremental Session maintains the table
-// across edits by splicing (textpos.Index.Splice), so re-arming over a
-// megabyte document costs a table copy, not a document scan. The table
-// is copied; the caller's slice is not retained.
+// boundaries where InRawText reports false). The Session maintains the
+// table across edits by splicing (textpos.Index.Splice), so re-arming
+// over a megabyte document costs a table copy, not a document scan.
+// The table is copied; the caller's slice is not retained.
 func (t *Tokenizer) ResetAtLines(src string, pos int, lineStarts []int) {
 	t.src = src
 	t.pos = pos

@@ -4,7 +4,16 @@ import (
 	"testing"
 
 	"weblint/internal/config"
+	"weblint/internal/plugin"
 )
+
+// namedChecker is a content checker that checks nothing: only its name
+// reaches the fingerprint.
+type namedChecker string
+
+func (n namedChecker) Name() string                   { return string(n) }
+func (namedChecker) Elements() []string               { return nil }
+func (namedChecker) Check(string, int, plugin.Report) {}
 
 // The cache contract: equal fingerprints must mean interchangeable
 // linters, and any configuration input that can change findings must
@@ -68,7 +77,7 @@ func TestConfigFingerprintStableAndSensitive(t *testing.T) {
 	variants["implied-close ablation"] = o
 
 	o = base()
-	o.NoBuiltinPlugins = true
+	o.Plugins = []plugin.ContentChecker{namedChecker("script")}
 	variants["plugin set"] = o
 
 	seen := map[string]string{ref: "default"}

@@ -51,10 +51,8 @@ type Options struct {
 	// esoteric ones ("I love 'em!").
 	Pedantic bool
 	// Plugins adds content checkers for non-HTML content beyond the
-	// built-in CSS style sheet checker.
+	// built-in CSS style sheet checker, which is always on.
 	Plugins []plugin.ContentChecker
-	// NoBuiltinPlugins drops the built-in CSS checker.
-	NoBuiltinPlugins bool
 	// Ablation knobs, exposed for the cascade experiments.
 	DisableCascadeSuppression bool
 	DisableImpliedClose       bool
@@ -128,9 +126,7 @@ func New(o Options) (*Linter, error) {
 	// capacity of the caller's backing array.
 	plugins := make([]plugin.ContentChecker, 0, len(o.Plugins)+1)
 	plugins = append(plugins, o.Plugins...)
-	if !o.NoBuiltinPlugins {
-		plugins = append(plugins, csslint.Checker{})
-	}
+	plugins = append(plugins, csslint.Checker{})
 
 	l := &Linter{
 		set:     set,

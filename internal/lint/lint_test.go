@@ -239,13 +239,6 @@ func TestCSSPluginThroughLinter(t *testing.T) {
 	if !found {
 		t.Errorf("CSS plugin not engaged: %v", msgs)
 	}
-	// And it can be switched off like any other checker.
-	off := MustNew(Options{NoBuiltinPlugins: true})
-	for _, m := range off.CheckString("s.html", src) {
-		if m.ID == "style-unknown-property" {
-			t.Error("plugin ran despite NoBuiltinPlugins")
-		}
-	}
 }
 
 func TestAblationOptionsPassThrough(t *testing.T) {

@@ -25,17 +25,13 @@ import (
 // Edit is one span replacement against the session's current text:
 // bytes [Start, End) are replaced by Text. Start == End inserts.
 // Offsets are byte offsets; LSP UTF-16 ranges must be converted first
-// (see textpos.Index.UTF16ToOffset).
-type Edit struct {
-	Start int
-	End   int
-	Text  string
-}
+// (see textpos.Index.UTF16ToOffset). It is the span edit a Fix carries.
+type Edit = warn.Edit
 
-// span clamps the edit's offsets to a text of n bytes: an offset past
-// either end moves to that end, and an end before the start becomes
-// the start.
-func (e Edit) span(n int) (start, end int) {
+// span clamps e's offsets to a text of n bytes: an offset past either
+// end moves to that end, and an end before the start becomes the
+// start.
+func span(e Edit, n int) (start, end int) {
 	start = min(max(e.Start, 0), n)
 	end = min(max(e.End, start), n)
 	return start, end
@@ -47,7 +43,7 @@ func (e Edit) span(n int) (start, end int) {
 // storage while it has the capacity.
 func ApplyEdits(doc []byte, edits []Edit) []byte {
 	for _, e := range edits {
-		start, end := e.span(len(doc))
+		start, end := span(e, len(doc))
 		doc = slices.Replace(doc, start, end, []byte(e.Text)...)
 	}
 	return doc
@@ -82,9 +78,11 @@ type checkpoint struct {
 // serialise access (the LSP server guards each document's session
 // with a mutex).
 //
-// A lint or re-lint records events only: the session's emitter formats
-// no message text while it runs, and Messages and Recording render the
-// findings from the recorded stream when they are asked for.
+// A lint or re-lint records each enabled emission as a warn.Event: the
+// Message the emitter formatted when it was emitted, plus the template
+// and arguments of the few whose text holds a line number. An Apply
+// shifts the cached events it keeps and re-renders only the text whose
+// line number moved; Messages copies the recorded Messages out.
 //
 // Full-document checks (Linter.CheckString and friends) are unchanged
 // and remain the right tool for one-shot lints; a Session earns its
@@ -168,43 +166,32 @@ func (s *Session) Name() string { return s.name }
 // Stats returns how the session's edits resolved so far.
 func (s *Session) Stats() SessionStats { return s.stats }
 
-// Messages renders the current findings, byte-identical to what
-// Linter.CheckString would return for the session's text.
+// Messages returns the current findings, byte-identical to what
+// Linter.CheckString would return for the session's text: a sorted
+// copy of the recorded messages, which share their Fix with the
+// session (callers must not mutate a Fix).
 func (s *Session) Messages() []warn.Message {
-	msgs := s.Recording().Messages
+	msgs := make([]warn.Message, len(s.events))
+	for i := range s.events {
+		msgs[i] = s.events[i].Message
+	}
 	warn.SortByLine(msgs)
 	return msgs
 }
 
-// Recording renders the current finding stream into a fresh Recorder,
-// exactly as a live check of the session's text would record it: the
-// messages in emission order — which splices preserve — and the IDs
-// of suppressed emissions.
-func (s *Session) Recording() *warn.Recorder {
-	rec := &warn.Recorder{Collector: warn.Collector{Messages: make([]warn.Message, 0, len(s.events))}}
-	for i := range s.events {
-		if ev := &s.events[i]; ev.Suppressed {
-			rec.ObserveSuppressed(ev.ID)
-		} else {
-			rec.Messages = append(rec.Messages, ev.Message())
-		}
-	}
-	return rec
-}
-
 // Apply applies edits in order — each against the result of the
 // previous, the LSP incremental-sync contract — re-linting only the
-// damaged window of each. It renders nothing: callers that want the
-// findings ask Messages or Recording.
+// damaged window of each. The window's findings are formatted as they
+// are emitted, the cached ones are shifted; callers that want the
+// findings ask Messages.
 func (s *Session) Apply(edits []Edit) {
 	for _, e := range edits {
 		s.applyOne(e)
 	}
 }
 
-// arm points the emitter's event sink at dst. While it is set the
-// emitter formats no messages: the session renders its findings from
-// the recorded events.
+// arm points the emitter's event sink at dst, which then receives each
+// enabled emission as the Event holding its formatted Message.
 func (s *Session) arm(dst *[]warn.Event) {
 	s.rec = dst
 	s.em.SetEventSink(func(ev warn.Event) { *s.rec = append(*s.rec, ev) })
@@ -259,7 +246,7 @@ func (s *Session) lintAll() {
 // to the next; with no survivor the window extends to end of document.
 func (s *Session) applyOne(e Edit) {
 	s.stats.Applies++
-	start, end := e.span(len(s.text))
+	start, end := span(e, len(s.text))
 	newText := s.text[:start] + e.Text + s.text[end:]
 	newIx := s.ix.Splice(start, end, e.Text, newText)
 	sh := textpos.NewShift(s.ix, newIx, start, end, e.Text)
@@ -428,13 +415,11 @@ func shiftSpan(start, end int, sh *textpos.Shift) (int, int, bool) {
 
 // shiftEvent maps one cached event across the edit, copy-on-write:
 // the message position via the exact line/column mapping, LineRef
-// arguments via the line mapping, fix edit spans via shiftSpan. Any
+// arguments via the line mapping, fix edit spans via shiftSpan. Only
+// an event whose LineRef moved has its text rendered again. Any
 // unmappable position fails the whole event (and with it the splice
 // candidate).
 func shiftEvent(ev warn.Event, sh *textpos.Shift) (warn.Event, bool) {
-	if ev.Suppressed {
-		return ev, true // markers carry no position
-	}
 	if !warn.StaticLine(ev.ID) {
 		line, col, ok := sh.Pos(ev.Line, ev.Col)
 		if !ok {
@@ -452,6 +437,9 @@ func shiftEvent(ev warn.Event, sh *textpos.Shift) (warn.Event, bool) {
 		if !lok {
 			return ev, false
 		}
+		if nl == int(lr) {
+			continue
+		}
 		if args == nil {
 			args = append([]any(nil), ev.Args...)
 		}
@@ -459,6 +447,7 @@ func shiftEvent(ev warn.Event, sh *textpos.Shift) (warn.Event, bool) {
 	}
 	if args != nil {
 		ev.Args = args
+		ev.Reformat()
 	}
 	if ev.Fix != nil {
 		fix := &warn.Fix{Label: ev.Fix.Label, Edits: append([]warn.Edit(nil), ev.Fix.Edits...)}

@@ -28,8 +28,8 @@ func renderMsgs(msgs []warn.Message) string {
 }
 
 // checkEquivalent asserts the session's findings are byte-identical to
-// a from-scratch lint of its current text — the sorted report, the
-// emission-order stream, and the suppressed-emission observations.
+// a from-scratch lint of its current text — the sorted report and the
+// emission-order stream.
 func checkEquivalent(t testing.TB, l *Linter, s *Session, label string) {
 	t.Helper()
 	got := renderMsgs(s.Messages())
@@ -37,15 +37,15 @@ func checkEquivalent(t testing.TB, l *Linter, s *Session, label string) {
 	if got != want {
 		t.Fatalf("%s: incremental findings diverge from from-scratch lint\nincremental:\n%s\nfrom-scratch:\n%s", label, got, want)
 	}
-	var rec warn.Recorder
-	l.CheckStringTo(s.Name(), s.Text(), &rec)
-	stream := s.Recording()
-	if gotStream := renderMsgs(stream.Messages); gotStream != renderMsgs(rec.Messages) {
-		t.Fatalf("%s: emission-order stream diverges\nincremental:\n%s\nfrom-scratch:\n%s",
-			label, gotStream, renderMsgs(rec.Messages))
+	var col warn.Collector
+	l.CheckStringTo(s.Name(), s.Text(), &col)
+	stream := make([]warn.Message, len(s.events))
+	for i := range s.events {
+		stream[i] = s.events[i].Message
 	}
-	if gotSup, wantSup := strings.Join(stream.SuppressedIDs, ","), strings.Join(rec.SuppressedIDs, ","); gotSup != wantSup {
-		t.Fatalf("%s: suppressed-emission stream diverges\nincremental: %s\nfrom-scratch: %s", label, gotSup, wantSup)
+	if gotStream := renderMsgs(stream); gotStream != renderMsgs(col.Messages) {
+		t.Fatalf("%s: emission-order stream diverges\nincremental:\n%s\nfrom-scratch:\n%s",
+			label, gotStream, renderMsgs(col.Messages))
 	}
 }
 

@@ -98,9 +98,6 @@ func (ix *Index) Splice(start, end int, replacement, newSrc string) *Index {
 // re-lint re-arm over a large document without rescanning it.
 func (ix *Index) LineStarts() []int { return ix.starts }
 
-// Len returns the document length in bytes.
-func (ix *Index) Len() int { return len(ix.src) }
-
 // LineCount returns the number of lines. A trailing separator opens a
 // final empty line, matching how editors count.
 func (ix *Index) LineCount() int { return len(ix.starts) }

@@ -12,88 +12,75 @@ import (
 // a limit). It formats exactly like int.
 type LineRef int
 
-// Event is one emission captured before formatting: everything needed
-// to re-render the Message byte-identically, with the position-valued
-// parts still structured. The incremental Session records the event
-// stream of a full lint, shifts positions (Line, Col, LineRef args,
-// Fix edit offsets) across document edits, and re-renders — producing
-// the same bytes a from-scratch lint of the edited document would.
-//
-// Suppressed emissions are captured too, as marker events carrying
-// only the ID (see Suppressed), so the recorded stream can reproduce
-// what a live check's SuppressionObserver would report.
+// Event is one enabled emission as the incremental Session records it:
+// the Message a Sink would have received, plus what an edit can move
+// that the Message holds only as text. Line, Col and Fix edit offsets
+// are fields the Session shifts in place; a line number rendered into
+// Text is not, so an emission with a LineRef argument also keeps its
+// template and arguments, and the Session re-renders Text after moving
+// one (see Reformat). Every other event carries no Format or Args.
 type Event struct {
-	// ID and Category are copied from the resolved definition.
-	ID       string
-	Category Category
-	// Format is the template the message text renders from, with any
-	// catalog override already applied.
+	// Message is the finding as emitted, Text already formatted. Its
+	// Fix is a deep copy (see cloneFix): the event owns it, but
+	// Messages handed out share it, so shifting must copy, not mutate.
+	Message
+	// Format is the template Text rendered from, with any catalog
+	// override applied; empty unless an argument is a LineRef.
 	Format string
-	// File, Line, Col position the message as emitted.
-	File string
-	Line int
-	Col  int
-	// Fix is a deep copy of the attached remediation (see cloneFix):
-	// the event owns it, but rendered Messages share it, so shifting
-	// must still copy rather than mutate.
-	Fix *Fix
-	// Args are the format arguments, with strings cloned so the event
-	// never aliases the checked document.
+	// Args are copies of the format arguments (see keepArgs); nil
+	// unless one of them is a LineRef.
 	Args []any
-	// Suppressed marks a suppression marker: the emission was dropped
-	// because its ID is disabled, and only ID is meaningful. Markers
-	// keep the recorded stream aligned with what a live check's
-	// SuppressionObserver sees, so an incremental splice reproduces
-	// per-rule suppression stats exactly. They render no Message.
-	Suppressed bool
 }
 
-// Message renders the event into the Message emit would have written.
-func (ev *Event) Message() Message {
-	var text string
-	if len(ev.Args) == 0 && !strings.ContainsRune(ev.Format, '%') {
-		text = ev.Format
-	} else {
-		text = string(appendFormat(make([]byte, 0, len(ev.Format)+32), ev.Format, ev.Args))
-	}
-	return Message{
-		ID:       ev.ID,
-		Category: ev.Category,
-		File:     ev.File,
-		Line:     ev.Line,
-		Col:      ev.Col,
-		Text:     text,
-		Fix:      ev.Fix,
-	}
+// Reformat renders Text from Format and Args again, after a caller
+// replaced a LineRef argument. It is appendFormat, the emitter's own
+// renderer, so the text is byte-identical to what an emission with
+// those arguments renders.
+func (ev *Event) Reformat() {
+	ev.Text = string(appendFormat(make([]byte, 0, len(ev.Format)+32), ev.Format, ev.Args))
 }
 
-// SetEventSink installs a function that receives every emission as a
-// structured Event, after the cancellation check: an enabled emission
-// as the Event its Message renders from, a disabled one as a
-// suppression marker. While an event sink is set it is the only
-// destination: the emitter formats no message, writes nothing to its
-// Sink and notifies no SuppressionObserver. Nil removes it; Reset also
-// removes it, so pooled emitters never leak a recorder into the next
-// check.
+// SetEventSink installs a function that receives every enabled
+// emission, after the cancellation check, as the Event recording the
+// Message a Sink would get. While an event sink is set it is the only
+// destination: the emitter writes nothing to its Sink, and a
+// suppressed emission reaches neither it nor a SuppressionObserver.
+// Nil removes it; Reset also removes it, so pooled emitters never leak
+// a recorder into the next check.
 //
 // Note this is distinct from the Recorder sink in sink.go, which
-// collects formatted Messages plus suppressed IDs; the event sink
-// captures pre-format structure for the incremental lint Session.
+// collects Messages plus suppressed IDs for replay; the event sink
+// feeds the incremental lint Session, which shifts what it records.
 func (e *Emitter) SetEventSink(fn func(Event)) { e.eventSink = fn }
 
-// cloneArgs deep-copies format arguments for retention in an Event:
-// strings are cloned (checker args may alias the checked document,
-// e.g. a token's raw text), value types are copied as-is.
-func cloneArgs(args []any) []any {
-	if len(args) == 0 {
+// keepArgs returns the arguments an Event keeps: nil unless one of
+// args is a LineRef, else a copy made by type — strings cloned (checker
+// args may alias the checked document, e.g. a token's raw text), ints,
+// LineRefs and bools by value. Copying by type, rather than storing
+// the caller's interface values, keeps args from escaping (see Emit);
+// a type appendArg does not render becomes nil, which renders the same
+// placeholder.
+func keepArgs(args []any) []any {
+	var out []any
+	for _, a := range args {
+		if _, ok := a.(LineRef); ok {
+			out = make([]any, len(args))
+			break
+		}
+	}
+	if out == nil {
 		return nil
 	}
-	out := make([]any, len(args))
 	for i, a := range args {
-		if s, ok := a.(string); ok {
-			out[i] = strings.Clone(s)
-		} else {
-			out[i] = a
+		switch v := a.(type) {
+		case string:
+			out[i] = strings.Clone(v)
+		case int:
+			out[i] = v
+		case LineRef:
+			out[i] = v
+		case bool:
+			out[i] = v
 		}
 	}
 	return out

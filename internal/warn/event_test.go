@@ -6,11 +6,12 @@ import (
 )
 
 // TestEventRendersDeliveredMessage: the event sink receives every
-// enabled emission as an Event that renders to the Message an emitter
-// without an event sink delivers, and a marker for every suppressed
-// one; while it is set, the emitter's Sink receives nothing. The event
-// owns its args and fix, so recycling the caller's buffers cannot
-// change it.
+// enabled emission as an Event embedding the Message an emitter
+// without an event sink delivers, and nothing for a suppressed one;
+// while it is set, the emitter's Sink receives nothing. Only an
+// emission with a LineRef argument keeps its template and arguments,
+// and Reformat renders them to the same text. The event owns its args
+// and fix, so recycling the caller's buffers cannot change it.
 func TestEventRendersDeliveredMessage(t *testing.T) {
 	set := NewSet()
 	if err := set.Disable("img-alt"); err != nil {
@@ -40,18 +41,22 @@ func TestEventRendersDeliveredMessage(t *testing.T) {
 	plain := NewEmitter(set)
 	emitAll(plain)
 	msgs := plain.Messages()
-	if len(events) != 4 || len(msgs) != 3 {
-		t.Fatalf("%d events for %d messages, want 4 and 3", len(events), len(msgs))
+	if len(events) != 3 || len(msgs) != 3 {
+		t.Fatalf("%d events for %d messages, want 3 and 3", len(events), len(msgs))
 	}
-	if !events[2].Suppressed || events[2].ID != "img-alt" {
-		t.Fatalf("event 2 = %+v, want the img-alt suppression marker", events[2])
-	}
-	rendered := []Event{events[0], events[1], events[3]}
-	for i, ev := range rendered {
-		got := ev.Message()
-		want := msgs[i]
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("event %d renders %+v\nwant %+v", i, got, want)
+	for i, ev := range events {
+		if !reflect.DeepEqual(ev.Message, msgs[i]) {
+			t.Errorf("event %d holds %+v\nwant %+v", i, ev.Message, msgs[i])
+		}
+		if keeps := ev.Args != nil; keeps != (i < 2) || (ev.Format != "") != keeps {
+			t.Errorf("event %d keeps format %q and args %v", i, ev.Format, ev.Args)
+			continue
+		}
+		if ev.Args != nil {
+			ev.Reformat()
+			if ev.Text != msgs[i].Text {
+				t.Errorf("event %d reformats to %q, want %q", i, ev.Text, msgs[i].Text)
+			}
 		}
 	}
 	if msgs[0].Text != "no closing </TITLE> seen for <TITLE> on line 3" {
@@ -60,7 +65,7 @@ func TestEventRendersDeliveredMessage(t *testing.T) {
 
 	e.Reset()
 	e.Emit("require-title", "t.html", 1, 0)
-	if len(events) != 4 {
+	if len(events) != 3 {
 		t.Fatal("Reset left the event sink installed")
 	}
 }

@@ -50,22 +50,18 @@ func (Terse) Format(m Message) string {
 }
 
 // Verbose renders the lint-style line followed by the message's longer
-// explanation, wrapped to Width columns (default 72 when zero).
-type Verbose struct {
-	// Width is the wrap column for the explanation text.
-	Width int
-}
+// explanation, indented four columns and wrapped at verboseWidth.
+type Verbose struct{}
+
+// verboseWidth is the column Verbose wraps explanations at.
+const verboseWidth = 72
 
 // Format renders m with its explanation.
-func (v Verbose) Format(m Message) string {
-	width := v.Width
-	if width <= 0 {
-		width = 72
-	}
+func (Verbose) Format(m Message) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s(%d): %s [%s, %s]", m.File, m.Line, m.Text, m.ID, m.Category)
 	if d := Lookup(m.ID); d != nil && d.Explain != "" {
-		for _, line := range wrap(d.Explain, width-4) {
+		for _, line := range wrap(d.Explain, verboseWidth-4) {
 			b.WriteString("\n    ")
 			b.WriteString(line)
 		}

@@ -92,10 +92,10 @@ type SuppressionObserver interface {
 // emission IDs, in emission order: a finished check's whole finding
 // stream. Every buffered delivery path holds one — engine and site-walk
 // results, the sequential CLI, the gateway's result cache and
-// singleflight, Session.Recording — and later Replays it into the real
-// sink, so per-rule suppression stats survive the buffering hop. A
-// shared Recorder (a cache entry) is read-only: replay it, and copy its
-// Messages before reordering them.
+// singleflight — and later Replays it into the real sink, so per-rule
+// suppression stats survive the buffering hop. A shared Recorder (a
+// cache entry) is read-only: replay it, and copy its Messages before
+// reordering them.
 type Recorder struct {
 	Collector
 	// SuppressedIDs are the IDs of suppressed emissions, in order.

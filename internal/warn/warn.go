@@ -439,11 +439,13 @@ func (e *Emitter) override(id string, v bool) error {
 // sink has cancelled the stream. Emitting an unregistered id panics:
 // checker code must only reference registered messages.
 //
-// Args must be string, int, or bool values — the types the registered
-// %s/%d templates take. The restriction is what keeps the hot path
-// allocation-free: the formatter never hands args to fmt, so the
-// compiler can keep the variadic slice and its boxed values on the
-// caller's stack.
+// Args must be string, int, LineRef or bool values — the types the
+// registered %s/%d templates take. The restriction is what keeps the
+// hot path allocation-free: the formatter never hands args to fmt, and
+// an event sink's copy of them is made by type (see keepArgs), never
+// by storing the caller's interface values, so args do not escape and
+// the compiler keeps the variadic slice and its boxed values on the
+// caller's stack — for suppressed emissions too.
 func (e *Emitter) Emit(id, file string, line, col int, args ...any) {
 	e.emit(id, file, line, col, nil, args)
 }
@@ -483,13 +485,12 @@ func (e *Emitter) emit(id, file string, line, col int, fix *Fix, args []any) {
 	if !on {
 		// Suppressed: tell interested sinks so per-rule suppression
 		// stats can be surfaced. The type assertion only runs on this
-		// cold path; enabled emissions never pay for it. The event sink
-		// gets a marker instead, so a recorded stream can replay the
-		// suppression observations a live check would deliver.
-		if e.eventSink != nil {
-			e.eventSink(Event{ID: id, Suppressed: true})
-		} else if o, ok := e.sink.(SuppressionObserver); ok {
-			o.ObserveSuppressed(id)
+		// cold path; enabled emissions never pay for it. An event sink
+		// records findings only, so it hears of none of this.
+		if e.eventSink == nil {
+			if o, ok := e.sink.(SuppressionObserver); ok {
+				o.ObserveSuppressed(id)
+			}
 		}
 		return
 	}
@@ -499,21 +500,8 @@ func (e *Emitter) emit(id, file string, line, col int, fix *Fix, args []any) {
 			format = t
 		}
 	}
-	if e.eventSink != nil {
-		e.eventSink(Event{
-			ID:       id,
-			Category: d.Category,
-			Format:   format,
-			File:     file,
-			Line:     line,
-			Col:      col,
-			Fix:      cloneFix(fix),
-			Args:     cloneArgs(args),
-		})
-		return
-	}
 	e.buf = appendFormat(e.buf[:0], format, args)
-	if !e.sink.Write(Message{
+	m := Message{
 		ID:       id,
 		Category: d.Category,
 		File:     file,
@@ -521,7 +509,17 @@ func (e *Emitter) emit(id, file string, line, col int, fix *Fix, args []any) {
 		Col:      col,
 		Text:     string(e.buf),
 		Fix:      fix,
-	}) {
+	}
+	if e.eventSink != nil {
+		m.Fix = cloneFix(fix)
+		ev := Event{Message: m, Args: keepArgs(args)}
+		if ev.Args != nil {
+			ev.Format = format
+		}
+		e.eventSink(ev)
+		return
+	}
+	if !e.sink.Write(m) {
 		e.cancelled = true
 	}
 }

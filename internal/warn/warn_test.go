@@ -267,12 +267,23 @@ func TestFormatters(t *testing.T) {
 	}
 }
 
+// TestVerboseWrapWidth: explanation lines are indented four columns
+// and filled up to, never past, column 72.
 func TestVerboseWrapWidth(t *testing.T) {
 	m := Message{ID: "doctype-first", File: "f", Line: 1, Text: "x"}
-	out := (Verbose{Width: 40}).Format(m)
-	for i, line := range strings.Split(out, "\n")[1:] {
-		if len(line) > 44 {
-			t.Errorf("explanation line %d too long (%d): %q", i, len(line), line)
+	lines := strings.Split((Verbose{}).Format(m), "\n")[1:]
+	if len(lines) < 2 {
+		t.Fatalf("explanation not wrapped: %q", lines)
+	}
+	for i, line := range lines {
+		if len(line) > 72 || !strings.HasPrefix(line, "    ") {
+			t.Errorf("explanation line %d (%d columns): %q", i, len(line), line)
+		}
+		if i+1 < len(lines) {
+			next := strings.Fields(lines[i+1])[0]
+			if len(line)+1+len(next) <= 72 {
+				t.Errorf("line %d breaks before %q, which fits in 72 columns: %q", i, next, line)
+			}
 		}
 	}
 }
