@@ -151,6 +151,8 @@ func run(args []string) int {
 				File: p.URL, Line: 1,
 				Text: fmt.Sprintf("HTTP %d", p.Status),
 			})
+		case !p.IsHTML():
+			return true // an image or a stylesheet: nothing to lint
 		}
 		if !*quiet {
 			fmt.Fprintf(aux, "checking %s (%d links)\n", p.URL, len(p.Links))

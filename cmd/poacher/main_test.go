@@ -168,6 +168,45 @@ func TestPoacherJSONFormat(t *testing.T) {
 	}
 }
 
+// TestPoacherSkipsNonHTML: a 200 response that is not HTML (a linked
+// image) is counted but neither announced nor linted, while a missing
+// image still reports bad-link.
+func TestPoacherSkipsNonHTML(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/" {
+			http.NotFound(w, r)
+			return
+		}
+		w.Header().Set("Content-Type", "text/html")
+		fmt.Fprint(w, `<!DOCTYPE HTML PUBLIC "-//W3C//DTD HTML 4.0//EN">
+<HTML><HEAD><TITLE>logo</TITLE></HEAD>
+<BODY><P><IMG SRC="logo.gif" ALT="logo" WIDTH="1" HEIGHT="1">
+<A HREF="missing.gif">gone</A></P></BODY></HTML>
+`)
+	})
+	mux.HandleFunc("/logo.gif", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "image/gif")
+		fmt.Fprint(w, "GIF89a")
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	code, out := capture(t, srv.URL+"/")
+	if code != 1 {
+		t.Errorf("exit = %d, want 1 (the missing image)", code)
+	}
+	if strings.Contains(out, "logo.gif") {
+		t.Errorf("the image was announced or linted:\n%s", out)
+	}
+	if !strings.Contains(out, "missing.gif(1): HTTP 404") {
+		t.Errorf("the missing image is not reported:\n%s", out)
+	}
+	if !strings.Contains(out, "pages fetched: 3") {
+		t.Errorf("the image is not counted as fetched:\n%s", out)
+	}
+}
+
 // TestPoacherFailOn: -fail-on never reports but exits 0.
 func TestPoacherFailOn(t *testing.T) {
 	srv := testSite(t)

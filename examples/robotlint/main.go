@@ -64,6 +64,9 @@ func main() {
 			fmt.Printf("broken link target: %s (HTTP %d)\n", p.URL, p.Status)
 			return
 		}
+		if !p.IsHTML() {
+			return // an image or a stylesheet: nothing to lint
+		}
 		msgs := linter.CheckString(p.URL, p.Body)
 		if len(msgs) > 0 {
 			problemPages++

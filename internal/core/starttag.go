@@ -87,7 +87,7 @@ func (c *Checker) startTag(tok *htmltoken.Token) {
 
 	// The tokenizer switches into raw-text mode after this tag; arm the
 	// empty-raw-body compensation (see the pendingRawText field).
-	if htmltoken.DefaultRawTextElements[name] {
+	if htmltoken.RawTextElements[name] {
 		c.pendingRawText = true
 	}
 }

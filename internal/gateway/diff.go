@@ -2,14 +2,12 @@ package gateway
 
 import (
 	"bytes"
-	"container/list"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/url"
 	"strings"
-	"sync"
 
 	"weblint/internal/lint"
 	"weblint/internal/resultcache"
@@ -19,16 +17,16 @@ import (
 // instead of resending it: POST diff=<the ETag of the base> plus
 // edits=<a JSON list of lint.Edit>, each {"start", "end", "text"}
 // replacing bytes [start, end) of the current text by text. Recently
-// submitted documents are retained as bases (a bounded LRU, keyed by
-// the same content hash the ETag exposes). readDiff applies the edits
-// to the base and hands the edited document to the one submission path
-// under the base's name, so from there a diff is keyed, cached,
-// coalesced, admitted, budgeted, linted and rendered exactly like a
-// paste or an upload, and its response is the response to a full
-// submission of the edited text. The edited text is retained as a base
-// in turn. A diff saves the upload, not the lint. An unknown or evicted
-// base answers 412 Precondition Failed: the client resubmits the full
-// document.
+// submitted documents are retained as bases (a second
+// resultcache.Cache, keyed by the same content hash the ETag exposes).
+// readDiff applies the edits to the base and hands the edited document
+// to the one submission path under the base's name, so from there a
+// diff is keyed, cached, coalesced, admitted, budgeted, linted and
+// rendered exactly like a paste or an upload, and its response is the
+// response to a full submission of the edited text. The edited text is
+// retained as a base in turn. A diff saves the upload, not the lint.
+// An unknown or evicted base answers 412 Precondition Failed: the
+// client resubmits the full document.
 
 // maxDiffEdits bounds one request's edit list; an editor sync that
 // somehow batches more than this should resubmit the document.
@@ -38,63 +36,15 @@ const maxDiffEdits = 1000
 // hold: never issued, or evicted since.
 var errUnknownBase = errors.New("unknown base document; resubmit the full document")
 
-// baseEntry is one retained base document. Entries are immutable.
-type baseEntry struct {
-	key  resultcache.Key
+// base is one retained base document. Bases are immutable.
+type base struct {
 	name string
 	text string
 }
 
-// baseStore is a small LRU of base documents keyed by content hash.
-// It holds at most cap entries of at most MaxUpload bytes each.
-type baseStore struct {
-	mu  sync.Mutex
-	cap int
-	m   map[resultcache.Key]*list.Element
-	lru list.List // of *baseEntry, front = most recent
-}
-
-func newBaseStore(capacity int) *baseStore {
-	return &baseStore{cap: capacity, m: map[resultcache.Key]*list.Element{}}
-}
-
-// put retains a document under its key. It copies src only when the
-// key is new; a known key is just marked recently used.
-func (bs *baseStore) put(key resultcache.Key, name string, src []byte) {
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	if el, ok := bs.m[key]; ok {
-		bs.lru.MoveToFront(el)
-		return
-	}
-	bs.m[key] = bs.lru.PushFront(&baseEntry{key: key, name: name, text: string(src)})
-	for bs.lru.Len() > bs.cap {
-		el := bs.lru.Back()
-		delete(bs.m, el.Value.(*baseEntry).key)
-		bs.lru.Remove(el)
-	}
-}
-
-// get looks a base up and marks it recently used.
-func (bs *baseStore) get(key resultcache.Key) *baseEntry {
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	el, ok := bs.m[key]
-	if !ok {
-		return nil
-	}
-	bs.lru.MoveToFront(el)
-	return el.Value.(*baseEntry)
-}
-
-// defaultBaseCapacity is how many base documents the gateway retains
-// for diffing.
+// defaultBaseCapacity is how many base documents, each at most
+// MaxUpload bytes, the gateway retains for diffing.
 const defaultBaseCapacity = 8
-
-func (h *Handler) bases() *baseStore {
-	h.baseOnce.Do(func() { h.baseStore = newBaseStore(defaultBaseCapacity) })
-	return h.baseStore
-}
 
 // parseDiffKey decodes the diff= form value — the ETag a previous
 // response carried, quotes and weak prefix tolerated — into a cache
@@ -127,8 +77,8 @@ func (h *Handler) readDiff(form url.Values, buf *bytes.Buffer) (name string, src
 	if len(edits) > maxDiffEdits {
 		return "", nil, errors.New("too many edits in one diff; resubmit the document")
 	}
-	base := h.bases().get(key)
-	if base == nil {
+	base, ok := h.bases.Get(key)
+	if !ok {
 		return "", nil, errUnknownBase
 	}
 	// No intermediate text is longer than the base plus every inserted

@@ -82,13 +82,16 @@ type Handler struct {
 	// a fetch.Client with AllowPrivate to loosen it.
 	Fetcher *fetch.Client
 	// Cache, when non-nil, stores each completed finding stream under
-	// (document SHA-256, config fingerprint), so a repeat submission
-	// replays it (X-Weblint-Cache: hit) instead of linting. Nil
-	// (-cache-off) only stops storing results, so a repeat lints again:
-	// responses still carry the content-hash ETag and X-Weblint-Cache,
-	// If-None-Match still answers 304, concurrent identical submissions
-	// still collapse into one lint slot, and diff= requests still work.
-	Cache *resultcache.Cache
+	// (document SHA-256, config fingerprint, name), so a repeat
+	// submission replays it (X-Weblint-Cache: hit) instead of linting.
+	// It is one LRU with no shards; the bases diff= requests edit live
+	// in a second instance of the same type, which NewHandler builds
+	// whatever Cache is. Nil (-cache-off) only stops storing results,
+	// so a repeat lints again: responses still carry the content-hash
+	// ETag and X-Weblint-Cache, If-None-Match still answers 304,
+	// concurrent identical submissions still collapse into one lint
+	// slot, and diff= requests still work.
+	Cache *resultcache.Cache[*warn.Recorder]
 	// Metrics, when non-nil, records request outcomes, cache traffic,
 	// admission waits, lint durations and per-rule tallies; Mux then
 	// also serves /metrics. See NewMetrics.
@@ -96,10 +99,8 @@ type Handler struct {
 
 	fetchOnce      sync.Once
 	defaultFetcher *fetch.Client
-	flightOnce     sync.Once
-	flightGroup    *resultcache.Group
-	baseOnce       sync.Once
-	baseStore      *baseStore
+	flights        *resultcache.Group
+	bases          *resultcache.Cache[base]
 }
 
 // uploadSlack is how much larger than MaxUpload the raw request body
@@ -113,7 +114,12 @@ func NewHandler(l *lint.Linter) *Handler {
 	if l == nil {
 		l = lint.MustNew(lint.Options{})
 	}
-	return &Handler{Linter: l, AllowURLFetch: true}
+	return &Handler{
+		Linter:        l,
+		AllowURLFetch: true,
+		flights:       resultcache.NewGroup(),
+		bases:         resultcache.NewLRU(defaultBaseCapacity, func(base) int { return 1 }),
+	}
 }
 
 func (h *Handler) maxUpload() int64 {
@@ -138,11 +144,6 @@ func (h *Handler) fetcher() *fetch.Client {
 		h.defaultFetcher = fetch.New(fetch.Options{MaxBody: h.maxUpload()})
 	})
 	return h.defaultFetcher
-}
-
-func (h *Handler) flights() *resultcache.Group {
-	h.flightOnce.Do(func() { h.flightGroup = resultcache.NewGroup() })
-	return h.flightGroup
 }
 
 // Mux assembles the production handler stack: the health probe at
@@ -244,8 +245,11 @@ func (h *Handler) submit(w http.ResponseWriter, r *http.Request) {
 	key := resultcache.KeyOf(h.Linter.ConfigFingerprint(), src).Named(name)
 	etag := `"` + key.Hex() + `"`
 	// Retain the document so later requests can diff against this
-	// response's ETag instead of resending it (see diff.go).
-	h.bases().put(key, name, src)
+	// response's ETag instead of resending it (see diff.go). A known
+	// key is only marked recently used: the text is copied once.
+	if _, ok := h.bases.Get(key); !ok {
+		h.bases.Put(key, base{name: name, text: string(src)})
+	}
 
 	// The ETag is a content address, so If-None-Match is decidable
 	// from the request alone — no cache entry needed, no lint slot.
@@ -262,7 +266,7 @@ func (h *Handler) submit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	rec, shared, err := h.flights().Do(ctx, key, func() (*warn.Recorder, error) {
+	rec, shared, err := h.flights.Do(ctx, key, func() (*warn.Recorder, error) {
 		return h.check(ctx, name, src, key)
 	})
 	if err != nil {

@@ -71,7 +71,7 @@ func NewMetrics() *Metrics {
 // ObserveState registers scrape-time gauges over live serving state:
 // admission-queue depth, slots in flight and configured, cache entries
 // and bytes. Either argument may be nil.
-func (m *Metrics) ObserveState(lim *serve.Limiter, cache *resultcache.Cache) {
+func (m *Metrics) ObserveState(lim *serve.Limiter, cache *resultcache.Cache[*warn.Recorder]) {
 	if lim != nil {
 		m.reg.NewGaugeFunc("weblint_gateway_queue_depth",
 			"Requests waiting for a lint slot.", func() int64 { return int64(lim.Waiting()) })

@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"weblint/internal/bytestr"
 )
 
 // addSuiteSeeds feeds every sample of the lint test suite to the
@@ -33,9 +35,10 @@ func addSuiteSeeds(f *testing.F) {
 	}
 }
 
-// FuzzTokenize: the tokenizer never panics, NextInto and TokenizeBytes
-// agree token for token, and the token stream partitions the source
-// exactly (every byte belongs to exactly one token, offsets line up).
+// FuzzTokenize: the tokenizer never panics, NextInto and Tokenize over
+// a string or a bytestr view agree token for token, and the token
+// stream partitions the source exactly (every byte belongs to exactly
+// one token, offsets line up).
 func FuzzTokenize(f *testing.F) {
 	addSuiteSeeds(f)
 	f.Add("<a href='x>y</a <b><script>...</scr")
@@ -45,10 +48,10 @@ func FuzzTokenize(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		streamed := collectNextInto(src)
 		batch := Tokenize(src)
-		bytesBatch := TokenizeBytes([]byte(src))
+		bytesBatch := Tokenize(bytestr.String([]byte(src)))
 
 		if len(streamed) != len(batch) || len(batch) != len(bytesBatch) {
-			t.Fatalf("token counts differ: NextInto=%d Tokenize=%d TokenizeBytes=%d",
+			t.Fatalf("token counts differ: NextInto=%d Tokenize=%d Tokenize(bytestr)=%d",
 				len(streamed), len(batch), len(bytesBatch))
 		}
 		for i := range batch {

@@ -1,6 +1,10 @@
 package htmltoken
 
-import "testing"
+import (
+	"testing"
+
+	"weblint/internal/bytestr"
+)
 
 // Regression tests for the raw-text scan / needle-search interaction:
 // bodies ending at EOF without a close tag, empty bodies, and false
@@ -136,16 +140,16 @@ func TestRawTextUnterminatedStartTagDoesNotEnterRawMode(t *testing.T) {
 	}
 }
 
-// TestResetBytesAndRelease pins the pool contract: ResetBytes aliases
-// the slice without copying, and Release drops every reference into
-// the last document (source, attr spares) while keeping the tokenizer
-// reusable.
+// TestResetBytesAndRelease pins the pool contract: Reset over a
+// bytestr view aliases the slice without copying, and Release drops
+// every reference into the last document (source, attr spares) while
+// keeping the tokenizer reusable.
 func TestResetBytesAndRelease(t *testing.T) {
 	tk := New("")
-	tk.ResetBytes([]byte(`<IMG SRC="a.gif" ALT="x">text`))
+	tk.Reset(bytestr.String([]byte(`<IMG SRC="a.gif" ALT="x">text`)))
 	var tok Token
 	if !tk.NextInto(&tok) || tok.Type != StartTag || tok.Name != "IMG" || len(tok.Attrs) != 2 {
-		t.Fatalf("ResetBytes first token = %+v", tok)
+		t.Fatalf("first token over a byte view = %+v", tok)
 	}
 	tk.Release()
 	if tk.NextInto(&tok) {
@@ -165,12 +169,12 @@ func TestResetBytesAndRelease(t *testing.T) {
 func TestInternCacheSurvivesBufferReuse(t *testing.T) {
 	buf := []byte("<TT>x</TT>")
 	tk := New("")
-	tk.ResetBytes(buf)
+	tk.Reset(bytestr.String(buf))
 	var tok Token
 	for tk.NextInto(&tok) {
 	}
 	copy(buf, "<TD>x</TD>")
-	tk.ResetBytes(buf)
+	tk.Reset(bytestr.String(buf))
 	if !tk.NextInto(&tok) || tok.Name != "TD" || tok.Lower != "td" {
 		t.Fatalf("rewritten buffer's first tag: Name %q Lower %q, want TD/td", tok.Name, tok.Lower)
 	}

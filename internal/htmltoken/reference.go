@@ -29,15 +29,11 @@ type ReferenceTokenizer struct {
 	rawNeedle string
 
 	attrBuf []Attr
-
-	// RawTextElements configures which elements switch the tokenizer
-	// into raw-text mode. Defaults to DefaultRawTextElements.
-	RawTextElements map[string]bool
 }
 
 // NewReference returns a ReferenceTokenizer over src.
 func NewReference(src string) *ReferenceTokenizer {
-	t := &ReferenceTokenizer{RawTextElements: DefaultRawTextElements}
+	t := &ReferenceTokenizer{}
 	t.Reset(src)
 	return t
 }
@@ -273,9 +269,9 @@ func (t *ReferenceTokenizer) nextTag(tok *Token, start, line, col int, closing b
 
 	tok.Attrs = t.parseAttrs(body, nameEnd)
 
-	if tok.Type == StartTag && !unterminated && t.RawTextElements[lower] {
+	if tok.Type == StartTag && !unterminated && RawTextElements[lower] {
 		t.rawUntil = lower
-		t.rawNeedle = rawNeedleFor(lower)
+		t.rawNeedle = "</" + lower
 	}
 }
 

@@ -149,14 +149,10 @@ func (t Token) Attr(name string) *Attr {
 	return nil
 }
 
-// HasAttr reports whether the tag carries the named attribute,
-// case-insensitively.
-func (t Token) HasAttr(name string) bool { return t.Attr(name) != nil }
-
-// DefaultRawTextElements are the elements whose content is not parsed
-// as markup. The tokenizer switches to raw-text mode automatically
-// after emitting a start tag for one of these.
-var DefaultRawTextElements = map[string]bool{
+// RawTextElements are the elements whose content is not parsed as
+// markup. The tokenizer switches to raw-text mode automatically after
+// emitting a start tag for one of these.
+var RawTextElements = map[string]bool{
 	"script":    true,
 	"style":     true,
 	"xmp":       true,

@@ -4,7 +4,6 @@ import (
 	"strings"
 
 	"weblint/internal/ascii"
-	"weblint/internal/bytestr"
 )
 
 // Quote-recovery limits: when a quoted attribute value runs past this
@@ -73,15 +72,11 @@ type Tokenizer struct {
 	// lower-case names, never a substring of a checked document: the
 	// source may be a recycled buffer that a later document overwrites.
 	internCache [internCacheSize]string
-
-	// RawTextElements configures which elements switch the tokenizer
-	// into raw-text mode. Defaults to DefaultRawTextElements.
-	RawTextElements map[string]bool
 }
 
 // New returns a Tokenizer over src.
 func New(src string) *Tokenizer {
-	t := &Tokenizer{RawTextElements: DefaultRawTextElements}
+	t := &Tokenizer{}
 	t.Reset(src)
 	return t
 }
@@ -154,13 +149,6 @@ func (t *Tokenizer) see(off int) {
 // checkpoints are only taken where this is false.
 func (t *Tokenizer) InRawText() bool { return t.rawUntil != "" }
 
-// ResetBytes is Reset over a byte slice, without copying it. Token
-// substrings alias src: the caller must not mutate src until the last
-// token from this document has been consumed (see bytestr).
-func (t *Tokenizer) ResetBytes(src []byte) {
-	t.Reset(bytestr.String(src))
-}
-
 // Release drops the references a parked tokenizer retains into the
 // last document: the source string itself and the attribute substrings
 // left in spare attrBuf capacity. Pools should call it before storing
@@ -209,13 +197,6 @@ func Tokenize(src string) []Token {
 		}
 		out = append(out, tok)
 	}
-}
-
-// TokenizeBytes is Tokenize over a byte slice, without copying it.
-// Token substrings alias src; the caller must not mutate src while the
-// tokens are in use.
-func TokenizeBytes(src []byte) []Token {
-	return Tokenize(bytestr.String(src))
 }
 
 // position translates a byte offset into a 1-based line and column.
@@ -509,28 +490,22 @@ func (t *Tokenizer) nextTag(tok *Token, start, line, col int, closing bool) {
 	// so resolving them first keeps the posLine cursor monotone.
 	tok.EndLine = t.lineAt(max(start, t.pos-1))
 
-	if tok.Type == StartTag && !unterminated && t.RawTextElements[lower] {
-		t.rawUntil = lower
-		t.rawNeedle = rawNeedleFor(lower)
+	if tok.Type == StartTag && !unterminated {
+		if needle, ok := rawNeedles[lower]; ok {
+			t.rawUntil, t.rawNeedle = lower, needle
+		}
 	}
 }
 
-// rawNeedles precomputes the "</name" search needle for the default
-// raw-text elements; custom elements fall back to concatenation.
+// rawNeedles maps each of RawTextElements to the "</name" needle that
+// ends its raw text.
 var rawNeedles = func() map[string]string {
-	m := make(map[string]string, len(DefaultRawTextElements))
-	for name := range DefaultRawTextElements {
+	m := make(map[string]string, len(RawTextElements))
+	for name := range RawTextElements {
 		m[name] = "</" + name
 	}
 	return m
 }()
-
-func rawNeedleFor(lower string) string {
-	if n, ok := rawNeedles[lower]; ok {
-		return n
-	}
-	return "</" + lower
-}
 
 // scanToGT scans from off for the '>' terminating a tag, honouring
 // quoted attribute values, with heuristic recovery for unbalanced

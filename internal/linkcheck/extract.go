@@ -120,13 +120,6 @@ func Extract(src string) []Link {
 	return links
 }
 
-// Anchors returns the fragment anchor names defined in the document
-// (<A NAME=...> and ID attributes), for fragment link validation.
-func Anchors(src string) map[string]bool {
-	_, anchors := Scan(src)
-	return anchors
-}
-
 // IsExternal reports whether a link leaves the local filesystem: it
 // has a URL scheme or is protocol-relative.
 func IsExternal(url string) bool {

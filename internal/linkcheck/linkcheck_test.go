@@ -55,7 +55,7 @@ func TestExtractEmptyValues(t *testing.T) {
 
 func TestAnchors(t *testing.T) {
 	src := `<A NAME="top">x</A><P ID="sec1">y</P><A HREF="z">no name</A>`
-	anchors := Anchors(src)
+	_, anchors := Scan(src)
 	if !anchors["top"] || !anchors["sec1"] {
 		t.Errorf("anchors = %v", anchors)
 	}
@@ -175,7 +175,7 @@ func TestCheckOneTransportError(t *testing.T) {
 func TestCheckAll(t *testing.T) {
 	srv := newTestServer()
 	defer srv.Close()
-	c := &Checker{Client: srv.Client(), Concurrency: 4}
+	c := &Checker{Client: srv.Client()}
 
 	urls := []string{
 		srv.URL + "/ok",

@@ -60,8 +60,6 @@ type Checker struct {
 	// Client is the HTTP client; nil means a 15-second-timeout
 	// client following up to 10 redirects.
 	Client *http.Client
-	// Concurrency bounds parallel requests (default 8).
-	Concurrency int
 	// UserAgent is sent with requests (default "weblint-linkcheck").
 	UserAgent string
 }
@@ -112,8 +110,12 @@ func (c *Checker) CheckOne(url string) Result {
 	return res
 }
 
-// CheckAll validates a set of URLs concurrently and returns results
-// keyed by URL. Duplicate URLs are checked once.
+// checkAllConcurrency bounds CheckAll's parallel requests.
+const checkAllConcurrency = 8
+
+// CheckAll validates a set of URLs concurrently, at most
+// checkAllConcurrency at a time, and returns results keyed by URL.
+// Duplicate URLs are checked once.
 func (c *Checker) CheckAll(urls []string) map[string]Result {
 	unique := map[string]bool{}
 	var order []string
@@ -125,11 +127,7 @@ func (c *Checker) CheckAll(urls []string) map[string]Result {
 	}
 	sort.Strings(order)
 
-	conc := c.Concurrency
-	if conc <= 0 {
-		conc = 8
-	}
-	sem := make(chan struct{}, conc)
+	sem := make(chan struct{}, checkAllConcurrency)
 	var mu sync.Mutex
 	out := make(map[string]Result, len(order))
 	var wg sync.WaitGroup

@@ -69,14 +69,6 @@ func TestConfigFingerprintStableAndSensitive(t *testing.T) {
 	variants["here words"] = o
 
 	o = base()
-	o.DisableCascadeSuppression = true
-	variants["cascade ablation"] = o
-
-	o = base()
-	o.DisableImpliedClose = true
-	variants["implied-close ablation"] = o
-
-	o = base()
 	o.Plugins = []plugin.ContentChecker{namedChecker("script")}
 	variants["plugin set"] = o
 

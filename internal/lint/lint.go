@@ -53,9 +53,6 @@ type Options struct {
 	// Plugins adds content checkers for non-HTML content beyond the
 	// built-in CSS style sheet checker, which is always on.
 	Plugins []plugin.ContentChecker
-	// Ablation knobs, exposed for the cascade experiments.
-	DisableCascadeSuppression bool
-	DisableImpliedClose       bool
 }
 
 // Linter checks HTML documents against a configured HTML version and
@@ -133,17 +130,15 @@ func New(o Options) (*Linter, error) {
 		catalog: catalog,
 		spec:    spec,
 		coreOpts: core.Options{
-			Spec:                      spec,
-			DisableCascadeSuppression: o.DisableCascadeSuppression,
-			DisableImpliedClose:       o.DisableImpliedClose,
-			TagCase:                   s.TagCase,
-			AttrCase:                  s.AttrCase,
-			TitleLength:               s.TitleLength,
-			HereWords:                 s.HereWords,
-			Plugins:                   plugins,
+			Spec:        spec,
+			TagCase:     s.TagCase,
+			AttrCase:    s.AttrCase,
+			TitleLength: s.TitleLength,
+			HereWords:   s.HereWords,
+			Plugins:     plugins,
 		},
 	}
-	l.fp = fingerprintConfig(s, o, spec, set, plugins)
+	l.fp = fingerprintConfig(s, spec, set, plugins)
 	return l, nil
 }
 
@@ -154,7 +149,7 @@ func New(o Options) (*Linter, error) {
 // that alters behaviour — an option, a settings knob, a plugin — must
 // be folded in here. Same fingerprint discipline as internal/baseline:
 // hash a canonical, delimited rendering, never a formatted struct.
-func fingerprintConfig(s *config.Settings, o Options, spec *htmlspec.Spec, set *warn.Set, plugins []plugin.ContentChecker) string {
+func fingerprintConfig(s *config.Settings, spec *htmlspec.Spec, set *warn.Set, plugins []plugin.ContentChecker) string {
 	h := sha256.New()
 	field := func(parts ...string) {
 		for _, p := range parts {
@@ -173,8 +168,6 @@ func fingerprintConfig(s *config.Settings, o Options, spec *htmlspec.Spec, set *
 	field("tagcase", s.TagCase, "attrcase", s.AttrCase)
 	field("titlelength", strconv.Itoa(s.TitleLength))
 	field(append([]string{"herewords"}, s.HereWords...)...)
-	field("cascade-off", strconv.FormatBool(o.DisableCascadeSuppression))
-	field("impliedclose-off", strconv.FormatBool(o.DisableImpliedClose))
 	names := make([]string, 0, len(plugins))
 	for _, p := range plugins {
 		names = append(names, p.Name())
@@ -186,7 +179,7 @@ func fingerprintConfig(s *config.Settings, o Options, spec *htmlspec.Spec, set *
 
 // ConfigFingerprint returns a stable content hash of the linter's
 // effective configuration: HTML version, extensions, enabled warning
-// set, locale, style knobs, ablation switches, and plugin names.
+// set, locale, style knobs, and plugin names.
 // Linters with equal fingerprints are interchangeable for caching.
 func (l *Linter) ConfigFingerprint() string { return l.fp }
 

@@ -241,16 +241,6 @@ func TestCSSPluginThroughLinter(t *testing.T) {
 	}
 }
 
-func TestAblationOptionsPassThrough(t *testing.T) {
-	src := "<!DOCTYPE HTML><HTML><HEAD><TITLE>t</TITLE></HEAD><BODY>" +
-		"<B><I><A HREF=\"x\">y</B></I></A></BODY></HTML>"
-	normal := MustNew(Options{}).CheckString("a.html", src)
-	ablated := MustNew(Options{DisableCascadeSuppression: true}).CheckString("a.html", src)
-	if len(ablated) <= len(normal) {
-		t.Errorf("ablated %d <= normal %d", len(ablated), len(normal))
-	}
-}
-
 func TestLinterIsReusable(t *testing.T) {
 	l := MustNew(Options{})
 	a := l.CheckString("a.html", brokenPage)

@@ -138,7 +138,6 @@ type Server struct {
 	// mu guards docs and the flags after it; see document for the order.
 	mu       sync.Mutex
 	docs     map[string]*document
-	roots    []string
 	shutdown bool
 }
 
@@ -316,9 +315,6 @@ func (s *Server) setRoots(p *initializeParams) {
 			roots = append(roots, p.RootPath)
 		}
 	}
-	s.mu.Lock()
-	s.roots = roots
-	s.mu.Unlock()
 	s.linters.setRoots(roots)
 }
 

@@ -10,14 +10,16 @@
 // any renderer: HTML report, JSON Lines, SARIF, baseline recording,
 // fix application and baseline= diffs all ride the same entry.
 //
-// The cache is a bounded, sharded LRU: shards are picked by key byte,
-// each shard is an independent mutex + hash map + intrusive recency
-// list, and the byte budget is enforced per shard so eviction never
-// takes a global lock. The companion Group (flight.go) collapses
-// concurrent identical submissions into one computation.
+// Cache is one bounded LRU — a mutex, a key index and a recency list —
+// generic in what it holds: New costs finding streams in approximate
+// bytes, and the gateway keeps the documents that diff= requests edit
+// in a second instance, under the same keys, costing one per document.
+// The companion Group (flight.go) collapses concurrent identical
+// submissions into one computation.
 package resultcache
 
 import (
+	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"sync"
@@ -87,32 +89,24 @@ func sizeOf(rec *warn.Recorder) int {
 	return n
 }
 
-// shardCount is the number of independent LRU shards. 16 keeps lock
-// contention negligible at gateway concurrencies (tens of slots) while
-// costing only a few hundred bytes of fixed overhead.
-const shardCount = 16
-
-// Cache is the bounded, sharded LRU. Construct with New; the zero
-// value is not useful.
-type Cache struct {
-	shards   [shardCount]shard
-	perShard int
+// Cache is a bounded LRU from Key to V: one mutex, one key index and
+// one recency list. Each value's cost is fixed when it is Put, and Put
+// evicts the least recently used entries until the total cost fits
+// the budget. Construct with New or NewLRU; the zero value is not
+// useful.
+type Cache[V any] struct {
+	mu      sync.Mutex
+	budget  int
+	cost    func(V) int
+	used    int
+	entries map[Key]*list.Element
+	lru     list.List // of *entry[V], front = most recent
 }
 
-// shard is one independent LRU: a mutex, the key index, and an
-// intrusive doubly-linked recency list (head = most recent).
-type shard struct {
-	mu         sync.Mutex
-	entries    map[Key]*entry
-	head, tail *entry
-	bytes      int
-}
-
-type entry struct {
-	key        Key
-	rec        *warn.Recorder
-	size       int // sizeOf(rec), fixed at Put
-	prev, next *entry
+type entry[V any] struct {
+	key  Key
+	val  V
+	cost int
 }
 
 // DefaultMaxBytes is the cache budget New applies when given a
@@ -120,137 +114,74 @@ type entry struct {
 // streams.
 const DefaultMaxBytes = 64 << 20
 
-// New returns a Cache bounded to approximately maxBytes of cached
-// results (non-positive means DefaultMaxBytes). The bound is enforced
-// per shard, so a single shard can hold at most maxBytes/16; with
-// SHA-256 keys the shard spread is uniform and the distinction is
-// invisible in practice.
-func New(maxBytes int) *Cache {
+// New returns the gateway's finding-stream cache, bounded to
+// approximately maxBytes of cached results as sizeOf estimates them
+// (non-positive means DefaultMaxBytes).
+func New(maxBytes int) *Cache[*warn.Recorder] {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBytes
 	}
-	perShard := maxBytes / shardCount
-	if perShard < 1 {
-		perShard = 1
-	}
-	c := &Cache{perShard: perShard}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[Key]*entry)
-	}
-	return c
+	return NewLRU(maxBytes, sizeOf)
 }
 
-func (c *Cache) shard(k Key) *shard { return &c.shards[k[0]&(shardCount-1)] }
-
-// Get returns the cached finding stream for k, refreshing its
-// recency. The Recorder is shared with every other reader: replay it,
-// never modify it.
-func (c *Cache) Get(k Key) (*warn.Recorder, bool) {
-	s := c.shard(k)
-	s.mu.Lock()
-	e := s.entries[k]
-	if e == nil {
-		s.mu.Unlock()
-		return nil, false
-	}
-	s.moveToFront(e)
-	rec := e.rec
-	s.mu.Unlock()
-	return rec, true
+// NewLRU returns an empty Cache whose values cost cost(v) each against
+// budget.
+func NewLRU[V any](budget int, cost func(V) int) *Cache[V] {
+	return &Cache[V]{budget: budget, cost: cost, entries: make(map[Key]*list.Element)}
 }
 
-// Put stores a completed check's finding stream under k, evicting
-// least-recently-used entries until the shard fits its budget. The
-// cache takes ownership of rec; nobody may modify it afterwards. A
-// stream larger than the whole shard budget is not stored at all:
-// caching it would evict everything else for an entry that cannot
-// stay resident anyway.
-func (c *Cache) Put(k Key, rec *warn.Recorder) {
-	size := sizeOf(rec)
-	if size > c.perShard {
+// Get returns the value cached under k, refreshing its recency. A
+// value is shared with every other reader: never modify it.
+func (c *Cache[V]) Get(k Key) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el := c.entries[k]
+	if el == nil {
+		var zero V
+		return zero, false
+	}
+	c.lru.MoveToFront(el)
+	return el.Value.(*entry[V]).val, true
+}
+
+// Put stores v under k, evicting least-recently-used entries until the
+// total cost fits the budget. The cache takes ownership of v; nobody
+// may modify it afterwards. A value costing more than the whole budget
+// is not stored at all: caching it would evict everything else for an
+// entry that cannot stay resident anyway.
+func (c *Cache[V]) Put(k Key, v V) {
+	cost := c.cost(v)
+	if cost > c.budget {
 		return
 	}
-	s := c.shard(k)
-	s.mu.Lock()
-	if e := s.entries[k]; e != nil {
-		// Same key means same content and config: the result is
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el := c.entries[k]; el != nil {
+		// Same key means same content and config: the value is
 		// equivalent. Keep the incumbent, refresh recency.
-		s.moveToFront(e)
-		s.mu.Unlock()
+		c.lru.MoveToFront(el)
 		return
 	}
-	e := &entry{key: k, rec: rec, size: size}
-	s.entries[k] = e
-	s.pushFront(e)
-	s.bytes += size
-	for s.bytes > c.perShard && s.tail != nil && s.tail != e {
-		s.evict(s.tail)
+	c.entries[k] = c.lru.PushFront(&entry[V]{key: k, val: v, cost: cost})
+	c.used += cost
+	for c.used > c.budget {
+		e := c.lru.Remove(c.lru.Back()).(*entry[V])
+		delete(c.entries, e.key)
+		c.used -= e.cost
 	}
-	s.mu.Unlock()
 }
 
 // Len returns the number of cached entries.
-func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += len(s.entries)
-		s.mu.Unlock()
-	}
-	return n
+func (c *Cache[V]) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
 }
 
-// Bytes returns the approximate bytes held across all shards.
-func (c *Cache) Bytes() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += s.bytes
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// locked list plumbing ------------------------------------------------
-
-func (s *shard) pushFront(e *entry) {
-	e.prev = nil
-	e.next = s.head
-	if s.head != nil {
-		s.head.prev = e
-	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
-	}
-}
-
-func (s *shard) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		s.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		s.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (s *shard) moveToFront(e *entry) {
-	if s.head == e {
-		return
-	}
-	s.unlink(e)
-	s.pushFront(e)
-}
-
-func (s *shard) evict(e *entry) {
-	s.unlink(e)
-	delete(s.entries, e.key)
-	s.bytes -= e.size
+// Bytes returns the total cost of the cached entries: approximate
+// bytes for the finding-stream cache.
+func (c *Cache[V]) Bytes() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.used
 }

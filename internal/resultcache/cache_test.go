@@ -105,28 +105,19 @@ func TestGetPutAndRecency(t *testing.T) {
 	}
 }
 
-// forceShard derives keys that all land in shard 0, so the test
-// exercises one shard's LRU discipline deterministically.
-func forceShard(t *testing.T, n int) []Key {
-	t.Helper()
-	keys := make([]Key, 0, n)
-	for i := 0; len(keys) < n; i++ {
-		k := KeyOf("fp", []byte(fmt.Sprintf("doc-%d", i)))
-		if k[0]&(shardCount-1) == 0 {
-			keys = append(keys, k)
-		}
-		if i > 100000 {
-			t.Fatal("could not derive enough shard-0 keys")
-		}
+// distinctKeys derives n distinct keys.
+func distinctKeys(n int) []Key {
+	ks := make([]Key, n)
+	for i := range ks {
+		ks[i] = KeyOf("fp", []byte(fmt.Sprintf("doc-%d", i)))
 	}
-	return keys
+	return ks
 }
 
 func TestLRUEvictionRespectsRecency(t *testing.T) {
-	keys := forceShard(t, 3)
+	keys := distinctKeys(3)
 	res := stream([]warn.Message{msg("rule", "some finding text")}, nil)
-	// Budget two entries per shard (total = 16 shards × 2 × size).
-	c := New(2 * sizeOf(res) * shardCount)
+	c := New(2 * sizeOf(res)) // room for two entries
 
 	c.Put(keys[0], res)
 	c.Put(keys[1], res)
@@ -152,7 +143,7 @@ func TestOversizeResultIsNotStored(t *testing.T) {
 	c := New(1024)
 	big := make([]warn.Message, 0, 64)
 	for i := 0; i < 64; i++ {
-		big = append(big, msg("rule", "a long finding message that pads the entry well past the shard budget"))
+		big = append(big, msg("rule", "a long finding message that pads the entry well past the budget"))
 	}
 	k := KeyOf("fp", []byte("huge"))
 	c.Put(k, stream(big, nil))
@@ -165,9 +156,9 @@ func TestOversizeResultIsNotStored(t *testing.T) {
 }
 
 func TestBytesAccountingAfterEviction(t *testing.T) {
-	keys := forceShard(t, 8)
+	keys := distinctKeys(8)
 	res := stream([]warn.Message{msg("rule", "finding")}, nil)
-	c := New(3 * sizeOf(res) * shardCount)
+	c := New(3 * sizeOf(res))
 	for _, k := range keys {
 		c.Put(k, res)
 	}
@@ -201,5 +192,8 @@ func TestCacheConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if c.Bytes() > 1<<16 {
 		t.Fatalf("cache exceeded its budget: %d bytes", c.Bytes())
+	}
+	if c.lru.Len() != c.Len() {
+		t.Fatalf("%d entries on the recency list, %d in the index", c.lru.Len(), c.Len())
 	}
 }

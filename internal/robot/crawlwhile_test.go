@@ -15,6 +15,9 @@ func TestCrawlWhileCancellation(t *testing.T) {
 	var served atomic.Int32
 	var srvURL string
 	mux := http.NewServeMux()
+	// No robots.txt: the policy permits everything, and its fetch is
+	// not counted as a page.
+	mux.HandleFunc("/robots.txt", http.NotFound)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		served.Add(1)
 		w.Header().Set("Content-Type", "text/html")
@@ -26,7 +29,6 @@ func TestCrawlWhileCancellation(t *testing.T) {
 	srvURL = srv.URL
 
 	r := NewRobot()
-	r.IgnoreRobotsTxt = true
 	r.Prefetch = 4
 	visited := 0
 	fetched, err := r.CrawlWhile(srv.URL+"/", func(p Page) bool {

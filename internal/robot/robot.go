@@ -53,6 +53,14 @@ type Page struct {
 	Err error
 }
 
+// IsHTML reports whether the response is an HTML page: its
+// Content-Type names text/html, or it has none. Only an HTML page has
+// a Body and Links; anything else (an image, a stylesheet) is
+// delivered with neither.
+func (p *Page) IsHTML() bool {
+	return p.ContentType == "" || strings.Contains(p.ContentType, "text/html")
+}
+
 // Robot crawls a web site, following links only within the start
 // URL's host. The zero value is usable; fields customise behaviour.
 type Robot struct {
@@ -67,9 +75,6 @@ type Robot struct {
 	// Delay is the politeness delay between requests to one host
 	// (default none, suitable for checking your own site).
 	Delay time.Duration
-	// IgnoreRobotsTxt skips the robots exclusion protocol; only
-	// appropriate when checking your own server.
-	IgnoreRobotsTxt bool
 	// Prefetch bounds how many page fetches may be in flight ahead of
 	// the visitor, overlapping network latency with the visitor's
 	// linting. Zero or one means strictly sequential requests — the
@@ -144,10 +149,7 @@ func (r *Robot) CrawlWhile(start string, visit func(Page) bool) (int, error) {
 		prefetch = 1
 	}
 
-	var policy *RobotsPolicy
-	if !r.IgnoreRobotsTxt {
-		policy = r.fetchRobotsTxt(base)
-	}
+	policy := r.fetchRobotsTxt(base)
 
 	type item struct {
 		u     *url.URL
@@ -172,7 +174,7 @@ func (r *Robot) CrawlWhile(start string, visit func(Page) bool) (int, error) {
 		for len(inflight) < prefetch && len(queue) > 0 && dispatched < maxPages {
 			it := queue[0]
 			queue = queue[1:]
-			if policy != nil && !policy.Allowed(it.u.Path) {
+			if !policy.Allowed(it.u.Path) {
 				continue
 			}
 			if r.Delay > 0 {
@@ -252,7 +254,7 @@ func (r *Robot) fetch(u *url.URL, depth int) Page {
 	defer resp.Body.Close()
 	page.Status = resp.StatusCode
 	page.ContentType = resp.Header.Get("Content-Type")
-	if !strings.Contains(page.ContentType, "text/html") && page.ContentType != "" {
+	if !page.IsHTML() {
 		return page
 	}
 	// Read one byte past the cap: reaching it proves the page is over

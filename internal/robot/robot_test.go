@@ -186,26 +186,6 @@ func TestRobotHonorsRobotsTxt(t *testing.T) {
 	}
 }
 
-func TestRobotIgnoreRobotsTxt(t *testing.T) {
-	pages := map[string]string{
-		"index.html":          `<HTML><HEAD><TITLE>i</TITLE></HEAD><BODY><A HREF="/private/secret.html">s</A></BODY></HTML>`,
-		"private/secret.html": `<HTML><HEAD><TITLE>s</TITLE></HEAD><BODY>secret</BODY></HTML>`,
-	}
-	srv := siteServer(t, pages, "User-agent: *\nDisallow: /private/\n")
-	defer srv.Close()
-
-	r := NewRobot()
-	r.Client = srv.Client()
-	r.IgnoreRobotsTxt = true
-	n := 0
-	if _, err := r.Crawl(srv.URL+"/", func(p Page) { n++ }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Errorf("fetched %d pages, want 2", n)
-	}
-}
-
 func TestRobotMaxPages(t *testing.T) {
 	pages := corpus.GenerateSite(corpus.SiteConfig{Seed: 1, Pages: 20, Subdirs: 1})
 	srv := siteServer(t, pages, "")

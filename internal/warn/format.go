@@ -92,14 +92,3 @@ func wrap(text string, width int) []string {
 	}
 	return lines
 }
-
-// FormatAll renders every message with f, one per line, in the given
-// order.
-func FormatAll(f Formatter, ms []Message) string {
-	var b strings.Builder
-	for _, m := range ms {
-		b.WriteString(f.Format(m))
-		b.WriteByte('\n')
-	}
-	return b.String()
-}

@@ -169,13 +169,6 @@ func IDs() []string {
 	return out
 }
 
-// SortedIDs returns all registered message IDs in lexical order.
-func SortedIDs() []string {
-	out := IDs()
-	slices.Sort(out)
-	return out
-}
-
 // Count returns the total number of registered messages.
 func Count() int { return len(registry) }
 

@@ -295,14 +295,6 @@ func TestFormatterFunc(t *testing.T) {
 	}
 }
 
-func TestFormatAll(t *testing.T) {
-	ms := []Message{{ID: "a", File: "f", Line: 1, Text: "one"}, {ID: "b", File: "f", Line: 2, Text: "two"}}
-	out := FormatAll(Short{}, ms)
-	if out != "line 1: one\nline 2: two\n" {
-		t.Errorf("FormatAll = %q", out)
-	}
-}
-
 func TestWrap(t *testing.T) {
 	lines := wrap("a b c d e f", 3)
 	for _, l := range lines {
