@@ -418,7 +418,6 @@ func BenchmarkE9RobotCrawl(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r := robot.NewRobot()
-		r.Client = srv.Client()
 		r.Prefetch = 4
 		fetched, err := r.Crawl(srv.URL+"/", func(p robot.Page) {
 			if p.Status == http.StatusOK {

@@ -19,7 +19,6 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"time"
 
 	"weblint/internal/baseline"
 	"weblint/internal/engine"
@@ -195,11 +194,7 @@ func run(args []string) int {
 			urls = append(urls, u)
 		}
 		sort.Strings(urls)
-		checker := &linkcheck.Checker{
-			UserAgent: "poacher/2.0",
-			Client:    &http.Client{Timeout: 10 * time.Second},
-		}
-		results := checker.CheckAll(urls)
+		results := linkcheck.CheckAll(urls)
 		for _, u := range urls { // sorted: deterministic stream order
 			if res, ok := results[u]; ok && !res.OK {
 				if !write(warn.Message{

@@ -8,7 +8,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -315,5 +317,70 @@ func TestPoacherBaselineAndWrite(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Errorf("re-recorded baseline differs:\n%s\nwant:\n%s", b, a)
+	}
+}
+
+// TestPoacherRequestsCarryIdentity: every request a crawl with
+// -check-external sends goes through the hardened fetch clients and
+// carries poacher's User-Agent: robots.txt, a page, a linked image,
+// and a link probed by HEAD and retried as GET after a 405. The
+// robots.txt group names poacher, so the robot skips /ext and only the
+// link checker requests it.
+func TestPoacherRequestsCarryIdentity(t *testing.T) {
+	var mu sync.Mutex
+	var seen []string
+	record := func(r *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		seen = append(seen, r.Method+" "+r.URL.Path+" "+r.UserAgent())
+	}
+	var srvURL string
+	mux := http.NewServeMux()
+	mux.HandleFunc("/robots.txt", func(w http.ResponseWriter, r *http.Request) {
+		record(r)
+		fmt.Fprint(w, "User-agent: poacher\nDisallow: /ext\n")
+	})
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		record(r)
+		if r.URL.Path != "/" {
+			http.NotFound(w, r)
+			return
+		}
+		w.Header().Set("Content-Type", "text/html")
+		fmt.Fprintf(w, `<!DOCTYPE HTML PUBLIC "-//W3C//DTD HTML 4.0//EN">
+<HTML><HEAD><TITLE>logo</TITLE></HEAD>
+<BODY><P><IMG SRC="logo.gif" ALT="logo" WIDTH="1" HEIGHT="1">
+<A HREF="%s/ext">elsewhere</A></P></BODY></HTML>
+`, srvURL)
+	})
+	mux.HandleFunc("/logo.gif", func(w http.ResponseWriter, r *http.Request) {
+		record(r)
+		w.Header().Set("Content-Type", "image/gif")
+		fmt.Fprint(w, "GIF89a")
+	})
+	mux.HandleFunc("/ext", func(w http.ResponseWriter, r *http.Request) {
+		record(r)
+		if r.Method == http.MethodHead {
+			w.WriteHeader(http.StatusMethodNotAllowed)
+		}
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	srvURL = srv.URL
+
+	if code, out := capture(t, "-q", "-check-external", srv.URL+"/"); code != 0 {
+		t.Errorf("exit = %d, want 0 (a clean page, every link alive):\n%s", code, out)
+	}
+	want := []string{
+		"GET /robots.txt poacher/2.0",
+		"GET / poacher/2.0",
+		"GET /logo.gif poacher/2.0",
+		"HEAD /ext poacher/2.0",
+		"GET /ext poacher/2.0",
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !slices.Equal(seen, want) {
+		t.Errorf("requests (method, path, User-Agent):\n%s\nwant:\n%s", strings.Join(seen, "\n"), strings.Join(want, "\n"))
 	}
 }

@@ -5,8 +5,10 @@
 //
 // The example serves a small synthetic site (with planted defects and
 // a robots.txt exclusion) on a local test server, crawls it, lints
-// every page, and validates the links it saw — all in one process, so
-// it is runnable without a network.
+// every page, and reports the links that led nowhere — all in one
+// process, so it is runnable without a network. The robot needs no
+// client of its own: its hardened fetch client, which identifies
+// itself as poacher, reaches the plain-HTTP loopback server.
 package main
 
 import (
@@ -50,8 +52,6 @@ func main() {
 
 	linter := lint.MustNew(lint.Options{})
 	r := robot.NewRobot()
-	r.Client = srv.Client()
-	r.UserAgent = "poacher-example/1.0"
 
 	stats := robot.NewCrawlStats()
 	problemPages := 0

@@ -2,11 +2,11 @@ package core
 
 import (
 	"bytes"
-	"sort"
+	"slices"
 	"strings"
 
 	"weblint/internal/ascii"
-
+	"weblint/internal/fixit"
 	"weblint/internal/htmlspec"
 	"weblint/internal/htmltoken"
 	"weblint/internal/warn"
@@ -110,9 +110,66 @@ func attrEnd(at *htmltoken.Attr) int {
 	return end
 }
 
-// deleteAttrFix removes an attribute (name and value) from its tag.
-func deleteAttrFix(at *htmltoken.Attr) *warn.Fix {
-	return singleEdit("remove repeated attribute", at.Offset, attrEnd(at), "")
+// deleteAttrFix removes the repeated attribute tok.Attrs[i] (name
+// and value) from its tag. When only whitespace and slashes follow it,
+// the attribute the deletion leaves last ends the tag, and a '/' there
+// would become a spurious trailing slash with a fix of its own, so a
+// second apply pass would rewrite the tag again. The tokenizer reads
+// the '/' of `<A B=""/ B>` as a stray attribute named "/": the fix
+// deletes such strays too, from the end of the attribute before them,
+// in one edit per gap between the repeats that their own deletions
+// remove. When the attribute left last ends in '/' itself
+// (`<A B X/ B>`), the fix is withheld, unless that '/' ends a value
+// that is about to be quoted.
+func deleteAttrFix(tok *htmltoken.Token, i int) *warn.Fix {
+	const label = "remove repeated attribute"
+	at := &tok.Attrs[i]
+	e := warn.Edit{Start: at.Offset, End: attrEnd(at)}
+	if !onlySlashesAfter(tok, e.End) {
+		return singleEdit(label, e.Start, e.End, "")
+	}
+	var edits []warn.Edit
+	for k := i - 1; k >= 0; k-- {
+		p := &tok.Attrs[k]
+		if straySlash(p) {
+			e.Start = -1 // set at the next attribute back
+			continue
+		}
+		if e.Start < 0 {
+			e.Start = attrEnd(p)
+		}
+		if e.Start < e.End {
+			edits = append(edits, e)
+		}
+		first := firstOfName(tok.Attrs[:k], p.Lower)
+		if !first && deletableAttr(tok, p) {
+			e = warn.Edit{Start: p.Offset, End: p.Offset}
+			continue
+		}
+		if tok.Raw[attrEnd(p)-1-tok.Offset] == '/' && !(p.HasValue && first && quotableValue(p.Value)) {
+			return nil
+		}
+		break
+	}
+	slices.Reverse(edits)
+	return &warn.Fix{Label: label, Edits: edits}
+}
+
+// straySlash reports an "attribute" whose name is only slashes: XHTML
+// slash noise the tokenizer read as a name, not an attribute.
+func straySlash(at *htmltoken.Attr) bool {
+	return !at.HasValue && strings.Trim(at.Name, "/") == ""
+}
+
+// onlySlashesAfter reports whether nothing but whitespace and slashes
+// lies between byte offset off and the tag's closing '>'.
+func onlySlashesAfter(tok *htmltoken.Token, off int) bool {
+	for i := off - tok.Offset; i < len(tok.Raw)-1; i++ {
+		if !isSpaceByte(tok.Raw[i]) && tok.Raw[i] != '/' {
+			return false
+		}
+	}
+	return true
 }
 
 // deletableAttr reports whether removing the attribute re-tokenizes
@@ -121,9 +178,11 @@ func deleteAttrFix(at *htmltoken.Attr) *warn.Fix {
 // value whose closing quote never arrived would shift the tag's
 // quoting balance; and when the next non-space byte after the
 // attribute is '=', deleting it would make the PRECEDING attribute
-// bind to that stray '='.
+// bind to that stray '='. A repeated stray slash is left to slashFix
+// or to the deletion of a later attribute, which takes it along: its
+// own deletion would overlap theirs.
 func deletableAttr(tok *htmltoken.Token, at *htmltoken.Attr) bool {
-	if strings.ContainsAny(at.Name, `"'`) || at.UnterminatedQuote {
+	if strings.ContainsAny(at.Name, `"'`) || at.UnterminatedQuote || straySlash(at) {
 		return false
 	}
 	if at.HasValue && at.Quote == 0 && strings.ContainsAny(at.Value, `"'`) {
@@ -149,25 +208,54 @@ func deleteTagFix(label string, tok *htmltoken.Token) *warn.Fix {
 // That run is exactly what slashFix deletes, and a deletion's START
 // boundary is where a zero-width insertion coexists with it (inserting
 // anywhere inside the run would conflict the two fixes away). Returns
-// -1 when the tag has no safe insertion point (the '=' guarded case
-// slashFix also refuses).
+// -1 when the tag has no safe insertion point (where slashRun refuses,
+// as slashFix does).
 func tagInsertPos(tok *htmltoken.Token) int {
 	end := tok.Offset + len(tok.Raw)
 	if tok.Unterminated {
 		return end
 	}
-	i := len(tok.Raw) - 1 // the '>'
 	if !tok.SlashClose {
-		return tok.Offset + i
+		return end - 1
 	}
-	j := i - 1
-	for j >= 0 && (isSpaceByte(tok.Raw[j]) || tok.Raw[j] == '/') {
-		j--
-	}
-	if j >= 0 && tok.Raw[j] == '=' {
+	start, _, ok := slashRun(tok)
+	if !ok {
 		return -1
 	}
-	return tok.Offset + j + 1
+	return tok.Offset + start
+}
+
+// slashRun finds the trailing run of slashes and whitespace before a
+// terminated tag's '>': where it starts in tok.Raw and how many
+// slashes it holds. The tokenizer strips only the last slash, so when
+// the tag's last attribute (stray slashes aside) has an unquoted value
+// reaching into the run, that value keeps its slashes and the run
+// starts after it: at the last slash when the value is empty
+// (`<A B= />`), where the empty value's quoting fix inserts. Without
+// the run, a value other than a lone '/' right after its '=' would end
+// in a slash the tokenizer strips, so ok is false then unless the
+// tag's other fixes quote or delete that attribute, which they do
+// whenever its attributes are not garbled.
+func slashRun(tok *htmltoken.Token) (start, slashes int, ok bool) {
+	j := len(tok.Raw) - 2 // before the '>'
+	for j >= 0 && (isSpaceByte(tok.Raw[j]) || tok.Raw[j] == '/') {
+		if tok.Raw[j] == '/' {
+			slashes++
+		}
+		j--
+	}
+	for k := len(tok.Attrs) - 1; k >= 0; k-- {
+		at := &tok.Attrs[k]
+		if straySlash(at) {
+			continue
+		}
+		if end := attrEnd(at) - tok.Offset; at.HasValue && at.Quote == 0 && end > j+1 {
+			lone := at.Value == "/" && tok.Raw[end-2] == '='
+			return end, slashes, at.Value == "" || lone || !attrsGarbled(tok)
+		}
+		break
+	}
+	return j + 1, slashes, true
 }
 
 // insertAttrFix inserts ` NAME=""` before the tag's terminator. The
@@ -187,28 +275,18 @@ func insertAttrFix(tok *htmltoken.Token, name, attrCase string) *warn.Fix {
 }
 
 // slashFix removes the spurious trailing '/' of a tag — the whole
-// trailing run of slashes and whitespace, since the tokenizer strips
-// only one slash per parse and removing just one from "//" would
-// leave the next re-lint reporting spurious-slash again. When the run
-// is preceded by '=', the slash is (part of) an attribute value, not
-// XHTML noise; no mechanical fix then.
+// trailing run of slashes and whitespace (slashRun), since the
+// tokenizer strips only one slash per parse and removing just one from
+// "//" would leave the next re-lint reporting spurious-slash again.
 func slashFix(tok *htmltoken.Token) *warn.Fix {
 	if tok.Unterminated {
 		return nil
 	}
-	i := len(tok.Raw) - 1 // the '>'
-	j := i - 1
-	sawSlash := false
-	for j >= 0 && (isSpaceByte(tok.Raw[j]) || tok.Raw[j] == '/') {
-		if tok.Raw[j] == '/' {
-			sawSlash = true
-		}
-		j--
-	}
-	if !sawSlash || (j >= 0 && tok.Raw[j] == '=') {
+	start, slashes, ok := slashRun(tok)
+	if !ok || slashes == 0 {
 		return nil
 	}
-	return singleEdit("remove trailing '/'", tok.Offset+j+1, tok.Offset+i, "")
+	return singleEdit("remove trailing '/'", tok.Offset+start, tok.Offset+len(tok.Raw)-1, "")
 }
 
 // metacharFix replaces one literal metacharacter byte with its entity.
@@ -324,57 +402,19 @@ func (c *Checker) planMetaRelocation(tok *htmltoken.Token, name string, info *ht
 }
 
 // metaRelocationFix builds the meta-in-body fix: insert the tag's text
-// — with every diverted cure applied — at the HEAD insertion point (a
+// — with every diverted cure applied by fixit's rules, so it reads as
+// applying them in place would — at the HEAD insertion point (a
 // zero-width insertion, coexisting with close-tag fixes anchored
 // there), and delete the tag at its original location. The insertion
 // text is built fresh, never aliasing the checked source.
 func (c *Checker) metaRelocationFix(tok *htmltoken.Token) *warn.Fix {
-	cleaned := applyTagEdits(tok, c.relocateFixes)
+	cleaned := fixit.ApplyAt(tok.Raw, tok.Offset, c.relocateFixes)
 	c.relocateTok = nil
 	c.relocateFixes = c.relocateFixes[:0]
 	return &warn.Fix{Label: "move <META> into HEAD", Edits: []warn.Edit{
 		{Start: c.headInsertPos, End: c.headInsertPos, Text: cleaned},
 		{Start: tok.Offset, End: tok.Offset + len(tok.Raw), Text: ""},
 	}}
-}
-
-// applyTagEdits rewrites a tag's text with the collected in-tag fixes.
-// It reproduces fixit.Apply's semantics on the tag's span — first
-// writer wins in collection (= emission) order, half-open overlap,
-// insertions before replacements at equal offsets — so the relocated
-// text is byte-identical to what applying those fixes in place would
-// have produced.
-func applyTagEdits(tok *htmltoken.Token, fixes []*warn.Fix) string {
-	var accepted []warn.Edit
-	for _, f := range fixes {
-		ok := true
-		for _, e := range f.Edits {
-			for _, a := range accepted {
-				if e.Start < a.End && a.Start < e.End {
-					ok = false
-				}
-			}
-		}
-		if ok {
-			accepted = append(accepted, f.Edits...)
-		}
-	}
-	sort.SliceStable(accepted, func(i, j int) bool {
-		a, b := accepted[i], accepted[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		return a.Start == a.End && b.Start != b.End
-	})
-	var sb strings.Builder
-	last := tok.Offset
-	for _, e := range accepted {
-		sb.WriteString(tok.Raw[last-tok.Offset : e.Start-tok.Offset])
-		sb.WriteString(e.Text)
-		last = e.End
-	}
-	sb.WriteString(tok.Raw[last-tok.Offset:])
-	return sb.String()
 }
 
 // closableAtEOF reports whether inserting a close tag for o (at end

@@ -280,7 +280,7 @@ func (c *Checker) checkAttrs(tok *htmltoken.Token, name, display string, info *h
 		if _, dup := seen[lower]; dup {
 			var fix *warn.Fix
 			if !garbled && deletableAttr(tok, at) {
-				fix = c.tagFix(tok, deleteAttrFix(at))
+				fix = c.tagFix(tok, deleteAttrFix(tok, i))
 			}
 			c.emitFixAt("repeated-attribute", at.Line, at.Col, fix, at.Name, display)
 			continue

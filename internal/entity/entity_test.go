@@ -6,37 +6,10 @@ import (
 	"testing/quick"
 )
 
-func TestLookupKnown(t *testing.T) {
-	cases := map[string]rune{
-		"amp": '&', "lt": '<', "gt": '>', "quot": '"',
-		"nbsp": 160, "copy": 169, "eacute": 233, "szlig": 223,
-		"alpha": 945, "Omega": 937, "hellip": 8230, "trade": 8482,
-		"euro": 8364, "mdash": 8212, "nsub": 8836, "yuml": 255,
-	}
-	for name, want := range cases {
-		info, ok := Lookup(name)
-		if !ok {
-			t.Errorf("Lookup(%q) not found", name)
-			continue
-		}
-		if info.Rune != want {
-			t.Errorf("Lookup(%q).Rune = %d, want %d", name, info.Rune, want)
-		}
-	}
-}
-
-func TestLookupUnknown(t *testing.T) {
-	for _, name := range []string{"bogus", "AMP", "nbsp2", ""} {
-		if _, ok := Lookup(name); ok {
-			t.Errorf("Lookup(%q) unexpectedly found", name)
-		}
-	}
-}
-
 func TestCount(t *testing.T) {
 	// HTML 4.0 defines 252 character entities.
-	if got := Count(); got != 252 {
-		t.Errorf("Count() = %d, want 252 (the HTML 4.0 entity set)", got)
+	if got := len(table); got != 252 {
+		t.Errorf("table has %d entities, want 252 (the HTML 4.0 entity set)", got)
 	}
 }
 
@@ -54,8 +27,19 @@ func TestKnownIn(t *testing.T) {
 			t.Errorf("%s should be known in HTML 4.0", name)
 		}
 	}
-	if KnownIn("bogus", true) {
-		t.Error("bogus entity known")
+	// Names are case-sensitive.
+	for _, name := range []string{"bogus", "AMP", "nbsp2", ""} {
+		if KnownIn(name, true) {
+			t.Errorf("KnownIn(%q) = true", name)
+		}
+	}
+	// Every table entry, written as a reference, scans as one whole
+	// terminated name the checker then knows.
+	for name := range table {
+		refs := scan("&" + name + ";")
+		if len(refs) != 1 || refs[0].Name != name || !refs[0].Terminated || !KnownIn(refs[0].Name, true) {
+			t.Errorf("&%s; scans as %+v", name, refs)
+		}
 	}
 }
 
@@ -72,8 +56,15 @@ func TestVersionSplit(t *testing.T) {
 	}
 }
 
+// scan collects the references ScanFunc streams.
+func scan(text string) []Ref {
+	var refs []Ref
+	ScanFunc(text, func(r Ref) { refs = append(refs, r) })
+	return refs
+}
+
 func TestScanTerminated(t *testing.T) {
-	refs := Scan("a &amp; b &copy; c")
+	refs := scan("a &amp; b &copy; c")
 	if len(refs) != 2 {
 		t.Fatalf("got %d refs, want 2: %+v", len(refs), refs)
 	}
@@ -86,14 +77,14 @@ func TestScanTerminated(t *testing.T) {
 }
 
 func TestScanUnterminated(t *testing.T) {
-	refs := Scan("fish &amp chips")
+	refs := scan("fish &amp chips")
 	if len(refs) != 1 || refs[0].Name != "amp" || refs[0].Terminated {
 		t.Fatalf("refs = %+v", refs)
 	}
 }
 
 func TestScanNumeric(t *testing.T) {
-	refs := Scan("&#160; &#xA0; &#999")
+	refs := scan("&#160; &#xA0; &#999")
 	if len(refs) != 3 {
 		t.Fatalf("got %d refs: %+v", len(refs), refs)
 	}
@@ -109,7 +100,7 @@ func TestScanNumeric(t *testing.T) {
 }
 
 func TestScanBareAmpersand(t *testing.T) {
-	refs := Scan("AT&T and K&R & so on")
+	refs := scan("AT&T and K&R & so on")
 	bare := 0
 	for _, r := range refs {
 		if r.Name == "" && !r.Numeric {
@@ -124,129 +115,36 @@ func TestScanBareAmpersand(t *testing.T) {
 
 func TestScanOffsets(t *testing.T) {
 	text := "xx &lt; yy &gt;"
-	for _, r := range Scan(text) {
+	for _, r := range scan(text) {
 		if text[r.Offset] != '&' {
 			t.Errorf("offset %d does not point at '&'", r.Offset)
 		}
 	}
 }
 
-func TestDecode(t *testing.T) {
-	cases := map[string]string{
-		"&lt;b&gt;":        "<b>",
-		"&amp;amp;":        "&amp;", // only one level of decoding
-		"caf&eacute;":      "café",
-		"&#65;&#x42;":      "AB",
-		"&unknown; stays":  "&unknown; stays",
-		"&amp no semi":     "&amp no semi",
-		"plain text":       "plain text",
-		"&copy; 1998":      "© 1998",
-		"&#xZZ; malformed": "&#xZZ; malformed",
-	}
-	for in, want := range cases {
-		if got := Decode(in); got != want {
-			t.Errorf("Decode(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
-func TestEncode(t *testing.T) {
-	if got := Encode(`a < b & c > d`); got != "a &lt; b &amp; c &gt; d" {
-		t.Errorf("Encode = %q", got)
-	}
-}
-
-// TestEncodeDecodeRoundTrip is a property test: decoding an encoded
-// string always returns the original.
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	f := func(s string) bool {
-		return Decode(Encode(s)) == s
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestScanNeverPanics fuzzes Scan with arbitrary strings.
+// TestScanNeverPanics quick-checks ScanFunc over arbitrary strings,
+// after hand-picked edge shapes (trailing '&', runs of '&&', digits
+// after '&#', case-mixed names): every reference it reports points at
+// an '&' of the text.
 func TestScanNeverPanics(t *testing.T) {
 	f := func(s string) bool {
-		refs := Scan(s)
-		for _, r := range refs {
+		for _, r := range scan(s) {
 			if r.Offset < 0 || r.Offset >= len(s) || s[r.Offset] != '&' {
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestAllEntitiesDecode checks every table entry decodes through the
-// full pipeline.
-func TestAllEntitiesDecode(t *testing.T) {
-	for name, info := range table {
-		in := "&" + name + ";"
-		got := Decode(in)
-		if got != string(info.Rune) {
-			t.Errorf("Decode(%q) = %q, want %q", in, got, string(info.Rune))
-		}
-	}
-}
-
-func TestDecodeMixedContent(t *testing.T) {
-	in := "x &lt;tag&gt; y &amp; z &copy;"
-	want := "x <tag> y & z ©"
-	if got := Decode(in); got != want {
-		t.Errorf("Decode(%q) = %q, want %q", in, got, want)
-	}
-}
-
-func TestDecodeNumericEdge(t *testing.T) {
-	if got := Decode("&#0;"); got != "&#0;" {
-		// NUL is technically a valid rune; current policy keeps it
-		// undecoded is fine either way — pin the behaviour.
-		if got != "\x00" {
-			t.Errorf("Decode(&#0;) = %q", got)
-		}
-	}
-	if got := Decode("&#1114112;"); strings.ContainsRune(got, 0xFFFD) {
-		t.Errorf("out-of-range rune decoded: %q", got)
-	}
-}
-
-// TestScanFuncMatchesScan proves the streaming ScanFunc visits exactly
-// the refs the allocating Scan collects, in order, over adversarial
-// inputs — quick-checked so edge shapes (trailing '&', runs of '&&',
-// digits after '&#', case-mixed names) are covered without hand
-// enumeration.
-func TestScanFuncMatchesScan(t *testing.T) {
-	same := func(s string) bool {
-		var streamed []Ref
-		ScanFunc(s, func(r Ref) { streamed = append(streamed, r) })
-		collected := Scan(s)
-		if len(streamed) != len(collected) {
-			return false
-		}
-		for i := range streamed {
-			if streamed[i] != collected[i] {
-				return false
-			}
-		}
-		return true
-	}
-	// Hand-picked edge shapes first.
 	for _, s := range []string{
 		"", "&", "&&", "&;", "&amp;", "&amp", "&#65;", "&#x41;", "&#x41",
 		"&#;", "&#", "a & b &lt; c", "&bogus;&bogus;", "tail&",
 		"&amp;&#38;&#x26;&", "\n&\n&amp\n", strings.Repeat("&", 64),
 	} {
-		if !same(s) {
-			t.Errorf("ScanFunc and Scan disagree on %q", s)
+		if !f(s) {
+			t.Errorf("ScanFunc misplaces a reference in %q: %+v", s, scan(s))
 		}
 	}
-	if err := quick.Check(func(s string) bool { return same(s) }, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
 	}
 }

@@ -1,8 +1,10 @@
 // Package fetch provides the shared hardened HTTP fetch client used
 // by every surface that retrieves documents from the network: the
-// gateway's check-by-URL form, the poacher robot, the remote link
-// checker, and lint.ReadURL (the library's, the batch engine's and the
-// CLI's -u intake). It exists because a bare http.Get in a long-lived
+// gateway's check-by-URL form and lint.ReadURL (the library's, the
+// batch engine's and the CLI's -u intake) call Fetch; the poacher
+// robot and the remote link checker send their requests with Do, and
+// the robot reads a page's body with ReadBody. No other code builds an
+// outbound request. It exists because a bare http.Get in a long-lived
 // service is a liability: no connect timeout, no total budget,
 // unlimited redirects, unbounded response bodies, and a willingness to
 // fetch link-local metadata endpoints on behalf of whoever submitted
@@ -14,6 +16,7 @@
 //   - a redirect cap;
 //   - a response-size limit (exceeding it is an error, never a silent
 //     truncation);
+//   - the User-Agent every request carries;
 //   - a private/loopback/link-local address guard, applied at dial
 //     time against the resolved connect address — so DNS rebinding and
 //     redirects cannot smuggle a request past it. Surfaces that check
@@ -143,14 +146,40 @@ func isPublic(ip net.IP) bool {
 		ip.IsUnspecified())
 }
 
-// HTTPClient returns the underlying hardened *http.Client — every
-// limit except MaxBody applies to requests made through it. Callers
-// owning their own body handling (HEAD probes, streaming) use this;
-// everything else should prefer Fetch.
-func (c *Client) HTTPClient() *http.Client { return c.http }
-
 // MaxBody returns the configured response-size cap.
 func (c *Client) MaxBody() int64 { return c.opts.MaxBody }
+
+// Do sends a method request for url, carrying the client's
+// User-Agent, through the hardened transport, and returns the response
+// with its body unread; the caller closes it. Every limit but MaxBody
+// applies: ReadBody enforces that one for a caller that wants the body
+// whole. Transport errors come back unwrapped, as http.Client.Do
+// returns them, and a non-2xx status is not an error.
+func (c *Client) Do(ctx context.Context, method, url string) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, url, nil)
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("User-Agent", c.opts.UserAgent)
+	return c.http.Do(req)
+}
+
+// ReadBody reads the body of a response Do returned into buf. A body
+// longer than MaxBody fails with an error wrapping ErrBodyTooLarge: it
+// is never truncated. The caller still closes the body.
+func (c *Client) ReadBody(resp *http.Response, buf *bytes.Buffer) error {
+	// Read one byte past the cap: hitting it means the document is
+	// over the limit, and linting a silently truncated prefix would
+	// report findings for a document nobody submitted.
+	n, err := buf.ReadFrom(io.LimitReader(resp.Body, c.opts.MaxBody+1))
+	if err != nil {
+		return err
+	}
+	if n > c.opts.MaxBody {
+		return fmt.Errorf("%w (limit %d bytes)", ErrBodyTooLarge, c.opts.MaxBody)
+	}
+	return nil
+}
 
 // Result describes a completed fetch.
 type Result struct {
@@ -164,20 +193,16 @@ type Result struct {
 }
 
 // Fetch retrieves url into buf, enforcing every configured limit, and
-// reports the response status. Transport failures, blocked dials,
-// redirect-cap and body-size violations return errors; a non-2xx
-// status is not an error — the caller decides what statuses mean.
-// The injection point "fetch.get" fires before the request is made.
+// reports the response status: Do with GET, then ReadBody. Transport
+// failures, blocked dials, redirect-cap and body-size violations
+// return errors; a non-2xx status is not an error — the caller decides
+// what statuses mean. The injection point "fetch.get" fires before the
+// request is made.
 func (c *Client) Fetch(ctx context.Context, url string, buf *bytes.Buffer) (Result, error) {
 	if err := faultinject.FireCtx(ctx, "fetch.get"); err != nil {
 		return Result{}, fmt.Errorf("retrieving %s: %w", url, err)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return Result{}, fmt.Errorf("retrieving %s: %w", url, err)
-	}
-	req.Header.Set("User-Agent", c.opts.UserAgent)
-	resp, err := c.http.Do(req)
+	resp, err := c.Do(ctx, http.MethodGet, url)
 	if err != nil {
 		return Result{}, fmt.Errorf("retrieving %s: %w", url, err)
 	}
@@ -188,15 +213,8 @@ func (c *Client) Fetch(ctx context.Context, url string, buf *bytes.Buffer) (Resu
 		ContentType: resp.Header.Get("Content-Type"),
 		FinalURL:    resp.Request.URL.String(),
 	}
-	// Read one byte past the cap: hitting it means the document is
-	// over the limit, and linting a silently truncated prefix would
-	// report findings for a document nobody submitted.
-	n, err := buf.ReadFrom(io.LimitReader(resp.Body, c.opts.MaxBody+1))
-	if err != nil {
+	if err := c.ReadBody(resp, buf); err != nil {
 		return res, fmt.Errorf("retrieving %s: %w", url, err)
-	}
-	if n > c.opts.MaxBody {
-		return res, fmt.Errorf("retrieving %s: %w (limit %d bytes)", url, ErrBodyTooLarge, c.opts.MaxBody)
 	}
 	return res, nil
 }

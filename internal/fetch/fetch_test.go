@@ -191,10 +191,39 @@ func parseIP(t *testing.T, s string) net.IP {
 
 func TestClientAccessors(t *testing.T) {
 	c := New(Options{MaxBody: 1234})
-	if c.HTTPClient() == nil {
-		t.Fatal("HTTPClient() = nil")
-	}
 	if c.MaxBody() != 1234 {
 		t.Fatalf("MaxBody() = %d, want 1234", c.MaxBody())
+	}
+}
+
+// TestDoSendsMethodAndUserAgent: Do sends the caller's method with the
+// client's User-Agent and hands back the body unread, for ReadBody to
+// read under the cap.
+func TestDoSendsMethodAndUserAgent(t *testing.T) {
+	var method, agent string
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		method, agent = r.Method, r.UserAgent()
+		fmt.Fprint(w, "0123456789")
+	}))
+	defer srv.Close()
+
+	c := testClient(Options{UserAgent: "probe/1.0", MaxBody: 9})
+	resp, err := c.Do(context.Background(), http.MethodHead, srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if method != http.MethodHead || agent != "probe/1.0" {
+		t.Errorf("origin saw %s with User-Agent %q, want HEAD with probe/1.0", method, agent)
+	}
+
+	resp, err = c.Do(context.Background(), http.MethodGet, srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if err := c.ReadBody(resp, &buf); !errors.Is(err, ErrBodyTooLarge) {
+		t.Errorf("ReadBody of a 10-byte body under a 9-byte cap: err = %v, want ErrBodyTooLarge", err)
 	}
 }

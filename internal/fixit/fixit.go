@@ -75,17 +75,8 @@ func Apply(src string, msgs []warn.Message) (string, Report) {
 			continue
 		}
 		out := Outcome{ID: m.ID, Line: m.Line, Label: m.Fix.Label}
-		switch {
-		case !validEdits(m.Fix.Edits, len(src)):
-			out.Reason = "invalid edit span"
-		case accepted.conflictsAny(m.Fix.Edits):
-			out.Reason = "conflicts with an earlier fix"
-		default:
-			out.Applied = true
-			for _, e := range m.Fix.Edits {
-				accepted.insert(e)
-			}
-		}
+		out.Reason = accepted.accept(m.Fix.Edits, len(src))
+		out.Applied = out.Reason == ""
 		if out.Applied {
 			rep.Applied++
 		} else {
@@ -97,6 +88,25 @@ func Apply(src string, msgs []warn.Message) (string, Report) {
 		return src, rep
 	}
 	return applyEdits(src, accepted.edits), rep
+}
+
+// ApplyAt rewrites src with fixes whose edit offsets address a larger
+// document in which src starts at offset base, by Apply's rules: in
+// order, each fix is applied whole or skipped. The result never
+// aliases src. The checker uses it to build the text a META
+// relocation inserts: the tag's text with its findings' in-tag fixes
+// applied, byte-identical to applying those fixes in place.
+func ApplyAt(src string, base int, fixes []*warn.Fix) string {
+	var accepted editSet
+	var shifted []warn.Edit
+	for _, f := range fixes {
+		shifted = shifted[:0]
+		for _, e := range f.Edits {
+			shifted = append(shifted, warn.Edit{Start: e.Start - base, End: e.End - base, Text: e.Text})
+		}
+		accepted.accept(shifted, len(src))
+	}
+	return applyEdits(src, accepted.edits)
 }
 
 // validEdits reports whether every edit is in bounds and no two edits
@@ -141,6 +151,22 @@ func (s *editSet) insertPos(e warn.Edit) int {
 		}
 		return zero && f.Start != f.End
 	})
+}
+
+// accept adds one fix's edits to the set when they are valid for an
+// n-byte document and overlap no accepted edit; otherwise it leaves
+// the set as it was and returns the reason the fix was skipped.
+func (s *editSet) accept(edits []warn.Edit, n int) string {
+	switch {
+	case !validEdits(edits, n):
+		return "invalid edit span"
+	case s.conflictsAny(edits):
+		return "conflicts with an earlier fix"
+	}
+	for _, e := range edits {
+		s.insert(e)
+	}
+	return ""
 }
 
 // conflictsAny reports whether any edit overlaps an accepted edit.

@@ -1,8 +1,10 @@
 // Package linkcheck implements hyperlink extraction and validation:
 // the "broken link" class of checks from the paper's Sections 3.5 and
 // 4.5. Local links are resolved against the filesystem; remote links
-// are validated by sending a HEAD request and reporting URLs which
-// result in failure response codes, with redirects followed.
+// are validated by CheckOne and CheckAll, which send a HEAD request
+// (a GET when the server rejects HEAD) through one hardened
+// fetch.Client carrying poacher's User-Agent, follow redirects, and
+// report URLs which result in failure response codes.
 package linkcheck
 
 import (

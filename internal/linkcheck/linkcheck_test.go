@@ -1,9 +1,13 @@
 package linkcheck
 
 import (
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
+
+	"weblint/internal/fetch"
 )
 
 func TestExtract(t *testing.T) {
@@ -120,9 +124,7 @@ func newTestServer() *httptest.Server {
 func TestCheckOneOK(t *testing.T) {
 	srv := newTestServer()
 	defer srv.Close()
-	c := &Checker{Client: srv.Client()}
-
-	res := c.CheckOne(srv.URL + "/ok")
+	res := CheckOne(srv.URL + "/ok")
 	if !res.OK || res.Status != 200 || res.Err != nil {
 		t.Errorf("result = %+v", res)
 	}
@@ -131,9 +133,7 @@ func TestCheckOneOK(t *testing.T) {
 func TestCheckOne404(t *testing.T) {
 	srv := newTestServer()
 	defer srv.Close()
-	c := &Checker{Client: srv.Client()}
-
-	res := c.CheckOne(srv.URL + "/gone")
+	res := CheckOne(srv.URL + "/gone")
 	if res.OK || res.Status != 404 {
 		t.Errorf("result = %+v", res)
 	}
@@ -142,9 +142,7 @@ func TestCheckOne404(t *testing.T) {
 func TestCheckOneRedirect(t *testing.T) {
 	srv := newTestServer()
 	defer srv.Close()
-	c := &Checker{Client: srv.Client()}
-
-	res := c.CheckOne(srv.URL + "/moved")
+	res := CheckOne(srv.URL + "/moved")
 	if !res.OK {
 		t.Errorf("result = %+v", res)
 	}
@@ -153,20 +151,41 @@ func TestCheckOneRedirect(t *testing.T) {
 	}
 }
 
+// TestCheckOneRedirectLoop: a link that redirects to itself is
+// reported with fetch's redirect-cap error once 10 requests have been
+// sent, the 10th redirect refused. The error text, which names the
+// refused target, is what poacher prints after "broken external link:".
+func TestCheckOneRedirectLoop(t *testing.T) {
+	var hits atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		http.Redirect(w, r, "/loop", http.StatusFound)
+	}))
+	defer srv.Close()
+	url := srv.URL + "/loop"
+	res := CheckOne(url)
+	if !errors.Is(res.Err, fetch.ErrTooManyRedirects) || res.OK {
+		t.Fatalf("result = %+v, want the redirect-cap error", res)
+	}
+	if want := url + `: error: Head "/loop": too many redirects`; res.String() != want {
+		t.Errorf("String() = %q, want %q", res.String(), want)
+	}
+	if n := hits.Load(); n != 10 {
+		t.Errorf("server saw %d requests, want 10", n)
+	}
+}
+
 func TestCheckOneHeadFallback(t *testing.T) {
 	srv := newTestServer()
 	defer srv.Close()
-	c := &Checker{Client: srv.Client()}
-
-	res := c.CheckOne(srv.URL + "/no-head")
+	res := CheckOne(srv.URL + "/no-head")
 	if !res.OK || res.Status != 200 {
 		t.Errorf("HEAD-rejecting server not retried with GET: %+v", res)
 	}
 }
 
 func TestCheckOneTransportError(t *testing.T) {
-	c := &Checker{}
-	res := c.CheckOne("http://127.0.0.1:1/unreachable")
+	res := CheckOne("http://127.0.0.1:1/unreachable")
 	if res.Err == nil || res.OK {
 		t.Errorf("result = %+v", res)
 	}
@@ -175,8 +194,6 @@ func TestCheckOneTransportError(t *testing.T) {
 func TestCheckAll(t *testing.T) {
 	srv := newTestServer()
 	defer srv.Close()
-	c := &Checker{Client: srv.Client()}
-
 	urls := []string{
 		srv.URL + "/ok",
 		srv.URL + "/gone",
@@ -184,7 +201,7 @@ func TestCheckAll(t *testing.T) {
 		srv.URL + "/server-error",
 		srv.URL + "/ok", // duplicate: checked once
 	}
-	results := c.CheckAll(urls)
+	results := CheckAll(urls)
 	if len(results) != 4 {
 		t.Fatalf("got %d results, want 4 (dedup)", len(results))
 	}

@@ -1,6 +1,7 @@
 package linkcheck
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"sort"
@@ -10,17 +11,24 @@ import (
 	"weblint/internal/fetch"
 )
 
-// defaultClient is the shared hardened default: connect + total
-// timeouts and the documented 10-redirect cap. Private targets stay
-// reachable — link checking runs against URLs the operator's own
+// UserAgent identifies poacher, weblint's site-checking robot, in
+// every request it sends: the link checker's probes here and the
+// robot's page and robots.txt fetches, whose robots.txt group matching
+// reads it too.
+const UserAgent = "poacher/2.0"
+
+// client is the link checker's hardened fetcher, with the values its
+// one caller, poacher, runs it with: a 10-second budget, the
+// documented 10-redirect cap and poacher's identity. Private targets
+// stay reachable — link checking runs against URLs the operator's own
 // pages reference, intranet targets included.
-var defaultClient = sync.OnceValue(func() *http.Client {
+var client = sync.OnceValue(func() *fetch.Client {
 	return fetch.New(fetch.Options{
-		Timeout:      15 * time.Second,
+		Timeout:      10 * time.Second,
 		MaxRedirects: 10,
 		AllowPrivate: true,
-		UserAgent:    "weblint-linkcheck",
-	}).HTTPClient()
+		UserAgent:    UserAgent,
+	})
 })
 
 // Result is the outcome of validating one remote URL.
@@ -54,47 +62,15 @@ func (r Result) String() string {
 	}
 }
 
-// Checker validates remote links. The zero value is usable; fields
-// customise behaviour.
-type Checker struct {
-	// Client is the HTTP client; nil means a 15-second-timeout
-	// client following up to 10 redirects.
-	Client *http.Client
-	// UserAgent is sent with requests (default "weblint-linkcheck").
-	UserAgent string
-}
-
-func (c *Checker) client() *http.Client {
-	if c.Client != nil {
-		return c.Client
-	}
-	return defaultClient()
-}
-
 // CheckOne validates a single URL: a HEAD request, retried as GET when
 // the server rejects HEAD (405 or 501, a common server limitation).
-func (c *Checker) CheckOne(url string) Result {
+func CheckOne(url string) Result {
 	res := Result{URL: url}
-	client := c.client()
-
-	do := func(method string) (*http.Response, error) {
-		req, err := http.NewRequest(method, url, nil)
-		if err != nil {
-			return nil, err
-		}
-		ua := c.UserAgent
-		if ua == "" {
-			ua = "weblint-linkcheck"
-		}
-		req.Header.Set("User-Agent", ua)
-		return client.Do(req)
-	}
-
-	resp, err := do(http.MethodHead)
+	resp, err := client().Do(context.TODO(), http.MethodHead, url)
 	if err == nil && (resp.StatusCode == http.StatusMethodNotAllowed ||
 		resp.StatusCode == http.StatusNotImplemented) {
 		resp.Body.Close()
-		resp, err = do(http.MethodGet)
+		resp, err = client().Do(context.TODO(), http.MethodGet, url)
 	}
 	if err != nil {
 		res.Err = err
@@ -116,7 +92,7 @@ const checkAllConcurrency = 8
 // CheckAll validates a set of URLs concurrently, at most
 // checkAllConcurrency at a time, and returns results keyed by URL.
 // Duplicate URLs are checked once.
-func (c *Checker) CheckAll(urls []string) map[string]Result {
+func CheckAll(urls []string) map[string]Result {
 	unique := map[string]bool{}
 	var order []string
 	for _, u := range urls {
@@ -137,7 +113,7 @@ func (c *Checker) CheckAll(urls []string) map[string]Result {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			r := c.CheckOne(u)
+			r := CheckOne(u)
 			mu.Lock()
 			out[u] = r
 			mu.Unlock()

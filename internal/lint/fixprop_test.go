@@ -166,6 +166,33 @@ func TestFixIdempotencyTricky(t *testing.T) {
 		"odd-quotes-then-del":  "<A\"0000\n>\n></TITLE\n>\n\">0",
 		"quoted-garbage-value": "<A\"=> &0\">",
 		"unterminated-quote":   "<FORM\"=\">",
+		// A repeat deleted after a stray slash must take the slash
+		// along, or the slash ends the tag and gets a fix of its own.
+		"slash-then-repeat":        `<A ALIGN=""/ ALIGN>`,
+		"slash-then-repeat-xhtml":  `<A ALIGN=""/ ALIGN //>`,
+		"repeated-stray-slash":     `<A ALIGN / / ALIGN>`,
+		"slash-then-repeat-insert": `<HTML><HEAD><TITLE>t</TITLE></HEAD><BODY><IMG SRC="a" / SRC></BODY></HTML>`,
+		"slash-after-bare-value":   `<A NAME=b/ / NAME>`,
+		"strays-around-repeats":    `<A NAME / NAME / NAME>`,
+		"slash-ended-name":         `<A NAME X/ NAME>`,
+		// An empty value before the trailing slash: the slash fix and
+		// the inserted quotes and attributes meet at the slash.
+		"empty-value-then-slash":   `<A NAME=  />`,
+		"empty-value-slash-insert": `<HTML><HEAD><TITLE>t</TITLE></HEAD><BODY><IMG SRC= /></BODY></HTML>`,
+		"repeat-empty-value-slash": `<A NAME=""/ NAME= />`,
+		// An unquoted value reaching into the trailing slashes keeps
+		// them: the slash fix removes only what follows the value,
+		// and the value's quoting fix (none in a garbled tag) keeps
+		// the rest from ending the tag.
+		"slash-value-then-slash":    `<A NAME=//>`,
+		"spaced-slash-value":        `<A NAME= // />`,
+		"slash-value-insert":        `<HTML><HEAD><TITLE>t</TITLE></HEAD><BODY><IMG SRC=/// /></BODY></HTML>`,
+		"repeat-slash-value-slash":  `<A NAME=1 / NAME=//>`,
+		"garbled-lone-slash-value":  `<A B""C NAME=//>`,
+		"garbled-slash-value":       `<A B""C NAME= //>`,
+		"slashes-ending-bare-value": `<A NAME=a//>`,
+		"slash-ended-bare-value":    `<A NAME=a/ />`,
+		"slashes-ending-bare-name":  `<A X//>`,
 	}
 	l := MustNew(Options{})
 	for name, src := range docs {

@@ -2,10 +2,15 @@
 // weblint's site-checking robot (the paper's WWW::Robot substitute):
 // a URL frontier with per-host politeness, the robots exclusion
 // protocol, bounded depth and page count, and a visitor callback which
-// receives each fetched page.
+// receives each fetched page. Every request goes through one hardened
+// fetch.Client (Do, then ReadBody for an HTML page's body) and
+// identifies itself as poacher (linkcheck.UserAgent), the name its
+// robots.txt group matching reads too.
 package robot
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -21,16 +26,16 @@ import (
 	"weblint/internal/linkcheck"
 )
 
-// defaultClient is the shared hardened default: connect + total
-// timeouts and a redirect cap in one place. Private targets stay
-// reachable — a robot is pointed at the operator's own site, often a
-// local or intranet server.
-var defaultClient = sync.OnceValue(func() *http.Client {
+// client is the robot's hardened fetcher: connect and total timeouts,
+// a redirect cap and the 4 MiB page-body cap in one place. Private
+// targets stay reachable — a robot is pointed at the operator's own
+// site, often a local or intranet server.
+var client = sync.OnceValue(func() *fetch.Client {
 	return fetch.New(fetch.Options{
 		Timeout:      15 * time.Second,
 		AllowPrivate: true,
-		UserAgent:    "poacher/2.0",
-	}).HTTPClient()
+		UserAgent:    linkcheck.UserAgent,
+	})
 })
 
 // Page is one fetched document delivered to the visitor.
@@ -48,7 +53,7 @@ type Page struct {
 	// Links are the outbound links extracted from the body.
 	Links []linkcheck.Link
 	// Err is set when the fetch failed at the transport level, or when
-	// the page is longer than the robot reads (wrapping
+	// an HTML page is longer than the fetch client's body cap (wrapping
 	// fetch.ErrBodyTooLarge).
 	Err error
 }
@@ -64,10 +69,6 @@ func (p *Page) IsHTML() bool {
 // Robot crawls a web site, following links only within the start
 // URL's host. The zero value is usable; fields customise behaviour.
 type Robot struct {
-	// Client is the HTTP client (nil: 15-second timeout).
-	Client *http.Client
-	// UserAgent identifies the robot (default "poacher/2.0").
-	UserAgent string
 	// MaxPages bounds the number of pages fetched (default 500).
 	MaxPages int
 	// MaxDepth bounds traversal depth (default 16).
@@ -89,20 +90,6 @@ type Robot struct {
 // NewRobot returns a Robot with the defaults used by poacher.
 func NewRobot() *Robot {
 	return &Robot{}
-}
-
-func (r *Robot) client() *http.Client {
-	if r.Client != nil {
-		return r.Client
-	}
-	return defaultClient()
-}
-
-func (r *Robot) userAgent() string {
-	if r.UserAgent != "" {
-		return r.UserAgent
-	}
-	return "poacher/2.0"
 }
 
 // Crawl traverses the site breadth-first from start, invoking visit
@@ -149,7 +136,7 @@ func (r *Robot) CrawlWhile(start string, visit func(Page) bool) (int, error) {
 		prefetch = 1
 	}
 
-	policy := r.fetchRobotsTxt(base)
+	policy := fetchRobotsTxt(base)
 
 	type item struct {
 		u     *url.URL
@@ -234,19 +221,12 @@ func (r *Robot) CrawlWhile(start string, visit func(Page) bool) (int, error) {
 	return fetched, nil
 }
 
-// maxPageBytes is the longest page the robot reads.
-const maxPageBytes = 4 << 20
-
-// fetch retrieves one page and extracts its links when it is HTML.
+// fetch retrieves one page and, when it is HTML, reads its body under
+// the fetch client's cap and extracts its links. The crawl's signature
+// carries no context, so requests run under the client's own timeout.
 func (r *Robot) fetch(u *url.URL, depth int) Page {
 	page := Page{URL: u.String(), Depth: depth}
-	req, err := http.NewRequest(http.MethodGet, u.String(), nil)
-	if err != nil {
-		page.Err = err
-		return page
-	}
-	req.Header.Set("User-Agent", r.userAgent())
-	resp, err := r.client().Do(req)
+	resp, err := client().Do(context.TODO(), http.MethodGet, page.URL)
 	if err != nil {
 		page.Err = err
 		return page
@@ -257,37 +237,25 @@ func (r *Robot) fetch(u *url.URL, depth int) Page {
 	if !page.IsHTML() {
 		return page
 	}
-	// Read one byte past the cap: reaching it proves the page is over
-	// the limit, where a cap-sized read would lint a truncated page and
-	// lose the links in its tail.
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxPageBytes+1))
-	if err != nil {
-		page.Err = err
-		return page
-	}
-	if len(body) > maxPageBytes {
-		page.Err = fmt.Errorf("retrieving %s: %w (limit %d bytes)", page.URL, fetch.ErrBodyTooLarge, maxPageBytes)
+	var body bytes.Buffer
+	if err := client().ReadBody(resp, &body); err != nil {
+		page.Err = fmt.Errorf("retrieving %s: %w", page.URL, err)
 		return page
 	}
 	// The freshly read buffer is never written again: view it as a
 	// string instead of copying all 4 MB-worth of page once more.
-	page.Body = bytestr.String(body)
+	page.Body = bytestr.String(body.Bytes())
 	page.Links = linkcheck.Extract(page.Body)
 	return page
 }
 
 // fetchRobotsTxt retrieves and parses the host's robots.txt; a missing
 // or unreadable file yields a permit-everything policy.
-func (r *Robot) fetchRobotsTxt(base *url.URL) *RobotsPolicy {
+func fetchRobotsTxt(base *url.URL) *RobotsPolicy {
 	u := *base
 	u.Path = "/robots.txt"
 	u.RawQuery = ""
-	req, err := http.NewRequest(http.MethodGet, u.String(), nil)
-	if err != nil {
-		return &RobotsPolicy{}
-	}
-	req.Header.Set("User-Agent", r.userAgent())
-	resp, err := r.client().Do(req)
+	resp, err := client().Do(context.TODO(), http.MethodGet, u.String())
 	if err != nil {
 		return &RobotsPolicy{}
 	}
@@ -295,11 +263,14 @@ func (r *Robot) fetchRobotsTxt(base *url.URL) *RobotsPolicy {
 	if resp.StatusCode != http.StatusOK {
 		return &RobotsPolicy{}
 	}
+	// RFC 9309 §2.5 lets a crawler parse only a prefix of a long
+	// robots.txt, so the first 1 MiB is read here, not through
+	// ReadBody: its over-cap error would permit everything.
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	if err != nil {
 		return &RobotsPolicy{}
 	}
-	return ParseRobotsTxt(string(body), r.userAgent())
+	return ParseRobotsTxt(string(body), linkcheck.UserAgent)
 }
 
 // canonical returns a canonical key for visited-set membership.

@@ -132,7 +132,6 @@ func TestE9RobotCrawl(t *testing.T) {
 	defer srv.Close()
 
 	r := NewRobot()
-	r.Client = srv.Client()
 	stats := NewCrawlStats()
 	notFound := 0
 	fetched, err := r.Crawl(srv.URL+"/", func(p Page) {
@@ -170,7 +169,6 @@ func TestRobotHonorsRobotsTxt(t *testing.T) {
 	defer srv.Close()
 
 	r := NewRobot()
-	r.Client = srv.Client()
 	var visited []string
 	_, err := r.Crawl(srv.URL+"/", func(p Page) { visited = append(visited, p.URL) })
 	if err != nil {
@@ -192,7 +190,6 @@ func TestRobotMaxPages(t *testing.T) {
 	defer srv.Close()
 
 	r := NewRobot()
-	r.Client = srv.Client()
 	r.MaxPages = 5
 	fetched, err := r.Crawl(srv.URL+"/", func(Page) {})
 	if err != nil {
@@ -215,7 +212,6 @@ func TestRobotMaxDepth(t *testing.T) {
 	defer srv.Close()
 
 	r := NewRobot()
-	r.Client = srv.Client()
 	r.MaxDepth = 3
 	fetched, err := r.Crawl(srv.URL+"/", func(Page) {})
 	if err != nil {
@@ -236,7 +232,6 @@ func TestRobotStaysOnHost(t *testing.T) {
 	defer srv.Close()
 
 	r := NewRobot()
-	r.Client = srv.Client()
 	fetched, err := r.Crawl(srv.URL+"/", func(Page) {})
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +249,6 @@ func TestRobotSkipsNonHTML(t *testing.T) {
 	defer srv.Close()
 
 	r := NewRobot()
-	r.Client = srv.Client()
 	var blob *Page
 	_, err := r.Crawl(srv.URL+"/", func(p Page) {
 		if strings.HasSuffix(p.URL, "data.bin") {
@@ -273,11 +267,12 @@ func TestRobotSkipsNonHTML(t *testing.T) {
 	}
 }
 
-// TestRobotRefusesOversizePage: a page at the size cap is read in
-// full, links in its tail included; one byte more fails with
-// fetch.ErrBodyTooLarge instead of delivering a truncated page.
+// TestRobotRefusesOversizePage: a page at the fetch client's body cap
+// is read in full, links in its tail included; one byte more fails
+// with fetch.ErrBodyTooLarge instead of delivering a truncated page.
 func TestRobotRefusesOversizePage(t *testing.T) {
 	const tail = `<A HREF="/tail.html">tail</A></BODY></HTML>`
+	maxPageBytes := int(client().MaxBody())
 	for _, size := range []int{maxPageBytes, maxPageBytes + 1} {
 		pages := map[string]string{
 			"index.html": "<HTML><BODY>" + strings.Repeat("a", size-len("<HTML><BODY>")-len(tail)) + tail,
@@ -285,7 +280,6 @@ func TestRobotRefusesOversizePage(t *testing.T) {
 		}
 		srv := siteServer(t, pages, "")
 		r := NewRobot()
-		r.Client = srv.Client()
 		var got []Page
 		_, err := r.Crawl(srv.URL+"/", func(p Page) { got = append(got, p) })
 		srv.Close()
@@ -319,7 +313,6 @@ func TestRobotDedupliatesURLs(t *testing.T) {
 	defer srv.Close()
 
 	r := NewRobot()
-	r.Client = srv.Client()
 	fetched, err := r.Crawl(srv.URL+"/", func(Page) {})
 	if err != nil {
 		t.Fatal(err)
@@ -339,7 +332,6 @@ func TestRobotPolitenessDelay(t *testing.T) {
 	defer srv.Close()
 
 	r := NewRobot()
-	r.Client = srv.Client()
 	r.Delay = 40 * time.Millisecond
 
 	start := time.Now()
@@ -379,7 +371,6 @@ func TestPrefetchOrderEquivalence(t *testing.T) {
 
 	crawl := func(prefetch int) []string {
 		r := NewRobot()
-		r.Client = srv.Client()
 		r.Prefetch = prefetch
 		var order []string
 		if _, err := r.Crawl(srv.URL+"/", func(p Page) { order = append(order, p.URL) }); err != nil {
@@ -413,7 +404,6 @@ func TestPrefetchMaxPages(t *testing.T) {
 	defer srv.Close()
 
 	r := NewRobot()
-	r.Client = srv.Client()
 	r.MaxPages = 5
 	r.Prefetch = 16
 	visited := 0
