@@ -1,6 +1,11 @@
 // Command poacher is weblint's site-checking robot: it traverses all
 // accessible pages on a site, runs weblint over each, and performs
 // basic link validation, as described in the paper's Section 4.5.
+// The crawl reports every on-site page that fails to load; with
+// -check-external it also probes the off-site http and https links
+// the robot found (robot.Page.OffSite), each distinct URL once and
+// without its fragment, on at most 8 probes at a time. Links with
+// other schemes (mailto:, ftp:) are never probed.
 //
 // Diagnostics — lint findings, broken pages, broken external links —
 // flow through one renderer sink, so the crawl can report as human
@@ -16,9 +21,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"net/http"
 	"os"
-	"sort"
+	"slices"
 
 	"weblint/internal/baseline"
 	"weblint/internal/engine"
@@ -29,6 +35,9 @@ import (
 	"weblint/internal/warn"
 )
 
+// probeWorkers bounds how many -check-external probes run at once.
+const probeWorkers = 8
+
 func main() {
 	os.Exit(run(os.Args[1:]))
 }
@@ -38,8 +47,8 @@ func run(args []string) int {
 	maxPages := fs.Int("max-pages", 200, "maximum pages to fetch")
 	maxDepth := fs.Int("max-depth", 16, "maximum link depth")
 	delay := fs.Duration("delay", 0, "politeness delay between requests")
-	prefetch := fs.Int("prefetch", 4, "pages fetched ahead of the linter (1 disables pipelining)")
-	checkExternal := fs.Bool("check-external", false, "also validate off-site links with HEAD requests")
+	prefetch := fs.Int("prefetch", 4, "fetch workers per crawl level (1 fetches one page at a time)")
+	checkExternal := fs.Bool("check-external", false, "also validate off-site http(s) links with HEAD requests")
 	quiet := fs.Bool("q", false, "only report problems, not progress")
 	short := fs.Bool("s", false, "short messages (same as -format short)")
 	format := fs.String("format", "", "output format: lint, short, terse, verbose, json, sarif")
@@ -131,7 +140,7 @@ func run(args []string) int {
 	r.Prefetch = *prefetch
 
 	stats := robot.NewCrawlStats()
-	external := map[string]bool{}
+	offSite := map[string]bool{}
 	eng := engine.New(linter)
 	var lintErr error // a check that panicked stops the crawl
 
@@ -173,10 +182,8 @@ func run(args []string) int {
 			cancelled = true
 			return false
 		}
-		for _, l := range p.Links {
-			if linkcheck.IsExternal(l.URL) {
-				external[l.URL] = true
-			}
+		for _, u := range p.OffSite {
+			offSite[u] = true
 		}
 		return true
 	})
@@ -188,24 +195,20 @@ func run(args []string) int {
 		return 2
 	}
 
-	if *checkExternal && !cancelled && len(external) > 0 {
-		var urls []string
-		for u := range external {
-			urls = append(urls, u)
-		}
-		sort.Strings(urls)
-		results := linkcheck.CheckAll(urls)
-		for _, u := range urls { // sorted: deterministic stream order
-			if res, ok := results[u]; ok && !res.OK {
-				if !write(warn.Message{
-					ID: "bad-link", Category: warn.Error,
-					File: res.URL, Line: 1,
-					Text: "broken external link: " + res.String(),
-				}) {
-					break
-				}
-			}
-		}
+	if *checkExternal && !cancelled {
+		// Probed in sorted order, each broken link written when its turn
+		// comes: a deterministic stream, and a dead output stops the
+		// probing.
+		urls := slices.Sorted(maps.Keys(offSite))
+		engine.OrderedSlice(probeWorkers, probeWorkers, urls, func(_ int, u string) linkcheck.Result {
+			return linkcheck.CheckOne(u)
+		}, func(_ int, res linkcheck.Result) bool {
+			return res.OK || write(warn.Message{
+				ID: "bad-link", Category: warn.Error,
+				File: res.URL, Line: 1,
+				Text: "broken external link: " + res.String(),
+			})
+		})
 	}
 
 	if err := renderer.Close(); err != nil {

@@ -35,6 +35,23 @@ func capture(t *testing.T, args ...string) (int, string) {
 	return code, buf.String()
 }
 
+// runClosedStdout runs poacher's main loop with stdout a pipe whose
+// reader is gone, so the first flushed write fails.
+func runClosedStdout(t *testing.T, args ...string) int {
+	t.Helper()
+	old := os.Stdout
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = r.Close()
+	os.Stdout = w
+	code := run(args)
+	_ = w.Close()
+	os.Stdout = old
+	return code
+}
+
 func testSite(t *testing.T) *httptest.Server {
 	t.Helper()
 	pages := corpus.GenerateSite(corpus.SiteConfig{
@@ -242,16 +259,7 @@ func TestPoacherStopsOnClosedPipe(t *testing.T) {
 	defer srv.Close()
 	srvURL = srv.URL
 
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = r.Close() // reader gone: the first flushed write fails
-	os.Stdout = w
-	code := run([]string{"-q", "-max-pages", "200", srvURL + "/"})
-	_ = w.Close()
-	os.Stdout = old
+	code := runClosedStdout(t, "-q", "-max-pages", "200", srvURL+"/")
 
 	if code != 2 {
 		t.Errorf("exit = %d, want 2 (write failure is operational)", code)
@@ -322,10 +330,9 @@ func TestPoacherBaselineAndWrite(t *testing.T) {
 
 // TestPoacherRequestsCarryIdentity: every request a crawl with
 // -check-external sends goes through the hardened fetch clients and
-// carries poacher's User-Agent: robots.txt, a page, a linked image,
-// and a link probed by HEAD and retried as GET after a 405. The
-// robots.txt group names poacher, so the robot skips /ext and only the
-// link checker requests it.
+// carries poacher's User-Agent: robots.txt, a page and a linked image
+// on the crawled site, and an off-site link on a second server, probed
+// by HEAD and retried as GET after a 405.
 func TestPoacherRequestsCarryIdentity(t *testing.T) {
 	var mu sync.Mutex
 	var seen []string
@@ -334,11 +341,17 @@ func TestPoacherRequestsCarryIdentity(t *testing.T) {
 		defer mu.Unlock()
 		seen = append(seen, r.Method+" "+r.URL.Path+" "+r.UserAgent())
 	}
-	var srvURL string
+	ext := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		record(r)
+		if r.Method == http.MethodHead {
+			w.WriteHeader(http.StatusMethodNotAllowed)
+		}
+	}))
+	defer ext.Close()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/robots.txt", func(w http.ResponseWriter, r *http.Request) {
 		record(r)
-		fmt.Fprint(w, "User-agent: poacher\nDisallow: /ext\n")
+		fmt.Fprint(w, "User-agent: poacher\nDisallow: /private/\n")
 	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		record(r)
@@ -351,22 +364,15 @@ func TestPoacherRequestsCarryIdentity(t *testing.T) {
 <HTML><HEAD><TITLE>logo</TITLE></HEAD>
 <BODY><P><IMG SRC="logo.gif" ALT="logo" WIDTH="1" HEIGHT="1">
 <A HREF="%s/ext">elsewhere</A></P></BODY></HTML>
-`, srvURL)
+`, ext.URL)
 	})
 	mux.HandleFunc("/logo.gif", func(w http.ResponseWriter, r *http.Request) {
 		record(r)
 		w.Header().Set("Content-Type", "image/gif")
 		fmt.Fprint(w, "GIF89a")
 	})
-	mux.HandleFunc("/ext", func(w http.ResponseWriter, r *http.Request) {
-		record(r)
-		if r.Method == http.MethodHead {
-			w.WriteHeader(http.StatusMethodNotAllowed)
-		}
-	})
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
-	srvURL = srv.URL
 
 	if code, out := capture(t, "-q", "-check-external", srv.URL+"/"); code != 0 {
 		t.Errorf("exit = %d, want 0 (a clean page, every link alive):\n%s", code, out)
@@ -382,5 +388,116 @@ func TestPoacherRequestsCarryIdentity(t *testing.T) {
 	defer mu.Unlock()
 	if !slices.Equal(seen, want) {
 		t.Errorf("requests (method, path, User-Agent):\n%s\nwant:\n%s", strings.Join(seen, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// cleanPage wraps body in a page weblint finds nothing in, so that a
+// crawl writes only what its links cause.
+func cleanPage(body string) string {
+	return `<!DOCTYPE HTML PUBLIC "-//W3C//DTD HTML 4.0//EN">
+<HTML><HEAD><TITLE>links</TITLE></HEAD>
+<BODY><P>` + body + `</P></BODY></HTML>
+`
+}
+
+// TestPoacherProbesOnlyOffSiteLinks: -check-external probes the
+// off-site http(s) links as the robot classifies them, each distinct
+// URL once. A mailto link is not probed; a same-host link is the
+// crawl's, so a disallowed one is never requested and a missing one is
+// reported once, as the crawl's HTTP 404.
+func TestPoacherProbesOnlyOffSiteLinks(t *testing.T) {
+	var probes atomic.Int32
+	ext := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		probes.Add(1)
+		http.NotFound(w, r)
+	}))
+	defer ext.Close()
+	var mu sync.Mutex
+	var onSite []string
+	mux := http.NewServeMux()
+	mux.HandleFunc("/robots.txt", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, "User-agent: poacher\nDisallow: /private/\n")
+	})
+	var srvURL string
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		onSite = append(onSite, r.Method+" "+r.URL.Path)
+		mu.Unlock()
+		if r.URL.Path != "/" {
+			http.NotFound(w, r)
+			return
+		}
+		w.Header().Set("Content-Type", "text/html")
+		fmt.Fprint(w, cleanPage(fmt.Sprintf(`<A HREF="mailto:webmaster@example.org">mail</A>
+<A HREF="%[1]s/private/secret.html">secret</A>
+<A HREF="%[1]s/missing.html">missing</A>
+<A HREF="%[2]s/a.html">a</A>
+<A HREF="%[2]s/b.html#top">b</A>
+<A HREF="%[2]s/c.html">c</A>
+<A HREF="%[2]s/a.html">a again</A>`, srvURL, ext.URL)))
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	srvURL = srv.URL
+
+	code, out := capture(t, "-q", "-check-external", srv.URL+"/")
+	if code != 1 {
+		t.Errorf("exit = %d, want 1 (broken links)", code)
+	}
+	if n := probes.Load(); n != 3 {
+		t.Errorf("%d probes, want 3 (a.html, b.html, c.html once each)", n)
+	}
+	if n := strings.Count(out, "broken external link"); n != 3 {
+		t.Errorf("%d broken external links reported, want 3:\n%s", n, out)
+	}
+	if n := strings.Count(out, "HTTP 404"); n != 1 {
+		t.Errorf("%d HTTP 404 lines, want 1 (the same-host missing page):\n%s", n, out)
+	}
+	if strings.Contains(out, "mailto") {
+		t.Errorf("a mailto link was probed:\n%s", out)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []string{"GET /", "GET /missing.html"}; !slices.Equal(onSite, want) {
+		t.Errorf("requests to the crawled site: %v, want %v (nothing to the disallowed path)", onSite, want)
+	}
+}
+
+// TestPoacherStopsProbingOnClosedPipe: when stdout is gone, the first
+// broken external link's write fails and the probing stops, instead of
+// probing every link nobody will see reported.
+func TestPoacherStopsProbingOnClosedPipe(t *testing.T) {
+	var probes atomic.Int32
+	ext := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		probes.Add(1)
+		http.NotFound(w, r)
+	}))
+	defer ext.Close()
+	var links strings.Builder
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&links, "<A HREF=\"%s/p%02d.html\">p</A>\n", ext.URL, i)
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/" {
+			http.NotFound(w, r)
+			return
+		}
+		w.Header().Set("Content-Type", "text/html")
+		fmt.Fprint(w, cleanPage(links.String()))
+	}))
+	defer srv.Close()
+
+	code := runClosedStdout(t, "-q", "-check-external", srv.URL+"/")
+
+	if code != 2 {
+		t.Errorf("exit = %d, want 2 (write failure is operational)", code)
+	}
+	// The first link, the 8 probes in the window behind it, and one
+	// racing past the window as the output dies.
+	switch n := probes.Load(); {
+	case n == 0:
+		t.Error("nothing probed: the crawl wrote before the probes began")
+	case n > 10:
+		t.Errorf("%d of 40 links probed after stdout closed; probing did not stop", n)
 	}
 }

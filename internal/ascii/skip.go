@@ -16,9 +16,9 @@ import (
 //
 //   - Single-byte searches go through strings.IndexByte, which the
 //     runtime vectorises.
-//   - Two- and three-byte searches (IndexAny2, IndexAny3) use SWAR:
-//     load 8 bytes as one word and match all lanes at once with the
-//     zero-byte trick, falling back to a byte loop only for the tail.
+//   - Three-byte searches (IndexAny3) use SWAR: load 8 bytes as one
+//     word and match all lanes at once with the zero-byte trick,
+//     falling back to a byte loop only for the tail.
 //
 // All helpers return the index of the FIRST matching byte, exactly as
 // the naive per-byte scan would, so callers can swap them in without
@@ -49,24 +49,6 @@ func load64(s string, i int) uint64 {
 func matchMask(v uint64, c byte) uint64 {
 	x := v ^ (swarOnes * uint64(c))
 	return (x - swarOnes) &^ x & swarHighs
-}
-
-// IndexAny2 returns the index of the first byte of s equal to a or b,
-// or -1. It matches the naive per-byte scan exactly.
-func IndexAny2(s string, a, b byte) int {
-	i := 0
-	for ; i+8 <= len(s); i += 8 {
-		v := load64(s, i)
-		if m := matchMask(v, a) | matchMask(v, b); m != 0 {
-			return i + bits.TrailingZeros64(m)>>3
-		}
-	}
-	for ; i < len(s); i++ {
-		if c := s[i]; c == a || c == b {
-			return i
-		}
-	}
-	return -1
 }
 
 // IndexAny3 returns the index of the first byte of s equal to a, b or

@@ -40,9 +40,6 @@ func TestIndexAnyFixed(t *testing.T) {
 		if got, want := IndexAny3(tc.s, tc.a, tc.b, tc.c), naiveIndexAny(tc.s, tc.a, tc.b, tc.c); got != want {
 			t.Errorf("IndexAny3(%q, %q, %q, %q) = %d, want %d", tc.s, tc.a, tc.b, tc.c, got, want)
 		}
-		if got, want := IndexAny2(tc.s, tc.a, tc.b), naiveIndexAny(tc.s, tc.a, tc.b); got != want {
-			t.Errorf("IndexAny2(%q, %q, %q) = %d, want %d", tc.s, tc.a, tc.b, got, want)
-		}
 	}
 }
 
@@ -71,9 +68,6 @@ func TestIndexAnyProperty(t *testing.T) {
 			if got, want := IndexAny3(s, a, b, c), naiveIndexAny(s, a, b, c); got != want {
 				t.Fatalf("IndexAny3(%q, %q, %q, %q) = %d, want %d", s, a, b, c, got, want)
 			}
-			if got, want := IndexAny2(s, a, b), naiveIndexAny(s, a, b); got != want {
-				t.Fatalf("IndexAny2(%q, %q, %q) = %d, want %d", s, a, b, got, want)
-			}
 		}
 	}
 }
@@ -90,9 +84,6 @@ func TestIndexAnyExhaustiveShort(t *testing.T) {
 				for _, c := range alpha {
 					if got, want := IndexAny3(s, a, b, c), naiveIndexAny(s, a, b, c); got != want {
 						t.Fatalf("IndexAny3(%q, %q, %q, %q) = %d, want %d", s, a, b, c, got, want)
-					}
-					if got, want := IndexAny2(s, a, b), naiveIndexAny(s, a, b); got != want {
-						t.Fatalf("IndexAny2(%q, %q, %q) = %d, want %d", s, a, b, got, want)
 					}
 				}
 			}

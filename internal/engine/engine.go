@@ -24,6 +24,12 @@
 // collector drains cells strictly in queue order. A window bounds how
 // far computation may run ahead of the collector, so a slow early
 // document cannot make a fast batch buffer unbounded results.
+//
+// That scheduler, OrderedSlice, is the repo's one ordered fan-out, and
+// it is generic over jobs and results: Run schedules the CLI's batches
+// on it, sitewalk the -R walk's pages, the robot each crawl level's
+// fetches, and poacher its off-site link probes. None of them starts a
+// goroutine of its own.
 package engine
 
 import (
@@ -230,13 +236,16 @@ func (r *Result) Release() {
 	r.Src, r.buf = nil, nil
 }
 
-// OrderedSlice is the fan-out/fan-in core: it runs fn over jobs on
-// `workers` goroutines and calls emit with every result, in input
-// order, from the calling goroutine. Each job gets a one-slot result
-// cell; cells enter a queue in dispatch order and the caller drains
-// them in that order, so emission overlaps the computation of later
-// jobs but never reorders. window bounds how many jobs may be past
-// dispatch and not yet emitted.
+// OrderedSlice is the fan-out/fan-in core, the repo's one ordered
+// fan-out: it runs fn over jobs on `workers` goroutines and calls emit
+// with every result, in input order, from the calling goroutine. Each
+// job gets a one-slot result cell; cells enter a queue in dispatch
+// order and the caller drains them in that order, so emission overlaps
+// the computation of later jobs but never reorders. window bounds how
+// many jobs may be past dispatch and not yet emitted. Its users are
+// Run, sitewalk.Walk, robot.Robot.CrawlWhile and poacher's
+// -check-external probes. Even one worker overlaps the computation of
+// job i+1 with the emission of job i.
 //
 // Returning false from emit cancels the run: dispatch stops (a job
 // already racing past the window may still run), in-flight jobs finish

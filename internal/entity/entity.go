@@ -8,27 +8,12 @@ package entity
 
 import "strings"
 
-// Info describes one named character entity.
-type Info struct {
-	// Rune is the character the entity denotes.
-	Rune rune
-	// HTML40 reports whether the entity was introduced by HTML 4.0
-	// (true) or was already defined in HTML 2.0/3.2 (false).
-	HTML40 bool
-}
-
 // KnownIn reports whether name is a known entity for the given HTML
 // version, where html40 selects the full 4.0 set and false restricts
 // to the 2.0/3.2 set.
 func KnownIn(name string, html40 bool) bool {
-	info, ok := table[name]
-	if !ok {
-		return false
-	}
-	if info.HTML40 && !html40 {
-		return false
-	}
-	return true
+	isNew, ok := table[name]
+	return ok && (html40 || !isNew)
 }
 
 // Ref is one entity reference found by ScanFunc.

@@ -45,8 +45,8 @@ func TestKnownIn(t *testing.T) {
 
 func TestVersionSplit(t *testing.T) {
 	html32 := 0
-	for _, info := range table {
-		if !info.HTML40 {
+	for _, html40 := range table {
+		if !html40 {
 			html32++
 		}
 	}

@@ -1,16 +1,18 @@
 // Package linkcheck implements hyperlink extraction and validation:
 // the "broken link" class of checks from the paper's Sections 3.5 and
-// 4.5. Local links are resolved against the filesystem; remote links
-// are validated by CheckOne and CheckAll, which send a HEAD request
-// (a GET when the server rejects HEAD) through one hardened
-// fetch.Client carrying poacher's User-Agent, follow redirects, and
-// report URLs which result in failure response codes.
+// 4.5. Scan extracts a document's links and anchors; local links are
+// resolved against the filesystem. A remote link is validated by
+// CheckOne, which sends a HEAD request (a GET when the server rejects
+// HEAD) through one hardened fetch.Client carrying poacher's
+// User-Agent, follows redirects, and reports a URL which results in a
+// failure response code. CheckOne checks one URL on the calling
+// goroutine: poacher probes a crawl's off-site links by running it on
+// engine.OrderedSlice, the repo's one ordered fan-out.
 package linkcheck
 
 import (
 	"strings"
 
-	"weblint/internal/bytestr"
 	"weblint/internal/htmltoken"
 )
 
@@ -108,18 +110,6 @@ func Scan(src string) (links []Link, anchors map[string]bool) {
 		}
 	}
 	return links, anchors
-}
-
-// ScanBytes is Scan over a byte slice, without copying the document.
-func ScanBytes(src []byte) (links []Link, anchors map[string]bool) {
-	return Scan(bytestr.String(src))
-}
-
-// Extract returns every outbound link in the document, in source
-// order. The returned URLs are copies; they never alias src.
-func Extract(src string) []Link {
-	links, _ := Scan(src)
-	return links
 }
 
 // IsExternal reports whether a link leaves the local filesystem: it

@@ -19,7 +19,7 @@ func TestExtract(t *testing.T) {
 <SCRIPT SRC="s.js"></SCRIPT>
 <BLOCKQUOTE CITE="http://src.org/q"></BLOCKQUOTE>
 </BODY></HTML>`
-	links := Extract(src)
+	links, _ := Scan(src)
 	want := map[string]string{
 		"bg.gif":           "body/background",
 		"page.html":        "a/href",
@@ -44,14 +44,14 @@ func TestExtract(t *testing.T) {
 }
 
 func TestExtractSkipsOddQuoteTags(t *testing.T) {
-	links := Extract(`<A HREF="broken.html>x</A>`)
+	links, _ := Scan(`<A HREF="broken.html>x</A>`)
 	if len(links) != 0 {
 		t.Errorf("links from garbled tag: %+v", links)
 	}
 }
 
 func TestExtractEmptyValues(t *testing.T) {
-	links := Extract(`<A HREF="">x</A><A NAME="anchor">y</A>`)
+	links, _ := Scan(`<A HREF="">x</A><A NAME="anchor">y</A>`)
 	if len(links) != 0 {
 		t.Errorf("links = %+v", links)
 	}
@@ -130,12 +130,16 @@ func TestCheckOneOK(t *testing.T) {
 	}
 }
 
+// TestCheckOne404: a missing target is not OK, and neither is a
+// server error.
 func TestCheckOne404(t *testing.T) {
 	srv := newTestServer()
 	defer srv.Close()
-	res := CheckOne(srv.URL + "/gone")
-	if res.OK || res.Status != 404 {
-		t.Errorf("result = %+v", res)
+	for path, status := range map[string]int{"/gone": 404, "/server-error": 500} {
+		res := CheckOne(srv.URL + path)
+		if res.OK || res.Status != status {
+			t.Errorf("%s: result = %+v", path, res)
+		}
 	}
 }
 
@@ -188,31 +192,6 @@ func TestCheckOneTransportError(t *testing.T) {
 	res := CheckOne("http://127.0.0.1:1/unreachable")
 	if res.Err == nil || res.OK {
 		t.Errorf("result = %+v", res)
-	}
-}
-
-func TestCheckAll(t *testing.T) {
-	srv := newTestServer()
-	defer srv.Close()
-	urls := []string{
-		srv.URL + "/ok",
-		srv.URL + "/gone",
-		srv.URL + "/moved",
-		srv.URL + "/server-error",
-		srv.URL + "/ok", // duplicate: checked once
-	}
-	results := CheckAll(urls)
-	if len(results) != 4 {
-		t.Fatalf("got %d results, want 4 (dedup)", len(results))
-	}
-	if !results[srv.URL+"/ok"].OK {
-		t.Error("/ok not OK")
-	}
-	if results[srv.URL+"/gone"].OK {
-		t.Error("/gone OK")
-	}
-	if results[srv.URL+"/server-error"].OK {
-		t.Error("/server-error OK")
 	}
 }
 

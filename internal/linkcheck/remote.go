@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -84,41 +83,4 @@ func CheckOne(url string) Result {
 		res.FinalURL = final
 	}
 	return res
-}
-
-// checkAllConcurrency bounds CheckAll's parallel requests.
-const checkAllConcurrency = 8
-
-// CheckAll validates a set of URLs concurrently, at most
-// checkAllConcurrency at a time, and returns results keyed by URL.
-// Duplicate URLs are checked once.
-func CheckAll(urls []string) map[string]Result {
-	unique := map[string]bool{}
-	var order []string
-	for _, u := range urls {
-		if !unique[u] {
-			unique[u] = true
-			order = append(order, u)
-		}
-	}
-	sort.Strings(order)
-
-	sem := make(chan struct{}, checkAllConcurrency)
-	var mu sync.Mutex
-	out := make(map[string]Result, len(order))
-	var wg sync.WaitGroup
-	for _, u := range order {
-		wg.Add(1)
-		go func(u string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			r := CheckOne(u)
-			mu.Lock()
-			out[u] = r
-			mu.Unlock()
-		}(u)
-	}
-	wg.Wait()
-	return out
 }

@@ -13,25 +13,27 @@ import (
 
 // TestCheckStringToCtxNoDeadlineMatchesPlain: Check without a
 // deadline, and under a context that could end but never does,
-// delivers exactly the stream of the plain path.
+// delivers exactly the stream of the plain path, suppressed IDs
+// included: they reach the caller's sink whether or not the context
+// can end.
 func TestCheckStringToCtxNoDeadlineMatchesPlain(t *testing.T) {
 	l := MustNew(Options{})
 	src := `<HTML><HEAD><TITLE>x</TITLE></HEAD><BODY><H1>a</H2></BODY></HTML>`
-	var plain warn.Collector
+	var plain warn.Recorder
 	l.CheckStringTo("doc.html", src, &plain)
-	if len(plain.Messages) == 0 {
-		t.Fatal("fixture produced no messages")
+	if len(plain.Messages) == 0 || len(plain.SuppressedIDs) == 0 {
+		t.Fatal("fixture produced no messages or no suppressions")
 	}
 
 	cancellable, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	for _, ctx := range []context.Context{context.Background(), cancellable} {
-		var got warn.Collector
+		var got warn.Recorder
 		if err := l.Check(ctx, "doc.html", []byte(src), &got); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got.Messages, plain.Messages) {
-			t.Fatalf("Check %v\nplain %v", got.Messages, plain.Messages)
+		if !reflect.DeepEqual(got, plain) {
+			t.Fatalf("Check %+v\nplain %+v", got, plain)
 		}
 	}
 }

@@ -211,11 +211,13 @@ func (l *Linter) checkOpts(name string) core.Options {
 // tokenizer bundle, streaming diagnostics into sink. A nil sink keeps
 // the emitter's default internal collector, which is how CheckString
 // accumulates. Only a context that can end (ctx.Done() != nil) costs
-// anything: it wraps sink in a warn.ContextSink and installs a cancel
-// flag the emitter polls between tokens, so a quiet document stops
-// tokenizing too. The error is ctx.Err() after the check, nil when it
-// ran to completion. The caller must hand the returned state back with
-// release.
+// anything: it installs a cancel flag that the emitter checks before
+// every message and the checker polls between tokens, so a quiet
+// document stops tokenizing too. The flag is set before the check
+// starts when ctx is already done, since context.AfterFunc would set
+// it from another goroutine only later. The error is ctx.Err() after
+// the check, nil when it ran to completion. The caller must hand the
+// returned state back with release.
 func (l *Linter) run(ctx context.Context, name, src string, sink warn.Sink) (*checkState, error) {
 	st, _ := l.states.Get().(*checkState)
 	if st == nil {
@@ -230,9 +232,9 @@ func (l *Linter) run(ctx context.Context, name, src string, sink warn.Sink) (*ch
 	st.em.Reset()
 	if ctx.Done() != nil {
 		flag := new(atomic.Bool)
+		flag.Store(ctx.Err() != nil)
 		stop := context.AfterFunc(ctx, func() { flag.Store(true) })
 		defer stop()
-		sink = warn.ContextSink(ctx, sink)
 		st.em.SetCancelFlag(flag)
 	}
 	if sink != nil {

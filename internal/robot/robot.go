@@ -6,6 +6,12 @@
 // fetch.Client (Do, then ReadBody for an HTML page's body) and
 // identifies itself as poacher (linkcheck.UserAgent), the name its
 // robots.txt group matching reads too.
+//
+// The crawl walks the frontier one depth at a time. Each level's
+// fetches run on engine.OrderedSlice, the repo's one ordered fan-out,
+// which delivers them to the visitor in discovery order; the visitor
+// sees every depth-d page before any depth-d+1 page, and no fetch for
+// level d+1 starts before level d has been visited.
 package robot
 
 import (
@@ -22,6 +28,7 @@ import (
 	"time"
 
 	"weblint/internal/bytestr"
+	"weblint/internal/engine"
 	"weblint/internal/fetch"
 	"weblint/internal/linkcheck"
 )
@@ -52,10 +59,19 @@ type Page struct {
 	Depth int
 	// Links are the outbound links extracted from the body.
 	Links []linkcheck.Link
+	// OffSite are the page's http and https links to other hosts than
+	// the crawl's, resolved against the page URL and without their
+	// fragment, in source order. The robot never fetches them; they
+	// are what a link checker probes. Links on the crawl's host feed
+	// the frontier instead, and links with other schemes (mailto:,
+	// ftp:) are in neither.
+	OffSite []string
 	// Err is set when the fetch failed at the transport level, or when
 	// an HTML page is longer than the fetch client's body cap (wrapping
 	// fetch.ErrBodyTooLarge).
 	Err error
+
+	onSite []*url.URL // resolved links on the crawl's host
 }
 
 // IsHTML reports whether the response is an HTML page: its
@@ -76,14 +92,14 @@ type Robot struct {
 	// Delay is the politeness delay between requests to one host
 	// (default none, suitable for checking your own site).
 	Delay time.Duration
-	// Prefetch bounds how many page fetches may be in flight ahead of
-	// the visitor, overlapping network latency with the visitor's
-	// linting. Zero or one means strictly sequential requests — the
-	// polite default for a robot — and a politeness Delay forces
-	// sequential fetching regardless; poacher opts into a pipeline of
-	// 4. Pages are still delivered to the visitor in exact
-	// breadth-first order, so prefetching never changes what a crawl
-	// reports.
+	// Prefetch is the number of fetch workers a crawl level runs on,
+	// overlapping network latency with the visitor's linting; poacher
+	// runs 4. Zero or one means one worker — the polite default for a
+	// robot — and a politeness Delay forces one worker regardless. One
+	// worker sends one request at a time, but fetches the next page of
+	// a level while the visitor handles the current one. Pages are
+	// still delivered in the same level-by-level order for any
+	// Prefetch, so prefetching never changes what a crawl reports.
 	Prefetch int
 }
 
@@ -96,22 +112,24 @@ func NewRobot() *Robot {
 // for every fetched page (including error pages, so the visitor can
 // report broken links). It returns the number of pages fetched.
 //
-// Fetching is pipelined: up to Prefetch pages from the front of the
-// frontier are retrieved concurrently while the visitor processes
-// earlier ones, so network latency overlaps linting. Delivery order
-// is still exact breadth-first order — each in-flight fetch has its
-// own result slot and the visitor drains slots in dispatch order — so
-// a pipelined crawl visits the same pages in the same order as a
-// sequential one.
+// The frontier is walked one depth at a time: a level's URLs, minus
+// those robots.txt disallows and cut to the remaining MaxPages budget,
+// are fetched on Prefetch workers through engine.OrderedSlice and
+// visited in the order they were discovered, and each visited page's
+// unseen same-host links form the next level. That is the order a
+// sequential FIFO crawl visits, so a crawl on many workers visits the
+// same pages in the same order as one on a single worker. Under a
+// Delay the single worker sleeps before each request until Delay has
+// passed since the previous one.
 func (r *Robot) Crawl(start string, visit func(Page)) (int, error) {
 	return r.CrawlWhile(start, func(p Page) bool { visit(p); return true })
 }
 
 // CrawlWhile is Crawl with cancellation, mirroring the sink contract
 // of the diagnostics pipeline: returning false from visit stops the
-// crawl promptly — no further pages are fetched, in-flight prefetches
-// are discarded undelivered, and the count of pages fetched so far is
-// returned.
+// crawl promptly — no further fetches are started, those already in
+// flight are discarded undelivered, and the count of pages visited so
+// far is returned.
 func (r *Robot) CrawlWhile(start string, visit func(Page) bool) (int, error) {
 	base, err := url.Parse(start)
 	if err != nil {
@@ -129,102 +147,64 @@ func (r *Robot) CrawlWhile(start string, visit func(Page) bool) (int, error) {
 	if maxDepth <= 0 {
 		maxDepth = 16
 	}
-	prefetch := r.Prefetch
-	if prefetch <= 0 || r.Delay > 0 {
-		// Sequential by default, and always under a politeness delay:
+	workers := r.Prefetch
+	if workers <= 0 || r.Delay > 0 {
+		// One worker by default, and always under a politeness delay:
 		// one request at a time, spaced out.
-		prefetch = 1
+		workers = 1
 	}
 
 	policy := fetchRobotsTxt(base)
 
-	type item struct {
-		u     *url.URL
-		depth int
-	}
-	queue := []item{{base, 0}}
+	level := []*url.URL{base}
 	seen := map[string]bool{canonical(base): true}
 	fetched := 0
-	var lastFetch time.Time
-
-	// inflight holds one result slot per dispatched fetch, in dispatch
-	// order. dispatch fills the pipeline from the frontier; the main
-	// loop drains the oldest slot, visits, and extends the frontier.
-	type slot struct {
-		ch    chan Page
-		u     *url.URL
-		depth int
-	}
-	var inflight []slot
-	dispatched := 0
-	dispatch := func() {
-		for len(inflight) < prefetch && len(queue) > 0 && dispatched < maxPages {
-			it := queue[0]
-			queue = queue[1:]
-			if !policy.Allowed(it.u.Path) {
-				continue
+	stopped := false
+	var lastFetch time.Time // read and written only by the one worker a Delay allows
+	for depth := 0; len(level) > 0 && fetched < maxPages && !stopped; depth++ {
+		var urls []*url.URL
+		for _, u := range level {
+			if len(urls) == maxPages-fetched {
+				break
 			}
+			if policy.Allowed(u.Path) {
+				urls = append(urls, u)
+			}
+		}
+		level = nil
+		engine.OrderedSlice(workers, workers, urls, func(_ int, u *url.URL) Page {
 			if r.Delay > 0 {
-				if since := time.Since(lastFetch); since < r.Delay {
-					time.Sleep(r.Delay - since)
+				time.Sleep(r.Delay - time.Since(lastFetch))
+				lastFetch = time.Now()
+			}
+			return r.fetch(u, depth, base.Host)
+		}, func(_ int, page Page) bool {
+			fetched++
+			if !visit(page) {
+				stopped = true
+				return false
+			}
+			if page.Err != nil || page.Status != http.StatusOK || depth >= maxDepth {
+				return true
+			}
+			for _, next := range page.onSite {
+				if key := canonical(next); !seen[key] {
+					seen[key] = true
+					level = append(level, next)
 				}
 			}
-			lastFetch = time.Now()
-			ch := make(chan Page, 1)
-			inflight = append(inflight, slot{ch, it.u, it.depth})
-			dispatched++
-			go func(u *url.URL, depth int) {
-				ch <- r.fetch(u, depth)
-			}(it.u, it.depth)
-		}
-	}
-
-	for {
-		dispatch()
-		if len(inflight) == 0 {
-			break
-		}
-		s := inflight[0]
-		inflight = inflight[1:]
-		page := <-s.ch
-		fetched++
-		if !visit(page) {
-			// Abandoning in-flight fetches is safe: every slot channel
-			// is buffered, so the fetch goroutines complete and are
-			// collected without a reader.
-			break
-		}
-
-		if page.Err != nil || page.Status != http.StatusOK || s.depth >= maxDepth {
-			continue
-		}
-		for _, link := range page.Links {
-			next, err := s.u.Parse(link.URL)
-			if err != nil {
-				continue
-			}
-			next.Fragment = ""
-			if next.Scheme != "http" && next.Scheme != "https" {
-				continue
-			}
-			if next.Host != base.Host {
-				continue
-			}
-			key := canonical(next)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			queue = append(queue, item{next, s.depth + 1})
-		}
+			return true
+		})
 	}
 	return fetched, nil
 }
 
 // fetch retrieves one page and, when it is HTML, reads its body under
-// the fetch client's cap and extracts its links. The crawl's signature
-// carries no context, so requests run under the client's own timeout.
-func (r *Robot) fetch(u *url.URL, depth int) Page {
+// the fetch client's cap, extracts its links and resolves each against
+// u once: the http(s) links on host feed the frontier, those to other
+// hosts become Page.OffSite. The crawl's signature carries no context,
+// so requests run under the client's own timeout.
+func (r *Robot) fetch(u *url.URL, depth int, host string) Page {
 	page := Page{URL: u.String(), Depth: depth}
 	resp, err := client().Do(context.TODO(), http.MethodGet, page.URL)
 	if err != nil {
@@ -245,7 +225,19 @@ func (r *Robot) fetch(u *url.URL, depth int) Page {
 	// The freshly read buffer is never written again: view it as a
 	// string instead of copying all 4 MB-worth of page once more.
 	page.Body = bytestr.String(body.Bytes())
-	page.Links = linkcheck.Extract(page.Body)
+	page.Links, _ = linkcheck.Scan(page.Body)
+	for _, link := range page.Links {
+		next, err := u.Parse(link.URL)
+		if err != nil || next.Scheme != "http" && next.Scheme != "https" {
+			continue
+		}
+		next.Fragment = ""
+		if next.Host == host {
+			page.onSite = append(page.onSite, next)
+		} else {
+			page.OffSite = append(page.OffSite, next.String())
+		}
+	}
 	return page
 }
 

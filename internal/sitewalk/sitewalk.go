@@ -26,6 +26,7 @@ import (
 	"sort"
 	"strings"
 
+	"weblint/internal/bytestr"
 	"weblint/internal/engine"
 	"weblint/internal/linkcheck"
 	"weblint/internal/lint"
@@ -241,7 +242,7 @@ func checkPage(eng *engine.Engine, root, page string, pageSet map[string]bool) p
 		return res
 	}
 	var links []linkcheck.Link
-	links, res.anchors = linkcheck.ScanBytes(res.Src)
+	links, res.anchors = linkcheck.Scan(bytestr.String(res.Src))
 
 	for _, link := range links {
 		if linkcheck.IsExternal(link.URL) {

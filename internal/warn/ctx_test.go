@@ -1,41 +1,10 @@
 package warn
 
 import (
-	"context"
 	"slices"
 	"sync/atomic"
 	"testing"
 )
-
-func TestContextSinkPassesThroughUntilDone(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var got Collector
-	s := ContextSink(ctx, &got)
-
-	if !s.Write(Message{ID: "x", Text: "one"}) {
-		t.Fatal("live context refused a write")
-	}
-	cancel()
-	if s.Write(Message{ID: "x", Text: "two"}) {
-		t.Fatal("cancelled context accepted a write")
-	}
-	if len(got.Messages) != 1 {
-		t.Fatalf("delivered %d messages, want 1", len(got.Messages))
-	}
-}
-
-func TestContextSinkForwardsSuppressions(t *testing.T) {
-	var rec Recorder
-	s := ContextSink(context.Background(), &rec)
-	if o, ok := s.(SuppressionObserver); !ok {
-		t.Fatal("ContextSink does not forward suppressions")
-	} else {
-		o.ObserveSuppressed("some-id")
-	}
-	if len(rec.SuppressedIDs) != 1 || rec.SuppressedIDs[0] != "some-id" {
-		t.Fatalf("suppressions = %v", rec.SuppressedIDs)
-	}
-}
 
 func TestEmitterExternalCancelFlag(t *testing.T) {
 	e := NewEmitter(AllEnabled())

@@ -1,7 +1,6 @@
 package warn
 
 import (
-	"context"
 	"fmt"
 	"io"
 )
@@ -30,37 +29,6 @@ type SinkFunc func(Message) bool
 
 // Write calls f(m).
 func (f SinkFunc) Write(m Message) bool { return f(m) }
-
-// ContextSink wraps next so the stream cancels once ctx is done: the
-// first Write at or after cancellation returns false without
-// delivering its message, which stops the producing check through the
-// normal sink seam. Suppression observations pass through.
-//
-// It bounds delivery, not computation: a check that emits nothing has
-// no Write to refuse, which is why deadline-bounded lints also install
-// an emitter cancel flag (see lint.Linter.Check) that the checker
-// polls between tokens.
-func ContextSink(ctx context.Context, next Sink) Sink {
-	return &contextSink{ctx: ctx, next: next}
-}
-
-type contextSink struct {
-	ctx  context.Context
-	next Sink
-}
-
-func (s *contextSink) Write(m Message) bool {
-	if s.ctx.Err() != nil {
-		return false
-	}
-	return s.next.Write(m)
-}
-
-func (s *contextSink) ObserveSuppressed(id string) {
-	if o, ok := s.next.(SuppressionObserver); ok {
-		o.ObserveSuppressed(id)
-	}
-}
 
 // Collector is a Sink that accumulates messages in order. It is how
 // the slice-returning check APIs are built on the streaming core: run
