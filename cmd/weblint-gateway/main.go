@@ -72,15 +72,7 @@ func main() {
 		"serve net/http/pprof on this SEPARATE address (e.g. 127.0.0.1:8018); empty disables profiling entirely")
 	flag.Parse()
 
-	settings := config.NewSettings()
-	if *htmlVer != "" {
-		settings.HTMLVersion = *htmlVer
-	}
-	if *exts != "" {
-		settings.Extensions = append(settings.Extensions, *exts)
-	}
-
-	linter, err := lint.New(lint.Options{Settings: settings, Pedantic: *pedantic})
+	linter, err := lint.New(lint.Options{Settings: settings(*htmlVer, *exts), Pedantic: *pedantic})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "weblint-gateway: %v\n", err)
 		os.Exit(2)
@@ -139,6 +131,17 @@ func main() {
 	if err := srv.ListenAndServe(); err != nil {
 		log.Fatalf("weblint-gateway: %v", err)
 	}
+}
+
+// settings builds the linter settings from the -V and -x flags. -x
+// takes a list, as the CLI's does: "netscape,microsoft" enables both.
+func settings(htmlVer, exts string) *config.Settings {
+	s := config.NewSettings()
+	if htmlVer != "" {
+		s.HTMLVersion = htmlVer
+	}
+	s.Extensions = append(s.Extensions, config.SplitList(exts)...)
+	return s
 }
 
 // startPprof serves the net/http/pprof handlers on their own listener,

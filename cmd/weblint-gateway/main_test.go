@@ -81,3 +81,19 @@ func TestGatewayMuxStaysDark(t *testing.T) {
 		}
 	}
 }
+
+// TestSettingsSplitsExtensions: -x takes a list, as the CLI's does, so
+// "netscape,microsoft" enables both vendors' markup.
+func TestSettingsSplitsExtensions(t *testing.T) {
+	const page = "<!DOCTYPE HTML PUBLIC \"-//W3C//DTD HTML 4.0//EN\">\n" +
+		"<HTML><HEAD><TITLE>v</TITLE></HEAD><BODY><BLINK>x</BLINK><MARQUEE>y</MARQUEE></BODY></HTML>"
+	for exts, want := range map[string]int{"": 2, "netscape": 1, "netscape,microsoft": 0, "netscape microsoft": 0} {
+		l, err := lint.New(lint.Options{Settings: settings("", exts)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(l.CheckString("v.html", page)); got != want {
+			t.Errorf("-x %q: %d vendor findings, want %d", exts, got, want)
+		}
+	}
+}

@@ -572,17 +572,17 @@ func buildSettings(c *cli) (*config.Settings, error) {
 		}
 	}
 
-	for _, id := range splitList(c.enable) {
+	for _, id := range config.SplitList(c.enable) {
 		if err := settings.Set.Enable(id); err != nil {
 			return nil, err
 		}
 	}
-	for _, id := range splitList(c.disable) {
+	for _, id := range config.SplitList(c.disable) {
 		if err := settings.Set.Disable(id); err != nil {
 			return nil, err
 		}
 	}
-	settings.Extensions = append(settings.Extensions, splitList(c.exts)...)
+	settings.Extensions = append(settings.Extensions, config.SplitList(c.exts)...)
 	if c.htmlVer != "" {
 		settings.HTMLVersion = c.htmlVer
 	}
@@ -645,17 +645,4 @@ func listWarnings(w io.Writer, set *warn.Set) {
 		}
 		fmt.Fprintf(w, "%-22s %-8s %-8s %s\n", id, d.Category, state, d.Format)
 	}
-}
-
-func splitList(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	for _, part := range strings.FieldsFunc(s, func(r rune) bool { return r == ',' || r == ' ' }) {
-		if part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
 }

@@ -171,6 +171,12 @@ func (c *Config) parseLine(line string, lineNo int) error {
 	return nil
 }
 
+// SplitList splits a command-line list of identifiers (-e, -d, -x)
+// separated by commas, spaces or both.
+func SplitList(s string) []string {
+	return strings.FieldsFunc(s, func(r rune) bool { return r == ',' || r == ' ' })
+}
+
 // splitDirective splits a directive line into fields, honouring
 // double-quoted strings and treating commas as separators.
 func splitDirective(line string) []string {

@@ -3,6 +3,7 @@ package config
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -44,6 +45,19 @@ func TestCommaSeparatedLists(t *testing.T) {
 	for _, id := range []string{"here-anchor", "physical-font", "mailto-link"} {
 		if !s.Set.Enabled(id) {
 			t.Errorf("%s not enabled", id)
+		}
+	}
+}
+
+func TestSplitList(t *testing.T) {
+	for in, want := range map[string][]string{
+		"":                       nil,
+		"netscape":               {"netscape"},
+		"netscape,microsoft":     {"netscape", "microsoft"},
+		" img-alt, ,here-anchor": {"img-alt", "here-anchor"},
+	} {
+		if got := SplitList(in); !slices.Equal(got, want) {
+			t.Errorf("SplitList(%q) = %q, want %q", in, got, want)
 		}
 	}
 }

@@ -333,6 +333,10 @@ func TestSingleflightCollapsesBurst(t *testing.T) {
 			h.Metrics.CacheMisses.Value(), h.Metrics.CacheCoalesced.Value(),
 			h.Metrics.CacheHits.Value(), coalesced, hit)
 	}
+	// The one check's findings are counted once, not once per response.
+	if got := h.Metrics.Findings.Value("heading-mismatch"); got != 1 {
+		t.Fatalf("burst counted heading-mismatch %d times, want 1", got)
+	}
 }
 
 // TestCacheOffMatchesDirectPath: a handler without a Cache takes the

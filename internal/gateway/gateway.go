@@ -93,8 +93,8 @@ type Handler struct {
 	// slot, and diff= requests still work.
 	Cache *resultcache.Cache[*warn.Recorder]
 	// Metrics, when non-nil, records request outcomes, cache traffic,
-	// admission waits, lint durations and per-rule tallies; Mux then
-	// also serves /metrics. See NewMetrics.
+	// admission waits, lint durations and per-rule finding counts; Mux
+	// then also serves /metrics. See NewMetrics.
 	Metrics *Metrics
 
 	fetchOnce      sync.Once
@@ -153,7 +153,8 @@ func (h *Handler) fetcher() *fetch.Client {
 // its own request while the process keeps serving. onPanic observes
 // contained panics (nil logs them). The response-counting middleware
 // wraps the recovery layer, so a contained panic's 500 is counted like
-// any other outcome.
+// any other outcome; it hands the recovery layer the serve.StatusWriter
+// it records the status in, so each request is wrapped once.
 func (h *Handler) Mux(health *serve.Health, onPanic func(v any)) http.Handler {
 	mux := http.NewServeMux()
 	if health != nil {
@@ -280,8 +281,9 @@ func (h *Handler) submit(w http.ResponseWriter, r *http.Request) {
 	h.serveResult(w, r, name, src, format, rec, etag, status)
 }
 
-// check runs one admission-controlled, budget-bounded lint and, with a
-// Cache, stores the completed finding stream. It runs as a
+// check runs one admission-controlled, budget-bounded lint and, once
+// it has completed, counts its finding stream by rule (with Metrics)
+// and stores it (with a Cache). It runs as a
 // singleflight leader: any error — saturation, budget, fault — is
 // returned, never cached, and the Group decides whether waiters share
 // it (they do, except the leader's own cancellation).
@@ -309,19 +311,19 @@ func (h *Handler) check(ctx context.Context, name string, src []byte, key result
 	}
 
 	rec := &warn.Recorder{}
-	var sink warn.Sink = rec
-	if h.Metrics != nil {
-		sink = h.Metrics.Findings.Sink(rec)
-	}
 	start := time.Now()
-	err := h.Linter.Check(ctx, name, src, sink)
+	err := h.Linter.Check(ctx, name, src, rec)
 	if h.Metrics != nil {
 		h.Metrics.LintDuration.Observe(time.Since(start).Seconds())
 	}
 	if err != nil {
 		// The budget cut the check: a partial stream must not be
-		// rendered or cached — it would pass as the document's truth.
+		// rendered, cached or counted — it would pass as the
+		// document's truth.
 		return nil, err
+	}
+	if h.Metrics != nil {
+		h.Metrics.countFindings(rec)
 	}
 	if h.Cache != nil {
 		h.Cache.Put(key, rec)

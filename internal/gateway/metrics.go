@@ -11,9 +11,15 @@ import (
 
 // Metrics is the gateway's Prometheus surface: request and outcome
 // counters, cache traffic, admission-wait and lint-duration
-// histograms, and per-rule fire/suppression tallies. Construct with
-// NewMetrics, assign to Handler.Metrics, and Mux serves the scrape
-// endpoint at /metrics.
+// histograms, and per-rule finding and suppression counts. Construct
+// with NewMetrics, assign to Handler.Metrics, and Mux serves the
+// scrape endpoint at /metrics.
+//
+// The per-rule counts cover completed checks: a check the lint budget
+// or a client hang-up cut short counts nothing, just as its partial
+// stream is neither cached nor rendered. A cache hit lints nothing and
+// counts nothing, and concurrent identical submissions count once,
+// for the one check their singleflight leader ran.
 //
 // The cache counters have a reconciliation contract: they increment
 // exactly when a response carrying the X-Weblint-Cache header is
@@ -38,8 +44,11 @@ type Metrics struct {
 	// LintDuration observes each executed check, in seconds. Cache
 	// hits do not lint and are not observed here.
 	LintDuration *serve.Histogram
-	// Findings tallies fired and suppressed emissions per rule.
-	Findings *warn.RuleTally
+	// Findings counts the findings of completed checks, by rule.
+	Findings *serve.CounterVec
+	// Suppressed counts the emissions in-document directives
+	// suppressed in completed checks, by rule.
+	Suppressed *serve.CounterVec
 }
 
 // NewMetrics builds the gateway metric set on a fresh registry.
@@ -59,13 +68,22 @@ func NewMetrics() *Metrics {
 		LintDuration: reg.NewHistogram("weblint_gateway_lint_seconds",
 			"Duration of executed checks (cache hits excluded).",
 			[]float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}),
-		Findings: warn.NewRuleTally(),
+		Findings: reg.NewCounterVec("weblint_gateway_findings_total",
+			"Findings emitted, by rule.", "rule"),
+		Suppressed: reg.NewCounterVec("weblint_gateway_suppressed_total",
+			"Findings suppressed by in-document directives, by rule.", "rule"),
 	}
-	reg.NewCounterVecFunc("weblint_gateway_findings_total",
-		"Findings emitted, by rule.", "rule", m.Findings.Fired)
-	reg.NewCounterVecFunc("weblint_gateway_suppressed_total",
-		"Findings suppressed by in-document directives, by rule.", "rule", m.Findings.Suppressed)
 	return m
+}
+
+// countFindings counts a completed check's finding stream by rule.
+func (m *Metrics) countFindings(rec *warn.Recorder) {
+	for i := range rec.Messages {
+		m.Findings.Inc(rec.Messages[i].ID)
+	}
+	for _, id := range rec.SuppressedIDs {
+		m.Suppressed.Inc(id)
+	}
 }
 
 // ObserveState registers scrape-time gauges over live serving state:
@@ -92,51 +110,25 @@ func (m *Metrics) ObserveState(lim *serve.Limiter, cache *resultcache.Cache[*war
 func (m *Metrics) Handler() http.Handler { return m.reg }
 
 // CountResponses wraps next, counting each request and its response
-// status. It sits outside the panic-recovery layer in Mux, so a
-// contained panic's 500 is counted like any other outcome.
+// status. It sits outside the panic-recovery layer in Mux and hands it
+// the serve.StatusWriter it records the status in, so a request is
+// wrapped once and a contained panic's 500 is counted like any other
+// outcome.
 func (m *Metrics) CountResponses(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		m.Requests.Inc()
-		sw := &statusWriter{ResponseWriter: w}
+		sw := &serve.StatusWriter{ResponseWriter: w}
 		next.ServeHTTP(sw, r)
-		m.Responses.Inc(sw.codeLabel())
+		m.Responses.Inc(codeLabel(sw.Code))
 	})
 }
 
-// statusWriter captures the response status for the outcome counter.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.code == 0 {
-		w.code = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.code == 0 {
-		w.code = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-// Flush forwards to the underlying writer so streaming formats keep
-// streaming through the counting layer.
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-func (w *statusWriter) codeLabel() string {
-	if w.code == 0 {
+func codeLabel(code int) string {
+	if code == 0 {
 		// The handler never wrote: the client gave up while queued and
 		// nothing went on the wire. 499 is the conventional label for
 		// client-closed requests.
 		return "499"
 	}
-	return strconv.Itoa(w.code)
+	return strconv.Itoa(code)
 }

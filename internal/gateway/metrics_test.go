@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"weblint/internal/faultinject"
 	"weblint/internal/serve"
 )
 
@@ -82,8 +83,9 @@ func TestMetricsEndToEnd(t *testing.T) {
 
 // TestMetricsCountPanicOutcome: the counting middleware sits outside
 // panic recovery, so a contained panic's 500 shows up in the outcome
-// counters.
+// counters, and the crashed check counts no findings.
 func TestMetricsCountPanicOutcome(t *testing.T) {
+	defer faultinject.Reset()
 	h := cachedHandler()
 	mux := h.Mux(nil, func(any) {})
 	srv := httptest.NewServer(mux)
@@ -97,6 +99,19 @@ func TestMetricsCountPanicOutcome(t *testing.T) {
 	resp.Body.Close()
 	if h.Metrics.Responses.Value("400") != 1 {
 		t.Fatalf("400 count = %d, want 1", h.Metrics.Responses.Value("400"))
+	}
+
+	faultinject.Arm("gateway.lint", faultinject.Fault{Panic: "check exploded", Count: 1})
+	resp, err = http.PostForm(srv.URL+"/", url.Values{"html": {brokenPage}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if got := h.Metrics.Responses.Value("500"); got != 1 {
+		t.Fatalf("500 count = %d, want 1", got)
+	}
+	if got := h.Metrics.Findings.Value("heading-mismatch"); got != 0 {
+		t.Fatalf("the crashed check counted %d findings", got)
 	}
 }
 
@@ -141,7 +156,34 @@ func TestDirectPathMetrics(t *testing.T) {
 	if m, hits := h.Metrics.CacheMisses.Value(), h.Metrics.CacheHits.Value(); m != 2 || hits != 0 {
 		t.Fatalf("cache counters: misses=%d hits=%d, want 2/0", m, hits)
 	}
-	if len(h.Metrics.Findings.Fired()) == 0 {
-		t.Fatal("cache-off gateway did not tally rule findings")
+	// Each check of brokenPage fires heading-mismatch and doctype-first
+	// once and suppresses two require-meta emissions (a rule off by
+	// default).
+	for _, c := range []struct {
+		family string
+		vec    *serve.CounterVec
+		rule   string
+		want   int64
+	}{
+		{"findings", h.Metrics.Findings, "heading-mismatch", 2},
+		{"findings", h.Metrics.Findings, "doctype-first", 2},
+		{"findings", h.Metrics.Findings, "require-meta", 0},
+		{"suppressed", h.Metrics.Suppressed, "require-meta", 4},
+		{"suppressed", h.Metrics.Suppressed, "heading-mismatch", 0},
+	} {
+		if got := c.vec.Value(c.rule); got != c.want {
+			t.Errorf("%s{rule=%q} = %d, want %d", c.family, c.rule, got, c.want)
+		}
+	}
+}
+
+// TestCountResponsesUnwritten: a request whose handler writes nothing
+// (the client gave up while queued) is counted as 499.
+func TestCountResponsesUnwritten(t *testing.T) {
+	m := NewMetrics()
+	h := m.CountResponses(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/", nil))
+	if m.Requests.Value() != 1 || m.Responses.Value("499") != 1 {
+		t.Fatalf("requests = %d, 499s = %d, want 1 and 1", m.Requests.Value(), m.Responses.Value("499"))
 	}
 }

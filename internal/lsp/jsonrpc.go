@@ -47,6 +47,12 @@ const (
 	codeInvalidParams  = -32602
 )
 
+// maxFrame caps a message's Content-Length. The header states the
+// length before any of the body arrives, so without a cap one header
+// could make the server allocate whatever it names. 16 MiB is sixteen
+// times the largest page (1 MiB) the editor benchmark opens.
+const maxFrame = 16 << 20
+
 // conn frames messages over a reader/writer pair. Reads are driven by
 // one goroutine (the serve loop); writes are mutex-guarded because
 // debounced lint goroutines publish diagnostics concurrently with
@@ -62,7 +68,8 @@ func newConn(r io.Reader, w io.Writer) *conn {
 }
 
 // read returns the next framed message. io.EOF (possibly wrapped)
-// reports a closed input.
+// reports a closed input. A Content-Length over maxFrame is an error
+// naming the cap, returned before anything is allocated for the body.
 func (c *conn) read() (*message, error) {
 	length := -1
 	for {
@@ -86,6 +93,9 @@ func (c *conn) read() (*message, error) {
 			n, err := strconv.Atoi(strings.TrimSpace(value))
 			if err != nil || n < 0 {
 				return nil, fmt.Errorf("lsp: bad Content-Length %q", value)
+			}
+			if n > maxFrame {
+				return nil, fmt.Errorf("lsp: Content-Length %d exceeds the %d-byte message cap", n, maxFrame)
 			}
 			length = n
 		case "content-type":

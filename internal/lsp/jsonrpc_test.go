@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -46,6 +48,35 @@ func TestFramingHeaderVariants(t *testing.T) {
 func TestFramingMissingLength(t *testing.T) {
 	if _, err := newConn(strings.NewReader("X-Other: 1\r\n\r\n{}"), io.Discard).read(); err == nil {
 		t.Fatal("missing Content-Length accepted")
+	}
+}
+
+// TestRunRefusesHugeContentLength: a Content-Length no slice can hold
+// ends Run with an error naming the cap instead of a panic that would
+// kill the server.
+func TestRunRefusesHugeContentLength(t *testing.T) {
+	in := "Content-Length: 4611686018427387904\r\n\r\n"
+	err := NewServer(Options{}).Run(strings.NewReader(in), io.Discard)
+	if err == nil || !strings.Contains(err.Error(), strconv.Itoa(maxFrame)) {
+		t.Fatalf("Run = %v, want an error naming the %d-byte cap", err, maxFrame)
+	}
+}
+
+// TestFramingOverCapAllocatesNothing: a header claiming just over the
+// cap, with no body behind it, is refused before the claimed length is
+// allocated.
+func TestFramingOverCapAllocatesNothing(t *testing.T) {
+	in := "Content-Length: " + strconv.Itoa(maxFrame+1) + "\r\n\r\n"
+	c := newConn(strings.NewReader(in), io.Discard)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := c.read()
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("over-cap frame accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("refusing a %d-byte claim allocated %d bytes", maxFrame+1, got)
 	}
 }
 

@@ -47,7 +47,8 @@ var client = sync.OnceValue(func() *fetch.Client {
 
 // Page is one fetched document delivered to the visitor.
 type Page struct {
-	// URL is the canonical fetched URL.
+	// URL is the requested URL. A redirect may have served the page
+	// from another; its links resolve against that one.
 	URL string
 	// Status is the HTTP status code.
 	Status int
@@ -60,7 +61,8 @@ type Page struct {
 	// Links are the outbound links extracted from the body.
 	Links []linkcheck.Link
 	// OffSite are the page's http and https links to other hosts than
-	// the crawl's, resolved against the page URL and without their
+	// the crawl's, resolved against the page's base URL (its <BASE
+	// HREF>, or else the URL it was served from) and without their
 	// fragment, in source order. The robot never fetches them; they
 	// are what a link checker probes. Links on the crawl's host feed
 	// the frontier instead, and links with other schemes (mailto:,
@@ -72,6 +74,7 @@ type Page struct {
 	Err error
 
 	onSite []*url.URL // resolved links on the crawl's host
+	served *url.URL   // the URL the response came from, after redirects
 }
 
 // IsHTML reports whether the response is an HTML page: its
@@ -180,6 +183,11 @@ func (r *Robot) CrawlWhile(start string, visit func(Page) bool) (int, error) {
 			return r.fetch(u, depth, base.Host)
 		}, func(_ int, page Page) bool {
 			fetched++
+			if page.served != nil {
+				// A page reached through a redirect is not fetched
+				// again as a page of its own.
+				seen[canonical(page.served)] = true
+			}
 			if !visit(page) {
 				stopped = true
 				return false
@@ -200,10 +208,13 @@ func (r *Robot) CrawlWhile(start string, visit func(Page) bool) (int, error) {
 }
 
 // fetch retrieves one page and, when it is HTML, reads its body under
-// the fetch client's cap, extracts its links and resolves each against
-// u once: the http(s) links on host feed the frontier, those to other
-// hosts become Page.OffSite. The crawl's signature carries no context,
-// so requests run under the client's own timeout.
+// the fetch client's cap, extracts its links and resolves each once
+// against the page's base URL, as a browser does: the first <BASE
+// HREF>, or else the URL the response was served from, which a
+// redirect may have moved from u. The http(s) links on host feed the
+// frontier, those to other hosts become Page.OffSite. The crawl's
+// signature carries no context, so requests run under the client's
+// own timeout.
 func (r *Robot) fetch(u *url.URL, depth int, host string) Page {
 	page := Page{URL: u.String(), Depth: depth}
 	resp, err := client().Do(context.TODO(), http.MethodGet, page.URL)
@@ -212,6 +223,7 @@ func (r *Robot) fetch(u *url.URL, depth int, host string) Page {
 		return page
 	}
 	defer resp.Body.Close()
+	page.served = resp.Request.URL
 	page.Status = resp.StatusCode
 	page.ContentType = resp.Header.Get("Content-Type")
 	if !page.IsHTML() {
@@ -226,8 +238,21 @@ func (r *Robot) fetch(u *url.URL, depth int, host string) Page {
 	// string instead of copying all 4 MB-worth of page once more.
 	page.Body = bytestr.String(body.Bytes())
 	page.Links, _ = linkcheck.Scan(page.Body)
+	base := page.served
 	for _, link := range page.Links {
-		next, err := u.Parse(link.URL)
+		if link.Element == "base" {
+			if b, err := page.served.Parse(link.URL); err == nil {
+				base = b
+			}
+			break
+		}
+	}
+	for _, link := range page.Links {
+		against := base
+		if link.Element == "base" {
+			against = page.served // a BASE names itself from the page's URL
+		}
+		next, err := against.Parse(link.URL)
 		if err != nil || next.Scheme != "http" && next.Scheme != "https" {
 			continue
 		}

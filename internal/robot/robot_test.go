@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -319,6 +320,50 @@ func TestRobotDedupliatesURLs(t *testing.T) {
 	}
 	if fetched != 2 {
 		t.Errorf("fetched = %d, want 2 (deduplicated)", fetched)
+	}
+}
+
+// TestRobotResolvesLinksAsServed: a page's links resolve against the
+// URL a redirect served it from, or against its <BASE HREF>, and the
+// redirect's target is not fetched again as a page of its own.
+func TestRobotResolvesLinksAsServed(t *testing.T) {
+	pages := map[string]string{
+		"/":              `<A HREF="dir">dir</A><A HREF="b/">b</A>`,
+		"/dir/":          `<A HREF="page.html">page</A>`,
+		"/b/":            `<BASE HREF="/dir/"><A HREF="page.html">page</A>`,
+		"/dir/page.html": `leaf`,
+	}
+	var mu sync.Mutex
+	var requested []string
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		requested = append(requested, r.URL.Path)
+		mu.Unlock()
+		if r.URL.Path == "/dir" {
+			http.Redirect(w, r, "/dir/", http.StatusMovedPermanently)
+			return
+		}
+		body, ok := pages[r.URL.Path]
+		if !ok {
+			http.NotFound(w, r)
+			return
+		}
+		w.Header().Set("Content-Type", "text/html")
+		fmt.Fprint(w, "<HTML><BODY>"+body+"</BODY></HTML>")
+	}))
+	defer srv.Close()
+
+	var visited []string
+	if _, err := NewRobot().Crawl(srv.URL+"/", func(p Page) {
+		visited = append(visited, fmt.Sprintf("%s %d", strings.TrimPrefix(p.URL, srv.URL), p.Status))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(visited, ", "), "/ 200, /dir 200, /b/ 200, /dir/page.html 200"; got != want {
+		t.Errorf("visited %s, want %s", got, want)
+	}
+	if got, want := strings.Join(requested, ", "), "/robots.txt, /, /dir, /dir/, /b/, /dir/page.html"; got != want {
+		t.Errorf("requested %s, want %s", got, want)
 	}
 }
 

@@ -1,11 +1,18 @@
 // Package serve is the gateway's resilient serving layer: admission
 // control with backpressure, health/drain signalling, panic-recovery
-// middleware, and a graceful HTTP server that finishes in-flight
-// requests on SIGTERM. It rides the same bounded-window discipline as
-// internal/engine — a fixed number of lint slots, a deadline-bounded
-// wait queue, and load shed with 429 + Retry-After once the queue
-// cannot clear in time — so the gateway keeps answering fast under
-// saturation instead of collapsing into an unbounded queue.
+// middleware, a graceful HTTP server that finishes in-flight requests
+// on SIGTERM, and a minimal Prometheus registry. Admission rides the
+// same bounded-window discipline as internal/engine — a fixed number
+// of lint slots, a deadline-bounded wait queue, and load shed with
+// 429 + Retry-After once the queue cannot clear in time — so the
+// gateway keeps answering fast under saturation instead of collapsing
+// into an unbounded queue.
+//
+// The layer has one labelled counter type, CounterVec, which carries
+// the gateway's response codes and its per-rule finding counts alike,
+// and one http.ResponseWriter wrapper, StatusWriter: a request is
+// wrapped once, and every layer that needs its status reads the same
+// Code.
 package serve
 
 import (

@@ -18,7 +18,7 @@ import (
 // counters, point-in-time gauges, cumulative-bucket histograms, one
 // optional label — is small enough to own outright. Everything here is
 // lock-free on the hot path (atomics) except labelled counters, which
-// take a mutex only to discover a new label value.
+// take a mutex to find a label value's counter.
 
 // Registry holds a fixed set of metrics and serves them over HTTP in
 // Prometheus text format. Register everything at startup; collection
@@ -156,36 +156,6 @@ func (reg *Registry) NewGaugeFunc(name, help string, fn func() int64) *GaugeFunc
 func (g *GaugeFunc) expose(w *strings.Builder) {
 	header(w, g.name, g.help, "gauge")
 	fmt.Fprintf(w, "%s %d\n", g.name, g.fn())
-}
-
-// CounterVecFunc reports a labelled counter family whose values are
-// snapshotted from fn at scrape time — used to expose tallies a
-// subsystem already maintains (per-rule fire counts) without routing
-// every increment through the registry. fn must return monotonically
-// non-decreasing values for this to behave as a Prometheus counter.
-type CounterVecFunc struct {
-	name, help, label string
-	fn                func() map[string]int64
-}
-
-// NewCounterVecFunc registers a scrape-time labelled counter family.
-func (reg *Registry) NewCounterVecFunc(name, help, label string, fn func() map[string]int64) *CounterVecFunc {
-	c := &CounterVecFunc{name: name, help: help, label: label, fn: fn}
-	reg.metrics = append(reg.metrics, c)
-	return c
-}
-
-func (c *CounterVecFunc) expose(w *strings.Builder) {
-	snap := c.fn()
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	header(w, c.name, c.help, "counter")
-	for _, k := range keys {
-		fmt.Fprintf(w, "%s{%s=\"%s\"} %d\n", c.name, c.label, escapeLabel(k), snap[k])
-	}
 }
 
 // Histogram is a fixed-bucket histogram of float64 observations

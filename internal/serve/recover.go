@@ -15,10 +15,16 @@ import (
 //
 // If the handler had already written response headers before
 // panicking, the 500 cannot be sent; the recovery still contains the
-// panic and the connection is simply dropped mid-response.
+// panic and the connection is simply dropped mid-response. Recover
+// learns that from a StatusWriter: the one it is handed, when an
+// outer layer (the gateway's response counter) already wraps the
+// request in one, or else its own.
 func Recover(next http.Handler, onPanic func(v any)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rw := &recoverWriter{ResponseWriter: w}
+		sw, ok := w.(*StatusWriter)
+		if !ok {
+			sw = &StatusWriter{ResponseWriter: w}
+		}
 		defer func() {
 			if v := recover(); v != nil {
 				if v == http.ErrAbortHandler {
@@ -31,35 +37,43 @@ func Recover(next http.Handler, onPanic func(v any)) http.Handler {
 				} else {
 					log.Printf("serve: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, v, debug.Stack())
 				}
-				if !rw.wrote {
-					http.Error(w, "internal error: the check crashed on this document", http.StatusInternalServerError)
+				if sw.Code == 0 {
+					http.Error(sw, "internal error: the check crashed on this document", http.StatusInternalServerError)
 				}
 			}
 		}()
-		next.ServeHTTP(rw, r)
+		next.ServeHTTP(sw, r)
 	})
 }
 
-// recoverWriter tracks whether the response has been started, so the
-// recovery path knows whether a 500 can still be delivered.
-type recoverWriter struct {
+// StatusWriter is the serving stack's one http.ResponseWriter wrapper:
+// it records the status of the response written through it. Code is
+// the first status written, a bare Write records 200, and Code stays 0
+// while nothing has been written.
+type StatusWriter struct {
 	http.ResponseWriter
-	wrote bool
+	Code int
 }
 
-func (w *recoverWriter) WriteHeader(code int) {
-	w.wrote = true
+// WriteHeader records code unless a status was already written.
+func (w *StatusWriter) WriteHeader(code int) {
+	if w.Code == 0 {
+		w.Code = code
+	}
 	w.ResponseWriter.WriteHeader(code)
 }
 
-func (w *recoverWriter) Write(b []byte) (int, error) {
-	w.wrote = true
+// Write records 200 unless a status was already written.
+func (w *StatusWriter) Write(b []byte) (int, error) {
+	if w.Code == 0 {
+		w.Code = http.StatusOK
+	}
 	return w.ResponseWriter.Write(b)
 }
 
 // Flush passes through so streaming responses keep working behind the
-// recovery wrapper.
-func (w *recoverWriter) Flush() {
+// wrapper.
+func (w *StatusWriter) Flush() {
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}

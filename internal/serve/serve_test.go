@@ -76,3 +76,42 @@ func TestRecoverPropagatesAbortHandler(t *testing.T) {
 	}()
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/", nil))
 }
+
+// TestStatusWriterRecordsFirstStatus: Code is 0 until something is
+// written, a bare Write records 200, and the first status wins.
+func TestStatusWriterRecordsFirstStatus(t *testing.T) {
+	sw := &StatusWriter{ResponseWriter: httptest.NewRecorder()}
+	if sw.Code != 0 {
+		t.Fatalf("unwritten Code = %d, want 0", sw.Code)
+	}
+	io.WriteString(sw, "body")
+	sw.WriteHeader(http.StatusTeapot)
+	if sw.Code != http.StatusOK {
+		t.Fatalf("bare Write recorded %d, want 200", sw.Code)
+	}
+	sw = &StatusWriter{ResponseWriter: httptest.NewRecorder()}
+	sw.WriteHeader(http.StatusNotFound)
+	sw.WriteHeader(http.StatusInternalServerError)
+	if sw.Code != http.StatusNotFound {
+		t.Fatalf("Code = %d, want the first status, 404", sw.Code)
+	}
+}
+
+// TestRecoverReusesStatusWriter: handed a StatusWriter, Recover passes
+// that writer on instead of wrapping the request a second time, and a
+// contained panic's 500 is recorded in it.
+func TestRecoverReusesStatusWriter(t *testing.T) {
+	outer := &StatusWriter{ResponseWriter: httptest.NewRecorder()}
+	var inner http.ResponseWriter
+	h := Recover(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		inner = w
+		panic("check crashed")
+	}), func(any) {})
+	h.ServeHTTP(outer, httptest.NewRequest(http.MethodGet, "/", nil))
+	if inner != outer {
+		t.Fatalf("handler got %T %p, want the StatusWriter Recover was handed", inner, inner)
+	}
+	if outer.Code != http.StatusInternalServerError {
+		t.Fatalf("Code = %d, want the contained panic's 500", outer.Code)
+	}
+}

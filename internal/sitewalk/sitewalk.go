@@ -4,7 +4,13 @@
 // additional warnings, checking whether directories have index files,
 // and reporting orphan pages (which are not referred to by any other
 // page checked). Local relative links are verified against the
-// filesystem.
+// filesystem, as a browser would follow them from the file: a link's
+// path and fragment are matched after their %XX escapes are decoded (a
+// malformed escape keeps its raw text), a leading / names the walk
+// root, and .. keeps its filesystem meaning, so a walk of a subtree
+// still finds ../images/x.gif. A <BASE HREF> is ignored: one naming
+// the live site would move every relative link off the tree being
+// checked.
 //
 // The per-page phase runs on a bounded worker pool — Options.Workers,
 // default GOMAXPROCS. Each page goes through the engine's per-document
@@ -19,6 +25,7 @@ package sitewalk
 
 import (
 	"io/fs"
+	"net/url"
 	"os"
 	"path"
 	"path/filepath"
@@ -163,7 +170,8 @@ func Walk(root string, o Options) (*Report, error) {
 		if !known {
 			continue // target missing entirely: bad-link covers it
 		}
-		if !defined[fr.frag] {
+		// A browser tries the fragment as written, then decoded.
+		if !defined[fr.frag] && !defined[unescape(fr.frag)] {
 			rep.Messages = append(rep.Messages, warn.Message{
 				ID: "bad-fragment", Category: warn.Warning,
 				File: fr.page, Line: fr.line,
@@ -282,18 +290,27 @@ func checkPage(eng *engine.Engine, root, page string, pageSet map[string]bool) p
 }
 
 // resolveLocal resolves a relative link found in page (a root-relative
-// slash path) to a root-relative slash path. It returns "" for
-// fragment-only links.
-func resolveLocal(page, url string) string {
-	url, _ = linkcheck.SplitFragment(url)
-	url = linkcheck.StripQuery(url)
-	if url == "" {
+// slash path) to a root-relative slash path, its escapes decoded. It
+// returns "" for fragment-only links.
+func resolveLocal(page, link string) string {
+	link, _ = linkcheck.SplitFragment(link)
+	link = unescape(linkcheck.StripQuery(link))
+	if link == "" {
 		return ""
 	}
-	if strings.HasPrefix(url, "/") {
-		return path.Clean(strings.TrimPrefix(url, "/"))
+	if strings.HasPrefix(link, "/") {
+		return path.Clean(strings.TrimPrefix(link, "/"))
 	}
-	return path.Clean(path.Join(path.Dir(page), url))
+	return path.Clean(path.Join(path.Dir(page), link))
+}
+
+// unescape decodes a link path's or fragment's %XX escapes; a
+// malformed escape keeps the raw text.
+func unescape(s string) string {
+	if u, err := url.PathUnescape(s); err == nil {
+		return u
+	}
+	return s
 }
 
 // indexNames are the file names accepted as directory indexes, in the

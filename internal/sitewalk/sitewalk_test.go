@@ -3,6 +3,7 @@ package sitewalk
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"weblint/internal/corpus"
@@ -134,6 +135,33 @@ func TestRelativeLinkResolution(t *testing.T) {
 			}
 		}
 		t.Errorf("orphan-page count = %d, want 0", n)
+	}
+}
+
+// TestEscapedLinks: a link's %XX escapes are decoded before it is
+// matched against files and anchors, as a browser decodes them; a
+// malformed escape keeps its raw text, and bad-link quotes the link as
+// written.
+func TestEscapedLinks(t *testing.T) {
+	pages := map[string]string{
+		"index.html": `<HTML><HEAD><TITLE>i</TITLE></HEAD><BODY>` +
+			`<A HREF="my%20page.html#two%20words">sp</A><A HREF="bad%zz.html">bad</A>` +
+			`<A NAME="top here">t</A><A HREF="#top%20here">top</A></BODY></HTML>`,
+		"my page.html": `<HTML><HEAD><TITLE>m</TITLE></HEAD><BODY><A NAME="two words">t</A></BODY></HTML>`,
+	}
+	rep, err := Walk(writeSite(t, pages), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, m := range rep.Messages {
+		if m.ID == "bad-link" || m.ID == "orphan-page" || m.ID == "bad-fragment" {
+			got = append(got, m.ID+": "+m.Text)
+		}
+	}
+	want := []string{`bad-link: target for anchor "bad%zz.html" not found`}
+	if !slices.Equal(got, want) {
+		t.Errorf("site messages = %q, want %q", got, want)
 	}
 }
 
