@@ -4,7 +4,9 @@
 // fetch-by-URL handlers.
 // Every one of those used to pay a fresh io.ReadAll allocation (and
 // growth copies) per request; with the pool a warm server reads each
-// document into recycled memory.
+// document into recycled memory. The LSP server builds each outbound
+// frame in a pooled buffer too, so a pull's report, close to 200 KB
+// on a 1 MiB page, is encoded into recycled memory.
 package bufpool
 
 import (

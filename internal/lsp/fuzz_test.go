@@ -19,11 +19,12 @@ var fuzzInserts = []string{
 
 // FuzzDidChange drives the editor path end to end: it opens a text in
 // an in-process server, sends each fuzzed edit as a ranged didChange,
-// and pulls diagnostics after each. Every pull, and the publish each
-// change triggers, must equal a reference built without the server:
-// the same edits applied one at a time with ApplyTextEdits, a
-// from-scratch lint of the result, and diagnosticFor over fresh LF and
-// protocol indexes of it.
+// and pulls diagnostics after each. The bytes of every pull's result,
+// and of the params of the publish each change triggers, must equal
+// json.Marshal of a reference built without the server: the same edits
+// applied one at a time with ApplyTextEdits, a from-scratch lint of
+// the result, and diagnosticFor over fresh LF and protocol indexes of
+// it.
 //
 // script holds five bytes per edit: start line and character, end line
 // and character, and an index into fuzzInserts. The two positions are
@@ -45,7 +46,7 @@ func FuzzDidChange(f *testing.F) {
 		cl.initialize("")
 		uri := "untitled:fuzz.html"
 		cl.open(uri, text)
-		check := func(what string) {
+		check := func(what string, version int) {
 			t.Helper()
 			msgs := l.CheckString(uri, text)
 			lf, ix := textpos.NewLF(text), textpos.New(text)
@@ -53,7 +54,8 @@ func FuzzDidChange(f *testing.F) {
 			for i, m := range msgs {
 				want.Items[i] = diagnosticFor(m, lf, ix)
 			}
-			if got, ref := mustJSON(t, cl.waitDiagnostics(uri).Diagnostics), mustJSON(t, want.Items); !bytes.Equal(got, ref) {
+			got := cl.waitPublish(uri).Params
+			if ref := mustJSON(t, publishDiagnosticsParams{URI: uri, Version: version, Diagnostics: want.Items}); !bytes.Equal(got, ref) {
 				t.Fatalf("%s: publish diverged on %q\nserver:    %s\nreference: %s", what, text, got, ref)
 			}
 			resp := cl.call("textDocument/diagnostic", documentDiagnosticParams{
@@ -63,7 +65,7 @@ func FuzzDidChange(f *testing.F) {
 				t.Fatalf("%s: pull diverged on %q\nserver:    %s\nreference: %s", what, text, resp.Result, ref)
 			}
 		}
-		check("open")
+		check("open", 1)
 		for v := 2; len(script) >= 5; v, script = v+1, script[5:] {
 			lines := textpos.New(text).LineCount() + 1
 			a := Position{int(script[0]) % lines, int(script[1]) % 32}
@@ -74,7 +76,7 @@ func FuzzDidChange(f *testing.F) {
 			e := TextEdit{Range: Range{Start: a, End: b}, NewText: onWire(t, fuzzInserts[int(script[4])%len(fuzzInserts)])}
 			cl.change(uri, v, textDocumentContentChangeEvent{Range: &e.Range, Text: e.NewText})
 			text = ApplyTextEdits(text, []TextEdit{e})
-			check("after " + string(mustJSON(t, e)))
+			check("after "+string(mustJSON(t, e)), v)
 		}
 	})
 }

@@ -2,12 +2,16 @@ package lsp
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
 	"sync"
+
+	"weblint/internal/bufpool"
+	"weblint/internal/render"
 )
 
 // jsonrpc.go implements the LSP base protocol by hand: JSON-RPC 2.0
@@ -19,11 +23,15 @@ import (
 //	<N bytes of JSON>
 //
 // No external dependency — the framing is simple enough that a reader
-// and a mutex-guarded writer cover everything the server needs.
+// and a mutex-guarded writer cover everything the server needs. The
+// writer encodes each envelope by hand around a payload its caller
+// encoded, so a pull's report is encoded once, straight into the frame.
 
-// message is the wire shape of one JSON-RPC message, incoming or
-// outgoing. A request has Method and ID; a notification has Method
-// only; a response has ID plus Result or Error.
+// message is the wire shape of one JSON-RPC message. A request has
+// Method and ID; a notification has Method only; a response has ID
+// plus Result or Error. The server decodes incoming messages into it;
+// outgoing ones are written by send, whose bytes the tests compare
+// with json.Marshal of this struct.
 type message struct {
 	JSONRPC string          `json:"jsonrpc"`
 	ID      json.RawMessage `json:"id,omitempty"`
@@ -128,42 +136,97 @@ type protocolError struct {
 
 func (e *protocolError) Error() string { return e.msg }
 
-// write frames and sends one message.
-func (c *conn) write(m *message) error {
-	m.JSONRPC = "2.0"
-	body, err := json.Marshal(m)
-	if err != nil {
-		return fmt.Errorf("lsp: marshaling message: %w", err)
+// headerRoom is what a frame's buffer keeps in front of the body for
+// the Content-Length header, whose digits are known only once the body
+// is encoded: room for the longest length an int can hold.
+const headerRoom = len("Content-Length: \r\n\r\n") + 20
+
+// send writes one outbound message as one frame, in one Write: the
+// Content-Length header, then the envelope {"jsonrpc":"2.0", "id" or
+// "method", then member, whose value appendValue appends already
+// encoded. The members come in the order json.Marshal gives message
+// fields, and the bytes equal its encoding of the message, except that
+// a response whose request id could not be read says "id":null, as
+// JSON-RPC 2.0 requires, where json.Marshal would omit the id. The
+// whole frame is built in one pooled buffer, so a payload is encoded
+// once and the header needs no second buffer.
+func (c *conn) send(id json.RawMessage, method, member string, appendValue func([]byte) []byte) error {
+	buf := bufpool.Get()
+	b := append(buf.AvailableBuffer(), make([]byte, headerRoom)...)
+	b = append(b, `{"jsonrpc":"2.0"`...)
+	if method == "" {
+		b = appendID(append(b, `,"id":`...), id)
+	} else {
+		b = render.AppendJSONString(append(b, `,"method":`...), method)
 	}
+	b = append(append(append(b, ',', '"'), member...), '"', ':')
+	b = append(appendValue(b), '}')
+
+	var h [headerRoom]byte
+	header := strconv.AppendInt(append(h[:0], "Content-Length: "...), int64(len(b)-headerRoom), 10)
+	header = append(header, "\r\n\r\n"...)
+	start := headerRoom - len(header)
+	copy(b[start:], header)
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, err := fmt.Fprintf(c.out, "Content-Length: %d\r\n\r\n", len(body)); err != nil {
-		return err
-	}
-	_, err = c.out.Write(body)
+	_, err := c.out.Write(b[start:])
+	c.mu.Unlock()
+	// The buffer keeps whatever the frame grew it to, for the next one.
+	*buf = *bytes.NewBuffer(b[:0])
+	bufpool.Put(buf)
 	return err
 }
 
-// respond sends a successful response. A nil result marshals as JSON
-// null, which the protocol requires to be present.
-func (c *conn) respond(id json.RawMessage, result any) error {
+// appendID appends a response's id the way encoding/json writes a
+// json.RawMessage: compacted, with <, >, &, U+2028 and U+2029 escaped.
+// The id was decoded from the request, so it is valid JSON; an
+// unreadable one is null.
+func appendID(b []byte, id json.RawMessage) []byte {
+	if len(id) == 0 {
+		return append(b, "null"...)
+	}
+	for _, c := range id {
+		switch c {
+		case ' ', '\t', '\r', '\n', '<', '>', '&', 0xE2:
+			// The bytes the two steps change: whitespace, markup, and
+			// the lead byte U+2028 and U+2029 share.
+			var compact, escaped bytes.Buffer
+			if err := json.Compact(&compact, id); err != nil {
+				return append(b, "null"...)
+			}
+			json.HTMLEscape(&escaped, compact.Bytes())
+			return append(b, escaped.Bytes()...)
+		}
+	}
+	return append(b, id...)
+}
+
+// respond sends a successful response whose result appendResult
+// appends.
+func (c *conn) respond(id json.RawMessage, appendResult func([]byte) []byte) error {
+	return c.send(id, "", "result", appendResult)
+}
+
+// respondJSON sends a successful response whose result json.Marshal
+// encodes: the rare answers (initialize, codeAction, shutdown). A nil
+// result is JSON null, which the protocol requires to be present.
+func (c *conn) respondJSON(id json.RawMessage, result any) error {
 	raw, err := json.Marshal(result)
 	if err != nil {
 		return fmt.Errorf("lsp: marshaling result: %w", err)
 	}
-	return c.write(&message{ID: id, Result: raw})
+	return c.respond(id, func(b []byte) []byte { return append(b, raw...) })
 }
 
 // respondError sends an error response.
 func (c *conn) respondError(id json.RawMessage, code int, msg string) error {
-	return c.write(&message{ID: id, Error: &respError{Code: code, Message: msg}})
+	return c.send(id, "", "error", func(b []byte) []byte {
+		b = strconv.AppendInt(append(b, `{"code":`...), int64(code), 10)
+		b = render.AppendJSONString(append(b, `,"message":`...), msg)
+		return append(b, '}')
+	})
 }
 
-// notify sends a notification.
-func (c *conn) notify(method string, params any) error {
-	raw, err := json.Marshal(params)
-	if err != nil {
-		return fmt.Errorf("lsp: marshaling params: %w", err)
-	}
-	return c.write(&message{Method: method, Params: raw})
+// notify sends a notification whose params appendParams appends.
+func (c *conn) notify(method string, appendParams func([]byte) []byte) error {
+	return c.send(nil, method, "params", appendParams)
 }

@@ -14,7 +14,8 @@ import (
 func TestFramingRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	c := newConn(&buf, &buf)
-	if err := c.notify("textDocument/publishDiagnostics", map[string]any{"uri": "file:///x"}); err != nil {
+	params := publishDiagnosticsParams{URI: "file:///x", Diagnostics: []Diagnostic{}}
+	if err := c.notify("textDocument/publishDiagnostics", params.appendJSON); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(buf.String(), "Content-Length: ") {
@@ -97,14 +98,99 @@ func errorsAs(err error, target **protocolError) bool {
 	return ok
 }
 
+// TestRespondNullResult checks every frame shape send writes against
+// the reference, Content-Length plus json.Marshal of the message, byte
+// for byte: a null result (which must be present), an object result,
+// the hand-encoded diagnostics of a pull and a publish, ids as
+// encoding/json writes a RawMessage (compacted, HTML-escaped), a
+// notification, and errors with and without an id.
 func TestRespondNullResult(t *testing.T) {
-	var buf bytes.Buffer
-	c := newConn(strings.NewReader(""), &buf)
-	id := json.RawMessage(`1`)
-	if err := c.respond(id, nil); err != nil {
+	diags := []Diagnostic{
+		{Range: Range{Start: Position{0, 3}, End: Position{0, 17}}, Severity: SeverityError, Code: "img-alt", Source: "weblint",
+			Message: `IMG does not have ALT text defined: <IMG SRC="a&b.gif">`},
+		{Range: Range{Start: Position{41, 0}, End: Position{42, 1}}, Message: "line\tsep\u2028 bad\xff \x01 \"q\" \\ é😀"},
+	}
+	report := fullDocumentDiagnosticReport{Kind: "full", Items: diags}
+	publish := publishDiagnosticsParams{URI: "file:///w/a&b.html", Version: 7, Diagnostics: diags}
+	unversioned := publishDiagnosticsParams{URI: "untitled:x", Diagnostics: []Diagnostic{}}
+	initialize := initializeResult{ServerInfo: serverInfo{Name: "weblint-lsp", Version: "2.0"}}
+	u2028 := "\"line\u2028sep\""
+	cases := []struct {
+		name string
+		send func(*conn) error
+		want message
+	}{
+		{"null result", func(c *conn) error { return c.respondJSON(json.RawMessage(`1`), nil) },
+			message{ID: json.RawMessage(`1`), Result: json.RawMessage(`null`)}},
+		{"object result", func(c *conn) error { return c.respondJSON(json.RawMessage(`2`), initialize) },
+			message{ID: json.RawMessage(`2`), Result: mustJSON(t, initialize)}},
+		{"pull report", func(c *conn) error { return c.respond(json.RawMessage(`3`), report.appendJSON) },
+			message{ID: json.RawMessage(`3`), Result: mustJSON(t, report)}},
+		{"empty pull report", func(c *conn) error {
+			return c.respond(json.RawMessage(`4`), fullDocumentDiagnosticReport{Kind: "full"}.appendJSON)
+		}, message{ID: json.RawMessage(`4`), Result: mustJSON(t, fullDocumentDiagnosticReport{Kind: "full"})}},
+		{"numeric id", func(c *conn) error { return c.respondJSON(json.RawMessage(`-12345678901234567890`), nil) },
+			message{ID: json.RawMessage(`-12345678901234567890`), Result: json.RawMessage(`null`)}},
+		{"escaped string id", func(c *conn) error { return c.respondJSON(json.RawMessage(`"<a&b>"`), nil) },
+			message{ID: json.RawMessage(`"<a&b>"`), Result: json.RawMessage(`null`)}},
+		{"U+2028 string id", func(c *conn) error { return c.respondJSON(json.RawMessage(u2028), nil) },
+			message{ID: json.RawMessage(u2028), Result: json.RawMessage(`null`)}},
+		{"spaced id", func(c *conn) error { return c.respondJSON(json.RawMessage("[1, 2]"), nil) },
+			message{ID: json.RawMessage("[1, 2]"), Result: json.RawMessage(`null`)}},
+		{"notification", func(c *conn) error { return c.notify("textDocument/publishDiagnostics", publish.appendJSON) },
+			message{Method: "textDocument/publishDiagnostics", Params: mustJSON(t, publish)}},
+		{"unversioned notification", func(c *conn) error { return c.notify("textDocument/publishDiagnostics", unversioned.appendJSON) },
+			message{Method: "textDocument/publishDiagnostics", Params: mustJSON(t, unversioned)}},
+		{"error with an id", func(c *conn) error {
+			return c.respondError(json.RawMessage(`"7"`), codeMethodNotFound, "unhandled method <x>")
+		},
+			message{ID: json.RawMessage(`"7"`), Error: &respError{Code: codeMethodNotFound, Message: "unhandled method <x>"}}},
+		{"error without an id", func(c *conn) error { return c.respondError(nil, codeParseError, "bad \"json\"") },
+			message{ID: json.RawMessage(`null`), Error: &respError{Code: codeParseError, Message: `bad "json"`}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := tc.send(newConn(strings.NewReader(""), &buf)); err != nil {
+				t.Fatal(err)
+			}
+			want, err := marshalFrame(&tc.want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Fatalf("frame differs from json.Marshal\ngot:  %q\nwant: %q", buf.Bytes(), want)
+			}
+		})
+	}
+}
+
+// marshalFrame is the reference framing send must equal: the
+// Content-Length header and json.Marshal of the message. The test
+// client sends its requests with it.
+func marshalFrame(m *message) ([]byte, error) {
+	m.JSONRPC = "2.0"
+	body, err := json.Marshal(m)
+	if err != nil {
+		return nil, err
+	}
+	return append(fmt.Appendf(nil, "Content-Length: %d\r\n\r\n", len(body)), body...), nil
+}
+
+// TestRunAnswersUnparsableFrameWithNullID: a frame whose body is not
+// JSON is answered with a parse error carrying "id": null, which
+// JSON-RPC 2.0 requires when the request's id could not be read.
+func TestRunAnswersUnparsableFrameWithNullID(t *testing.T) {
+	var out bytes.Buffer
+	if err := NewServer(Options{}).Run(strings.NewReader("Content-Length: 5\r\n\r\n{nope"), &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"result":null`) {
-		t.Errorf("null result not serialised: %q", buf.String())
+	answer := out.String()
+	m, err := newConn(&out, io.Discard).read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(m.ID) != "null" || m.Error == nil || m.Error.Code != codeParseError {
+		t.Fatalf("answer = %q, want a parse error with \"id\":null", answer)
 	}
 }

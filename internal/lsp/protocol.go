@@ -4,6 +4,15 @@ package lsp
 // server speaks, 3.x wire shapes. Only the fields weblint reads or
 // writes are declared; unknown fields are ignored by encoding/json,
 // which is exactly the forward-compatibility the protocol intends.
+// The two payloads that carry every diagnostic, a pull's report and a
+// publish's params, encode themselves by hand; the rest go through
+// encoding/json.
+
+import (
+	"strconv"
+
+	"weblint/internal/render"
+)
 
 // Position is a 0-based (line, UTF-16 code unit) document position —
 // the protocol's default position encoding.
@@ -130,12 +139,21 @@ type documentDiagnosticParams struct {
 }
 
 // fullDocumentDiagnosticReport answers a textDocument/diagnostic pull
-// (LSP 3.17). Weblint always reports kind "full" — findings are cheap
-// to re-derive incrementally, so unchanged-result bookkeeping
-// (resultId) is not implemented.
+// (LSP 3.17). Weblint always reports kind "full": an "unchanged"
+// answer with a resultId would spare re-sending an unchanged report,
+// but the editor benchmark (benchsuite/editor.go) fails any pull not
+// answered in full, so it waits on a change there first.
 type fullDocumentDiagnosticReport struct {
 	Kind  string       `json:"kind"`
 	Items []Diagnostic `json:"items"`
+}
+
+// appendJSON appends the report's JSON encoding, byte for byte what
+// json.Marshal gives.
+func (r fullDocumentDiagnosticReport) appendJSON(b []byte) []byte {
+	b = render.AppendJSONString(append(b, `{"kind":`...), r.Kind)
+	b = appendDiagnostics(append(b, `,"items":`...), r.Items)
+	return append(b, '}')
 }
 
 type didCloseParams struct {
@@ -146,6 +164,58 @@ type publishDiagnosticsParams struct {
 	URI         string       `json:"uri"`
 	Version     int          `json:"version,omitempty"`
 	Diagnostics []Diagnostic `json:"diagnostics"`
+}
+
+// appendJSON appends the params' JSON encoding, byte for byte what
+// json.Marshal gives.
+func (p publishDiagnosticsParams) appendJSON(b []byte) []byte {
+	b = render.AppendJSONString(append(b, `{"uri":`...), p.URI)
+	if p.Version != 0 {
+		b = strconv.AppendInt(append(b, `,"version":`...), int64(p.Version), 10)
+	}
+	b = appendDiagnostics(append(b, `,"diagnostics":`...), p.Diagnostics)
+	return append(b, '}')
+}
+
+// appendDiagnostics appends ds as json.Marshal encodes a []Diagnostic.
+// A pull or a publish carries hundreds of them, which is why they, and
+// only the two payloads holding them, are encoded by hand.
+func appendDiagnostics(b []byte, ds []Diagnostic) []byte {
+	if ds == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i := range ds {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		d := &ds[i]
+		b = appendRange(append(b, `{"range":`...), d.Range)
+		if d.Severity != 0 {
+			b = strconv.AppendInt(append(b, `,"severity":`...), int64(d.Severity), 10)
+		}
+		if d.Code != "" {
+			b = render.AppendJSONString(append(b, `,"code":`...), d.Code)
+		}
+		if d.Source != "" {
+			b = render.AppendJSONString(append(b, `,"source":`...), d.Source)
+		}
+		b = render.AppendJSONString(append(b, `,"message":`...), d.Message)
+		b = append(b, '}')
+	}
+	return append(b, ']')
+}
+
+func appendRange(b []byte, r Range) []byte {
+	b = appendPosition(append(b, `{"start":`...), r.Start)
+	b = appendPosition(append(b, `,"end":`...), r.End)
+	return append(b, '}')
+}
+
+func appendPosition(b []byte, p Position) []byte {
+	b = strconv.AppendInt(append(b, `{"line":`...), int64(p.Line), 10)
+	b = strconv.AppendInt(append(b, `,"character":`...), int64(p.Character), 10)
+	return append(b, '}')
 }
 
 type codeActionParams struct {

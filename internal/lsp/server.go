@@ -226,7 +226,7 @@ func (s *Server) dispatch(m *message) error {
 			return s.conn.respondError(m.ID, codeInvalidParams, err.Error())
 		}
 		s.setRoots(&p)
-		return s.conn.respond(m.ID, initializeResult{
+		return s.conn.respondJSON(m.ID, initializeResult{
 			Capabilities: serverCapabilities{
 				TextDocumentSync:   textDocumentSyncOptions{OpenClose: true, Change: 2},
 				CodeActionProvider: true,
@@ -240,7 +240,7 @@ func (s *Server) dispatch(m *message) error {
 		s.mu.Lock()
 		s.shutdown = true
 		s.mu.Unlock()
-		return s.conn.respond(m.ID, nil)
+		return s.conn.respondJSON(m.ID, nil)
 	case "textDocument/didOpen":
 		var p didOpenParams
 		if err := json.Unmarshal(m.Params, &p); err != nil {
@@ -270,7 +270,7 @@ func (s *Server) dispatch(m *message) error {
 		if err := json.Unmarshal(m.Params, &p); err != nil {
 			return s.conn.respondError(m.ID, codeInvalidParams, err.Error())
 		}
-		return s.conn.respond(m.ID, s.codeActions(&p))
+		return s.conn.respondJSON(m.ID, s.codeActions(&p))
 	case "textDocument/diagnostic":
 		var p documentDiagnosticParams
 		if err := json.Unmarshal(m.Params, &p); err != nil {
@@ -278,8 +278,9 @@ func (s *Server) dispatch(m *message) error {
 		}
 		// Pull diagnostics (3.17): answer with a full report of the
 		// session's current findings. Edits were applied as they
-		// arrived, so this only renders cached events.
-		return s.conn.respond(m.ID, fullDocumentDiagnosticReport{Kind: "full", Items: s.pull(p.TextDocument.URI)})
+		// arrived, so this only converts and encodes cached events.
+		report := fullDocumentDiagnosticReport{Kind: "full", Items: s.pull(p.TextDocument.URI)}
+		return s.conn.respond(m.ID, report.appendJSON)
 	case "workspace/didChangeConfiguration":
 		// The settings payload is opaque to weblint; what matters is
 		// that .weblintrc interpretation may have changed. Drop every
@@ -403,10 +404,7 @@ func (s *Server) changeDocument(p *didChangeParams) {
 func (s *Server) desync(d *document) {
 	d.forget()
 	s.logf("resync required for %s: unappliable incremental change; diagnostics retracted", d.uri)
-	if err := s.conn.notify("textDocument/publishDiagnostics",
-		publishDiagnosticsParams{URI: d.uri, Diagnostics: []Diagnostic{}}); err != nil {
-		s.logf("publish: %v", err)
-	}
+	s.sendDiagnostics(publishDiagnosticsParams{URI: d.uri, Diagnostics: []Diagnostic{}})
 }
 
 // closeDocument forgets a buffer and retracts its diagnostics.
@@ -419,8 +417,13 @@ func (s *Server) closeDocument(uri string) {
 		return
 	}
 	d.close()
-	if err := s.conn.notify("textDocument/publishDiagnostics",
-		publishDiagnosticsParams{URI: uri, Diagnostics: []Diagnostic{}}); err != nil {
+	s.sendDiagnostics(publishDiagnosticsParams{URI: uri, Diagnostics: []Diagnostic{}})
+}
+
+// sendDiagnostics pushes a publishDiagnostics notification; a transport
+// failure is logged, since no request waits on it.
+func (s *Server) sendDiagnostics(p publishDiagnosticsParams) {
+	if err := s.conn.notify("textDocument/publishDiagnostics", p.appendJSON); err != nil {
 		s.logf("publish: %v", err)
 	}
 }
@@ -470,10 +473,7 @@ func (s *Server) analyze(d *document, publish bool) (diags []Diagnostic, ok bool
 	}
 	d.msgs, d.diags, d.analyzed = msgs, diags, d.version
 	if publish {
-		if err := s.conn.notify("textDocument/publishDiagnostics",
-			publishDiagnosticsParams{URI: d.uri, Version: d.version, Diagnostics: diags}); err != nil {
-			s.logf("publish: %v", err)
-		}
+		s.sendDiagnostics(publishDiagnosticsParams{URI: d.uri, Version: d.version, Diagnostics: diags})
 	}
 	return diags, true
 }

@@ -20,7 +20,7 @@ import (
 // helpers select on.
 type client struct {
 	t     *testing.T
-	out   *conn // write half toward the server
+	out   io.Writer // write half toward the server
 	msgs  chan *message
 	runE  chan error
 	id    int
@@ -39,7 +39,7 @@ func startServer(t *testing.T, opts Options) *client {
 	}()
 	cl := &client{
 		t:    t,
-		out:  newConn(strings.NewReader(""), inW),
+		out:  inW,
 		msgs: make(chan *message, 64),
 		runE: runE,
 	}
@@ -108,9 +108,7 @@ func (cl *client) call(method string, params any) *message {
 		cl.t.Fatal(err)
 	}
 	id := json.RawMessage(fmt.Sprintf("%d", cl.id))
-	if err := cl.out.write(&message{ID: id, Method: method, Params: raw}); err != nil {
-		cl.t.Fatal(err)
-	}
+	cl.send(&message{ID: id, Method: method, Params: raw})
 	for {
 		m := cl.next(5 * time.Second)
 		if len(m.ID) != 0 && string(m.ID) == string(id) && m.Method == "" {
@@ -126,7 +124,17 @@ func (cl *client) notify(method string, params any) {
 	if err != nil {
 		cl.t.Fatal(err)
 	}
-	if err := cl.out.write(&message{Method: method, Params: raw}); err != nil {
+	cl.send(&message{Method: method, Params: raw})
+}
+
+// send frames m with the reference encoder and writes it.
+func (cl *client) send(m *message) {
+	cl.t.Helper()
+	frame, err := marshalFrame(m)
+	if err == nil {
+		_, err = cl.out.Write(frame)
+	}
+	if err != nil {
 		cl.t.Fatal(err)
 	}
 }
@@ -134,22 +142,33 @@ func (cl *client) notify(method string, params any) {
 // waitDiagnostics waits for the next publishDiagnostics for uri.
 func (cl *client) waitDiagnostics(uri string) publishDiagnosticsParams {
 	cl.t.Helper()
+	var p publishDiagnosticsParams
+	if err := json.Unmarshal(cl.waitPublish(uri).Params, &p); err != nil {
+		cl.t.Fatal(err)
+	}
+	return p
+}
+
+// waitPublish waits for the next publishDiagnostics for uri and
+// returns it as sent.
+func (cl *client) waitPublish(uri string) *message {
+	cl.t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		m := cl.next(5 * time.Second)
 		if m.Method != "textDocument/publishDiagnostics" {
 			continue // unrelated server traffic
 		}
-		var p publishDiagnosticsParams
+		var p TextDocumentIdentifier
 		if err := json.Unmarshal(m.Params, &p); err != nil {
 			cl.t.Fatal(err)
 		}
 		if p.URI == uri {
-			return p
+			return m
 		}
 	}
 	cl.t.Fatal("no publishDiagnostics arrived")
-	return publishDiagnosticsParams{}
+	return nil
 }
 
 func (cl *client) initialize(rootPath string) {

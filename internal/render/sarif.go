@@ -125,16 +125,16 @@ func appendClose(b []byte, n int, end string) []byte {
 // carry their ID alone.
 func appendSARIFRule(b []byte, id string) []byte {
 	b = append(b, "\n            {\n              \"id\": "...)
-	b = appendJSONString(b, id)
+	b = AppendJSONString(b, id)
 	if d := warn.Lookup(id); d != nil {
 		if d.Format != "" {
 			b = append(b, ",\n              \"shortDescription\": {\n                \"text\": "...)
-			b = appendJSONString(b, d.Format)
+			b = AppendJSONString(b, d.Format)
 			b = append(b, "\n              }"...)
 		}
 		if d.Explain != "" {
 			b = append(b, ",\n              \"fullDescription\": {\n                \"text\": "...)
-			b = appendJSONString(b, d.Explain)
+			b = AppendJSONString(b, d.Explain)
 			b = append(b, "\n              }"...)
 		}
 		b = append(b, ",\n              \"defaultConfiguration\": {\n                \"level\": \""...)
@@ -148,15 +148,15 @@ func appendSARIFRule(b []byte, id string) []byte {
 // physical location and, when the checker attached one, the fix.
 func appendSARIFResult(b []byte, m warn.Message, ruleIndex int) []byte {
 	b = append(b, "\n        {\n          \"ruleId\": "...)
-	b = appendJSONString(b, m.ID)
+	b = AppendJSONString(b, m.ID)
 	b = append(b, ",\n          \"ruleIndex\": "...)
 	b = strconv.AppendInt(b, int64(ruleIndex), 10)
 	b = append(b, ",\n          \"level\": \""...)
 	b = append(b, sarifLevel(m.Category)...)
 	b = append(b, "\",\n          \"message\": {\n            \"text\": "...)
-	b = appendJSONString(b, m.Text)
+	b = AppendJSONString(b, m.Text)
 	b = append(b, "\n          },\n          \"locations\": [\n            {\n              \"physicalLocation\": {\n                \"artifactLocation\": {\n                  \"uri\": "...)
-	b = appendJSONString(b, m.File)
+	b = AppendJSONString(b, m.File)
 	b = append(b, "\n                },\n                \"region\": {\n                  \"startLine\": "...)
 	// SARIF requires startLine >= 1; document-level messages anchor
 	// at the top.
@@ -177,9 +177,9 @@ func appendSARIFResult(b []byte, m warn.Message, ruleIndex int) []byte {
 // edits are byte spans over the checked document).
 func appendSARIFFix(b []byte, file string, f *warn.Fix) []byte {
 	b = append(b, ",\n          \"fixes\": [\n            {\n              \"description\": {\n                \"text\": "...)
-	b = appendJSONString(b, f.Label)
+	b = AppendJSONString(b, f.Label)
 	b = append(b, "\n              },\n              \"artifactChanges\": [\n                {\n                  \"artifactLocation\": {\n                    \"uri\": "...)
-	b = appendJSONString(b, file)
+	b = AppendJSONString(b, file)
 	b = append(b, "\n                  },\n                  \"replacements\": ["...)
 	for i, e := range f.Edits {
 		if i > 0 {
@@ -192,7 +192,7 @@ func appendSARIFFix(b []byte, file string, f *warn.Fix) []byte {
 		b = append(b, "\n                      }"...)
 		if e.Text != "" {
 			b = append(b, ",\n                      \"insertedContent\": {\n                        \"text\": "...)
-			b = appendJSONString(b, e.Text)
+			b = AppendJSONString(b, e.Text)
 			b = append(b, "\n                      }"...)
 		}
 		b = append(b, "\n                    }"...)
@@ -214,13 +214,14 @@ var jsonSafe = func() (t [utf8.RuneSelf]bool) {
 
 const hexDigits = "0123456789abcdef"
 
-// appendJSONString appends s as a JSON string literal escaped exactly
+// AppendJSONString appends s as a JSON string literal escaped exactly
 // as encoding/json escapes it by default: \" and \\, the short escapes
 // \b \f \n \r \t, \u00XX for the other control bytes and for < > &
-// (so the log is safe to embed in HTML), \ufffd for each byte of
+// (so the output is safe to embed in HTML), \ufffd for each byte of
 // invalid UTF-8, and \u2028/\u2029, which break JavaScript string
-// literals.
-func appendJSONString(b []byte, s string) []byte {
+// literals. The SARIF renderer and the LSP server's hand-written
+// encoders share it, so their bytes equal json.Marshal's.
+func AppendJSONString(b []byte, s string) []byte {
 	b = append(b, '"')
 	start := 0
 	for i := 0; i < len(s); {

@@ -181,7 +181,16 @@ func (ix *Index) OffsetToUTF16(off int) (line, char int) {
 	if end := ix.lineEnd(line); off > end {
 		off = end
 	}
-	for i := start; i < off; {
+	// The scan stops at off, but runes are decoded from src, so one
+	// that off splits is seen whole.
+	head := ix.src[:off]
+	for i := start; i < len(head); {
+		if head[i] < utf8.RuneSelf {
+			// ASCII, most of any page: one unit, one byte.
+			char++
+			i++
+			continue
+		}
 		r, size := utf8.DecodeRuneInString(ix.src[i:])
 		if r == utf8.RuneError && size <= 1 {
 			// Invalid byte: one unit, one byte.
@@ -212,6 +221,11 @@ func (ix *Index) UTF16ToOffset(line, char int) int {
 	}
 	i, end := ix.starts[line], ix.lineEnd(line)
 	for units := 0; i < end && units < char; {
+		if ix.src[i] < utf8.RuneSelf {
+			units++
+			i++
+			continue
+		}
 		r, size := utf8.DecodeRuneInString(ix.src[i:end])
 		if r == utf8.RuneError && size <= 1 {
 			units++

@@ -1,9 +1,11 @@
 package textpos
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"unicode/utf16"
+	"unicode/utf8"
 )
 
 func TestLineIndexBasics(t *testing.T) {
@@ -193,4 +195,77 @@ func decodeAt(s string, i int) (rune, int) {
 		}
 	}
 	return '�', 1
+}
+
+// TestUTF16AgainstPerRune checks both conversions at every offset and
+// every column of seeded documents that mix ASCII runs of 1–20 bytes
+// (which the conversions step over byte by byte) with 2-, 3- and
+// 4-byte runes, invalid bytes, truncated sequences, "\r\n" and lone
+// "\r", against a per-rune reference that decodes every rune.
+func TestUTF16AgainstPerRune(t *testing.T) {
+	pieces := []string{"é", "日", "😀", "\xff", "\xe2\x80", "\xf0\x9f", "\r\n", "\r", "\n"}
+	rnd := rand.New(rand.NewSource(1))
+	for doc := 0; doc < 200; doc++ {
+		var sb strings.Builder
+		for n := rnd.Intn(12); n > 0; n-- {
+			sb.WriteString("<p a=x>ascii text"[:1+rnd.Intn(17)] + strings.Repeat("z", rnd.Intn(4)))
+			sb.WriteString(pieces[rnd.Intn(len(pieces))])
+		}
+		src := sb.String()
+		ix := New(src)
+		for off := -1; off <= len(src)+1; off++ {
+			line, char := ix.OffsetToUTF16(off)
+			if wl, wc := refOffsetToUTF16(ix, off); line != wl || char != wc {
+				t.Fatalf("%q: OffsetToUTF16(%d) = (%d,%d), per rune (%d,%d)", src, off, line, char, wl, wc)
+			}
+		}
+		for line := -1; line <= ix.LineCount(); line++ {
+			for char := 0; char <= len(ix.LineText(line))*2+1; char++ {
+				if got, want := ix.UTF16ToOffset(line, char), refUTF16ToOffset(ix, line, char); got != want {
+					t.Fatalf("%q: UTF16ToOffset(%d,%d) = %d, per rune %d", src, line, char, got, want)
+				}
+			}
+		}
+	}
+}
+
+// refOffsetToUTF16 is OffsetToUTF16 decoding every rune, ASCII too.
+func refOffsetToUTF16(ix *Index, off int) (line, char int) {
+	off = min(max(off, 0), len(ix.src))
+	line = ix.OffsetLine(off)
+	start := ix.LineStart(line)
+	off = min(off, start+len(ix.LineText(line)))
+	for i := start; i < off; {
+		r, size := utf8.DecodeRuneInString(ix.src[i:])
+		if r == utf8.RuneError && size <= 1 {
+			char, i = char+1, i+1
+			continue
+		}
+		if i+size > off {
+			break
+		}
+		char, i = char+utf16.RuneLen(r), i+size
+	}
+	return line, char
+}
+
+// refUTF16ToOffset is UTF16ToOffset decoding every rune, ASCII too.
+func refUTF16ToOffset(ix *Index, line, char int) int {
+	if line < 0 {
+		return 0
+	}
+	if line >= ix.LineCount() {
+		return len(ix.src)
+	}
+	i := ix.LineStart(line)
+	end := i + len(ix.LineText(line))
+	for units := 0; i < end && units < char; {
+		r, size := utf8.DecodeRuneInString(ix.src[i:end])
+		u := utf16.RuneLen(r) // 1 for an invalid byte, decoded as U+FFFD
+		if units+u > char {
+			break
+		}
+		units, i = units+u, i+size
+	}
+	return i
 }
