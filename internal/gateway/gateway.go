@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"html"
-	"html/template"
 	"io"
 	"net/http"
 	"slices"
@@ -45,9 +44,8 @@ type HTMLFormatter struct{}
 
 // Format renders m as an <li> entry.
 func (HTMLFormatter) Format(m warn.Message) string {
-	return fmt.Sprintf(
-		`<li class="%s">line %d: %s <span class="id">[%s]</span></li>`,
-		m.Category, m.Line, html.EscapeString(m.Text), m.ID)
+	return `<li class="` + m.Category.String() + `">line ` + strconv.Itoa(m.Line) + ": " +
+		html.EscapeString(m.Text) + ` <span class="id">[` + m.ID + `]</span></li>`
 }
 
 var _ warn.Formatter = HTMLFormatter{}
@@ -186,18 +184,18 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // handleSubmit runs weblint over whichever input the form supplied:
 // url=, html= (pasted), upload= (multipart file), or diff= (edits
 // against a retained base, see diff.go). Every input takes the one
-// submission path, submit. Uploaded, fetched and diffed documents live
-// in a pooled buffer for the duration of the request and are checked
-// zero-copy.
+// submission path, submit. Every document lives in a pooled buffer for
+// the duration of the request and is checked zero-copy: a paste in the
+// one its urlencoded form is decoded into (see form.go), an uploaded,
+// fetched or diffed document in submit's.
 func (h *Handler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, h.maxUpload()+uploadSlack)
-	// A multipart body is streamed by extractInput, so parsing it here
-	// would consume the upload.
-	if !strings.HasPrefix(r.Header.Get("Content-Type"), "multipart/form-data") {
-		if err := r.ParseForm(); err != nil {
-			h.inputError(r.Context(), w, fmt.Errorf("parsing form: %w", err))
-			return
-		}
+	// A pasted document is a view of form until the request ends.
+	form := bufpool.Get()
+	defer bufpool.Put(form)
+	if err := readForm(r, form); err != nil {
+		h.inputError(r.Context(), w, fmt.Errorf("parsing form: %w", err))
+		return
 	}
 	h.submit(w, r)
 }
@@ -566,8 +564,9 @@ func (h *Handler) extractInput(ctx context.Context, r *http.Request, buf *bytes.
 		}
 		return u, buf.Bytes(), nil
 	}
-	// Pasted text already exists as a parsed form string; view it
-	// read-only rather than copying it into the buffer.
+	// Pasted text is already decoded, in place, in the request's form
+	// buffer (see handleSubmit); view it read-only rather than copying
+	// it into this one.
 	pasted := r.FormValue("html")
 	if int64(len(pasted)) > h.maxUpload() {
 		return "", nil, errTooLarge
@@ -653,92 +652,26 @@ func (h *Handler) fetchURL(ctx context.Context, u string, buf *bytes.Buffer) err
 	return nil
 }
 
-var pageTemplate = template.Must(template.New("page").Parse(`<!DOCTYPE HTML PUBLIC "-//W3C//DTD HTML 4.0//EN">
-<HTML>
-<HEAD><TITLE>weblint gateway</TITLE>
-<STYLE TYPE="text/css">
-body { font-family: sans-serif; margin: 2em; }
-li.error { color: #a00; }
-li.warning { color: #850; }
-li.style { color: #057; }
-span.id { color: #888; font-size: smaller; }
-pre.src { background: #f4f4f4; padding: 1em; }
-p.err { color: #a00; font-weight: bold; }
-</STYLE>
-</HEAD>
-<BODY>
-<H1>weblint gateway</H1>
-{{if .Error}}<P CLASS="err">{{.Error}}</P>{{end}}
-{{if .Checked}}
-<H2>Report for {{.Name}}</H2>
-{{if .Items}}
-<P>{{len .Items}} problem(s) found ({{.Summary}}):</P>
-<UL>
-{{range .Items}}{{.}}
-{{end}}</UL>
-{{else}}
-<P>No problems found. Nice page!</P>
-{{end}}
-<H3>Checked source</H3>
-<PRE CLASS="src">{{.Source}}</PRE>
-<HR>
-{{end}}
-<FORM ACTION="" METHOD="post" ENCTYPE="multipart/form-data">
-{{if .AllowURL}}<P>Check a page by URL:<BR>
-<INPUT TYPE="text" NAME="url" SIZE="60"></P>{{end}}
-<P>Or paste HTML:<BR>
-<TEXTAREA NAME="html" ROWS="10" COLS="70"></TEXTAREA></P>
-<P>Or upload a file:
-<INPUT TYPE="file" NAME="upload"></P>
-<P>Report format:
-<SELECT NAME="format">
-<OPTION VALUE="html" SELECTED>HTML report</OPTION>
-<OPTION VALUE="json">JSON Lines</OPTION>
-<OPTION VALUE="sarif">SARIF</OPTION>
-<OPTION VALUE="baseline">Baseline (JSON)</OPTION>
-<OPTION VALUE="fixed">Fixed document</OPTION>
-</SELECT></P>
-<P><INPUT TYPE="submit" VALUE="Check it"></P>
-</FORM>
-<P>weblint &#8212; syntax and style checker for HTML.</P>
-</BODY>
-</HTML>
-`))
-
-type pageData struct {
-	Error    string
-	Checked  bool
-	Name     string
-	Items    []template.HTML
-	Summary  string
-	Source   string
-	AllowURL bool
-}
-
 func (h *Handler) renderForm(w http.ResponseWriter, errMsg string) {
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	_ = pageTemplate.Execute(w, pageData{Error: errMsg, AllowURL: h.AllowURLFetch})
+	writePage(w, 0, &page{Error: errMsg, AllowURL: h.AllowURLFetch})
 }
 
 // renderError renders the form page carrying an error message, with an
 // honest HTTP status so machine clients (and the siege load generator)
 // can classify the outcome without scraping HTML.
 func (h *Handler) renderError(w http.ResponseWriter, status int, errMsg string) {
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	w.WriteHeader(status)
-	_ = pageTemplate.Execute(w, pageData{Error: errMsg, AllowURL: h.AllowURLFetch})
+	writePage(w, status, &page{Error: errMsg, AllowURL: h.AllowURLFetch})
 }
 
 func (h *Handler) renderReport(w http.ResponseWriter, name, src string, msgs []warn.Message) {
 	f := h.formatter()
 	var sum warn.Summary
-	items := make([]template.HTML, 0, len(msgs))
-	for _, m := range msgs {
+	items := make([]string, len(msgs))
+	for i, m := range msgs {
 		sum.Add(m)
-		items = append(items, template.HTML(f.Format(m))) // formatter output is trusted HTML
+		items[i] = f.Format(m) // formatter output is trusted HTML
 	}
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	_ = pageTemplate.Execute(w, pageData{
+	writePage(w, 0, &page{
 		Checked: true, Name: name, Items: items, Summary: sum.String(),
 		Source: src, AllowURL: h.AllowURLFetch,
 	})

@@ -65,10 +65,9 @@ func diagnosticFor(m warn.Message, lf, ix *textpos.Index) Diagnostic {
 	if m.Col > 0 {
 		start = min(start+m.Col-1, start+len(lf.LineText(line)))
 	}
-	sl, sc := ix.OffsetToUTF16(start)
-	el, ec := ix.OffsetToUTF16(ix.LineStart(sl) + len(ix.LineText(sl)))
+	sl, sc, ec := ix.ToLineEndUTF16(start)
 	return Diagnostic{
-		Range:    Range{Start: Position{sl, sc}, End: Position{el, ec}},
+		Range:    Range{Start: Position{sl, sc}, End: Position{sl, ec}},
 		Severity: severityOf(m.Category),
 		Code:     m.ID,
 		Source:   "weblint",

@@ -19,10 +19,11 @@
 package render
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"slices"
+	"strconv"
 
 	"weblint/internal/warn"
 )
@@ -86,44 +87,32 @@ func NewFormatter(f warn.Formatter, w io.Writer) Renderer {
 // flush.
 func (r formatterRenderer) Close() error { return r.Err() }
 
-// jsonMessage is the JSON Lines shape of one diagnostic. The field
-// order is fixed, so output is byte-stable for a given stream. Fixes,
-// when the checker attached one, appear as a "fixes" array of
-// {label, edits:[{start,end,text}]} objects with byte offsets into
-// the checked document.
-type jsonMessage struct {
-	ID       string      `json:"id"`
-	Category string      `json:"category"`
-	File     string      `json:"file"`
-	Line     int         `json:"line"`
-	Col      int         `json:"col"`
-	Text     string      `json:"text"`
-	Fixes    []*warn.Fix `json:"fixes,omitempty"`
-}
-
-// jsonFixes wraps a message's optional fix as the "fixes" array.
-func jsonFixes(m warn.Message) []*warn.Fix {
-	if m.Fix == nil {
-		return nil
-	}
-	return []*warn.Fix{m.Fix}
-}
-
 // jsonRenderer streams one JSON object per message and counts the
-// stream into its own Summary for the trailing summary line.
+// stream into its own Summary for the trailing summary line. Each line
+// is appended into buf, which the renderer reuses, and written in one
+// call.
+//
+// A message line is {"id", "category", "file", "line", "col", "text"}
+// and, when the checker attached a fix, a "fixes" array holding one
+// {"label", "edits": [{"start", "end", "text"}]} object, with byte
+// offsets into the checked document. The bytes are exactly those
+// encoding/json writes for the struct form the tests keep as the
+// reference: fixed field order, strings escaped by AppendJSONString,
+// and nil edits written as null.
 type jsonRenderer struct {
 	w   io.Writer
 	err error
 	sum warn.Summary
+	buf []byte
 }
 
 // NewJSON returns a streaming JSON Lines renderer: one JSON object per
 // message, one message per line, nothing buffered. Message text — which
 // can embed attacker-controlled markup such as attribute values — is
-// escaped by encoding/json, including the <, > and & HTML escapes, so
-// the output is safe to embed. Close terminates the stream with one
-// {"summary": ...} line carrying per-category counts and, when the
-// renderer is the emitter's sink (directly or behind forwarding
+// escaped as encoding/json escapes it, including the <, > and & HTML
+// escapes, so the output is safe to embed. Close terminates the stream
+// with one {"summary": ...} line carrying per-category counts and, when
+// the renderer is the emitter's sink (directly or behind forwarding
 // wrappers like Summary.Sink), per-rule suppression stats.
 func NewJSON(w io.Writer) Renderer {
 	return &jsonRenderer{w: w}
@@ -134,20 +123,44 @@ func (r *jsonRenderer) Write(m warn.Message) bool {
 		return false
 	}
 	r.sum.Add(m)
-	line, err := json.Marshal(jsonMessage{
-		ID:       m.ID,
-		Category: m.Category.String(),
-		File:     m.File,
-		Line:     m.Line,
-		Col:      m.Col,
-		Text:     m.Text,
-		Fixes:    jsonFixes(m),
-	})
-	if err == nil {
-		line = append(line, '\n')
-		_, err = r.w.Write(line)
+	b := AppendJSONString(append(r.buf[:0], `{"id":`...), m.ID)
+	b = AppendJSONString(append(b, `,"category":`...), m.Category.String())
+	b = AppendJSONString(append(b, `,"file":`...), m.File)
+	b = strconv.AppendInt(append(b, `,"line":`...), int64(m.Line), 10)
+	b = strconv.AppendInt(append(b, `,"col":`...), int64(m.Col), 10)
+	b = AppendJSONString(append(b, `,"text":`...), m.Text)
+	if f := m.Fix; f != nil {
+		b = AppendJSONString(append(b, `,"fixes":[{"label":`...), f.Label)
+		b = appendJSONEdits(append(b, `,"edits":`...), f.Edits)
+		b = append(b, "}]"...)
 	}
-	if err != nil {
+	return r.writeLine(append(b, "}\n"...))
+}
+
+// appendJSONEdits appends a fix's edits as a JSON array, or null for
+// nil edits.
+func appendJSONEdits(b []byte, edits []warn.Edit) []byte {
+	if edits == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i, e := range edits {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(append(b, `{"start":`...), int64(e.Start), 10)
+		b = strconv.AppendInt(append(b, `,"end":`...), int64(e.End), 10)
+		b = AppendJSONString(append(b, `,"text":`...), e.Text)
+		b = append(b, '}')
+	}
+	return append(b, ']')
+}
+
+// writeLine writes one line and keeps b's memory for the next,
+// recording the first write error.
+func (r *jsonRenderer) writeLine(b []byte) bool {
+	r.buf = b
+	if _, err := r.w.Write(b); err != nil {
 		r.err = err
 		return false
 	}
@@ -157,33 +170,28 @@ func (r *jsonRenderer) Write(m warn.Message) bool {
 // ObserveSuppressed counts a disabled emission for the summary line.
 func (r *jsonRenderer) ObserveSuppressed(id string) { r.sum.AddSuppressed(id) }
 
-// jsonSummary is the shape of the trailing summary line. The
-// suppressed map keys are rule IDs; encoding/json sorts them, so the
-// line is byte-stable for a given stream.
-type jsonSummary struct {
-	Errors     int            `json:"errors"`
-	Warnings   int            `json:"warnings"`
-	Style      int            `json:"style"`
-	Suppressed map[string]int `json:"suppressed,omitempty"`
-}
-
 // Close writes the summary line (a partial stream still gets one, the
 // same way a partial SARIF document is still closed) and reports the
-// first stream error.
+// first stream error. The line is {"summary": {"errors", "warnings",
+// "style"}}, plus a "suppressed" object of per-rule counts, keys
+// sorted, when any emission was suppressed.
 func (r *jsonRenderer) Close() error {
-	line, err := json.Marshal(struct {
-		Summary jsonSummary `json:"summary"`
-	}{jsonSummary{
-		Errors:     r.sum.Errors,
-		Warnings:   r.sum.Warnings,
-		Style:      r.sum.Style,
-		Suppressed: r.sum.Suppressed,
-	}})
-	if err == nil && r.err == nil {
-		line = append(line, '\n')
-		if _, werr := r.w.Write(line); werr != nil {
-			r.err = werr
-		}
+	if r.err != nil {
+		return r.err
 	}
+	b := strconv.AppendInt(append(r.buf[:0], `{"summary":{"errors":`...), int64(r.sum.Errors), 10)
+	b = strconv.AppendInt(append(b, `,"warnings":`...), int64(r.sum.Warnings), 10)
+	b = strconv.AppendInt(append(b, `,"style":`...), int64(r.sum.Style), 10)
+	if len(r.sum.Suppressed) > 0 {
+		b = append(b, `,"suppressed":{`...)
+		for i, id := range slices.Sorted(maps.Keys(r.sum.Suppressed)) {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(append(AppendJSONString(b, id), ':'), int64(r.sum.Suppressed[id]), 10)
+		}
+		b = append(b, '}')
+	}
+	r.writeLine(append(b, "}}\n"...))
 	return r.err
 }

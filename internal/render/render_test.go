@@ -3,6 +3,7 @@ package render
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"weblint/internal/config"
+	"weblint/internal/corpus"
 	"weblint/internal/lint"
 	"weblint/internal/warn"
 )
@@ -254,5 +256,190 @@ func TestEmptySARIF(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), `"results": []`) {
 		t.Errorf("empty log must carry an empty results array:\n%s", b.String())
+	}
+}
+
+// jsonMessage is the JSON Lines shape of one diagnostic, as the
+// renderer marshalled it with encoding/json before it appended each
+// line itself. With jsonSummary it is the byte-for-byte reference the
+// renderer must match (TestJSONMatchesReference, FuzzJSONLines).
+type jsonMessage struct {
+	ID       string      `json:"id"`
+	Category string      `json:"category"`
+	File     string      `json:"file"`
+	Line     int         `json:"line"`
+	Col      int         `json:"col"`
+	Text     string      `json:"text"`
+	Fixes    []*warn.Fix `json:"fixes,omitempty"`
+}
+
+// jsonFixes wraps a message's optional fix as the "fixes" array.
+func jsonFixes(m warn.Message) []*warn.Fix {
+	if m.Fix == nil {
+		return nil
+	}
+	return []*warn.Fix{m.Fix}
+}
+
+// jsonSummary is the shape of the trailing summary line; encoding/json
+// sorts the suppressed map's keys.
+type jsonSummary struct {
+	Errors     int            `json:"errors"`
+	Warnings   int            `json:"warnings"`
+	Style      int            `json:"style"`
+	Suppressed map[string]int `json:"suppressed,omitempty"`
+}
+
+// referenceJSON renders a stream the reflective way: one json.Marshal
+// per message, then one for the summary of the stream and of the
+// suppressed IDs.
+func referenceJSON(msgs []warn.Message, suppressed []string) ([]byte, error) {
+	var out []byte
+	var sum warn.Summary
+	for _, id := range suppressed {
+		sum.AddSuppressed(id)
+	}
+	for _, m := range msgs {
+		sum.Add(m)
+		line, err := json.Marshal(jsonMessage{
+			ID:       m.ID,
+			Category: m.Category.String(),
+			File:     m.File,
+			Line:     m.Line,
+			Col:      m.Col,
+			Text:     m.Text,
+			Fixes:    jsonFixes(m),
+		})
+		if err != nil {
+			return nil, err
+		}
+		out = append(append(out, line...), '\n')
+	}
+	line, err := json.Marshal(struct {
+		Summary jsonSummary `json:"summary"`
+	}{jsonSummary{
+		Errors:     sum.Errors,
+		Warnings:   sum.Warnings,
+		Style:      sum.Style,
+		Suppressed: sum.Suppressed,
+	}})
+	if err != nil {
+		return nil, err
+	}
+	return append(append(out, line...), '\n'), nil
+}
+
+// requireReferenceJSON renders a stream through NewJSON, suppressions
+// first as a Recorder replays them, and fails unless the bytes equal
+// the reference and every Write carried exactly one line.
+func requireReferenceJSON(t *testing.T, name string, msgs []warn.Message, suppressed []string) {
+	t.Helper()
+	want, err := referenceJSON(msgs, suppressed)
+	if err != nil {
+		t.Fatalf("%s: reference: %v", name, err)
+	}
+	var got chunkRecorder
+	r := NewJSON(&got)
+	rec := &warn.Recorder{SuppressedIDs: suppressed}
+	rec.Messages = msgs
+	if !rec.Replay(r) {
+		t.Fatalf("%s: renderer cancelled the stream", name)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatalf("%s: Close: %v", name, err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		at := 0
+		for at < min(got.Len(), len(want)) && got.Bytes()[at] == want[at] {
+			at++
+		}
+		t.Fatalf("%s: JSON Lines differ from the reference at byte %d of %d:\n--- got ---\n%s\n--- want ---\n%s",
+			name, at, len(want), excerpt(got.Bytes(), at), excerpt(want, at))
+	}
+	if lines := bytes.Count(want, []byte("\n")); got.writes != lines {
+		t.Errorf("%s: %d writes for %d lines, want one write per line", name, got.writes, lines)
+	}
+}
+
+// TestJSONMatchesReference: the appending renderer writes exactly the
+// bytes encoding/json writes, over the lint suite, error-dense corpus
+// documents (whose findings carry fixes), a stream with suppressions
+// and the empty stream.
+func TestJSONMatchesReference(t *testing.T) {
+	l := lint.MustNew(lint.Options{Pedantic: true})
+	paths, err := filepath.Glob(filepath.Join("..", "lint", "testdata", "suite", "*.html"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("lint suite: %v (%d files)", err, len(paths))
+	}
+	for _, path := range paths {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireReferenceJSON(t, path, l.CheckString(filepath.Base(path), string(src)), nil)
+	}
+	dense := l.CheckString("dense.html", corpus.GenerateSized(2, 64<<10, corpus.Uniform(0.25)))
+	requireReferenceJSON(t, "error-dense corpus", dense, []string{"physical-font", "img-alt", "physical-font", "a\u2028<b>"})
+	requireReferenceJSON(t, "fixture", fixtureMessages(t), nil)
+	requireReferenceJSON(t, "empty stream", nil, nil)
+}
+
+// FuzzJSONLines builds message streams from fuzzed strings and
+// integers and requires the renderer to match the encoding/json
+// reference byte for byte: escaping of control bytes, invalid UTF-8,
+// markup and U+2028 in every string field, unknown categories, fixes
+// with nil, empty and several edits, and suppressed rules in the
+// summary.
+func FuzzJSONLines(f *testing.F) {
+	f.Add("img-alt", "IMG does not have ALT text defined", "page.html", `insert ALT=""`, ` ALT=""`, 4, 1, 1, 66, 66, uint8(3), "physical-font", true)
+	f.Add("attribute-value", "bad \xff\xfe value \xc3(", "\xe2\x82", "label\xff", "\xed\xa0\x80", 1, 0, 0, 0, 0, uint8(1), "\xff", true)
+	f.Add("doctype-first", "ctl \x00\x01\x1f\x7f\b\f\n\r\t end", "a\tb.html", "\x1b[0m", "\r\n", 0, 0, 1, 3, 9, uint8(4), "\x00", false)
+	f.Add("no-such-rule", "line\u2028para\u2029 ok \ufffd", "sep\u2028.html", "\u2029", "\u2028", -7, -3, 7, 9, 3, uint8(2), "\u2028", true)
+	f.Add("here-anchor", `<script>alert("x") & 'y' \ </script>`, `C:\site\<a>&.html`, `<>&"\`, `"&amp;"`, 1<<40, 1<<20, 2, -1, 5, uint8(0), `<>&"`, true)
+	f.Add("", "", "", "", "", 0, 0, -1, 0, 0, uint8(5), "", true)
+	f.Fuzz(func(t *testing.T, id, text, file, label, edit string, line, col, cat, start, end int, shape uint8, suppressed string, withSuppressed bool) {
+		m := warn.Message{ID: id, Category: warn.Category(cat), File: file, Line: line, Col: col, Text: text}
+		switch shape % 6 {
+		case 1:
+			m.Fix = &warn.Fix{Label: label} // nil edits
+		case 2:
+			m.Fix = &warn.Fix{Label: label, Edits: []warn.Edit{}}
+		case 3:
+			m.Fix = &warn.Fix{Label: label, Edits: []warn.Edit{{Start: start, End: start, Text: edit}}}
+		case 4:
+			m.Fix = &warn.Fix{Label: label, Edits: []warn.Edit{{Start: start, End: end}, {Start: end, End: end + 1, Text: edit}}}
+		}
+		known := warn.Message{ID: "img-alt", Category: warn.Warning, File: file, Line: 2, Text: text}
+		var sup []string
+		if withSuppressed {
+			// The fuzzed ID beside registered ones, so keys sort among
+			// others and one counts twice.
+			sup = []string{"physical-font", suppressed, "img-alt", suppressed}
+		}
+		requireReferenceJSON(t, "fuzzed stream", []warn.Message{known, m, m, known}, sup)
+	})
+}
+
+// TestJSONStopsAtFirstWriteError: once a line fails to write, the
+// renderer cancels the stream, writes nothing more (no summary line
+// either) and Close returns the writer's error.
+func TestJSONStopsAtFirstWriteError(t *testing.T) {
+	msgs := fixtureMessages(t)
+	for _, limit := range []int{0, 10, 200} {
+		w := &failingWriter{limit: limit}
+		r := NewJSON(w)
+		cancelled := false
+		for _, m := range msgs {
+			if !r.Write(m) {
+				cancelled = true
+				break
+			}
+		}
+		if err := r.Close(); !errors.Is(err, errWriterFull) || !cancelled {
+			t.Errorf("limit %d: cancelled=%v, Close = %v, want %v", limit, cancelled, err, errWriterFull)
+		}
+		if !w.failed || w.after != 0 {
+			t.Errorf("limit %d: failed=%v, %d writes after the failure", limit, w.failed, w.after)
+		}
 	}
 }

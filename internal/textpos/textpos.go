@@ -170,21 +170,40 @@ func (ix *Index) OffsetLine(off int) int {
 // separator clamps to the end of the line's content; offsets past the
 // end clamp to the end of the document.
 func (ix *Index) OffsetToUTF16(off int) (line, char int) {
-	if off > len(ix.src) {
-		off = len(ix.src)
-	}
-	if off < 0 {
-		off = 0
-	}
+	line, _, char = ix.locate(off)
+	return line, char
+}
+
+// ToLineEndUTF16 returns the UTF-16 range from the byte offset off to
+// the end of its line's content: the 0-based line, off's column as
+// OffsetToUTF16 gives it, and the column of the line's end. The end
+// column counts on from where off's count stopped, so the line is
+// searched for and scanned once; a rune that off splits is counted
+// once, whole, as a conversion of the line end alone counts it.
+func (ix *Index) ToLineEndUTF16(off int) (line, char, end int) {
+	line, at, char := ix.locate(off)
+	_, end = ix.countUTF16(at, ix.lineEnd(line), char)
+	return line, char, end
+}
+
+// locate clamps off as OffsetToUTF16 does and returns its line, the
+// offset its column count stopped at (off, or the start of the rune
+// off splits) and the column there.
+func (ix *Index) locate(off int) (line, at, char int) {
+	off = min(max(off, 0), len(ix.src))
 	line = ix.OffsetLine(off)
-	start := ix.starts[line]
-	if end := ix.lineEnd(line); off > end {
-		off = end
-	}
-	// The scan stops at off, but runes are decoded from src, so one
-	// that off splits is seen whole.
-	head := ix.src[:off]
-	for i := start; i < len(head); {
+	at, char = ix.countUTF16(ix.starts[line], min(off, ix.lineEnd(line)), 0)
+	return line, at, char
+}
+
+// countUTF16 counts the UTF-16 code units of src from offset i up to
+// offset to onto char, and returns the offset it stopped at and the
+// count. It stops early at the start of a rune that to splits. Runes
+// are decoded from src, not from src[:to], so a split one is seen
+// whole.
+func (ix *Index) countUTF16(i, to, char int) (int, int) {
+	head := ix.src[:to]
+	for i < len(head) {
 		if head[i] < utf8.RuneSelf {
 			// ASCII, most of any page: one unit, one byte.
 			char++
@@ -198,13 +217,13 @@ func (ix *Index) OffsetToUTF16(off int) (line, char int) {
 			i++
 			continue
 		}
-		if i+size > off {
-			break // off is inside this rune: report the rune's start
+		if i+size > to {
+			break // to is inside this rune: stop at the rune's start
 		}
 		char += utf16Len(r)
 		i += size
 	}
-	return line, char
+	return i, char
 }
 
 // UTF16ToOffset converts a (0-based line, UTF-16 code-unit column)

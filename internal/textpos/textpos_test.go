@@ -203,15 +203,7 @@ func decodeAt(s string, i int) (rune, int) {
 // 4-byte runes, invalid bytes, truncated sequences, "\r\n" and lone
 // "\r", against a per-rune reference that decodes every rune.
 func TestUTF16AgainstPerRune(t *testing.T) {
-	pieces := []string{"é", "日", "😀", "\xff", "\xe2\x80", "\xf0\x9f", "\r\n", "\r", "\n"}
-	rnd := rand.New(rand.NewSource(1))
-	for doc := 0; doc < 200; doc++ {
-		var sb strings.Builder
-		for n := rnd.Intn(12); n > 0; n-- {
-			sb.WriteString("<p a=x>ascii text"[:1+rnd.Intn(17)] + strings.Repeat("z", rnd.Intn(4)))
-			sb.WriteString(pieces[rnd.Intn(len(pieces))])
-		}
-		src := sb.String()
+	for _, src := range mixedDocs() {
 		ix := New(src)
 		for off := -1; off <= len(src)+1; off++ {
 			line, char := ix.OffsetToUTF16(off)
@@ -224,6 +216,42 @@ func TestUTF16AgainstPerRune(t *testing.T) {
 				if got, want := ix.UTF16ToOffset(line, char), refUTF16ToOffset(ix, line, char); got != want {
 					t.Fatalf("%q: UTF16ToOffset(%d,%d) = %d, per rune %d", src, line, char, got, want)
 				}
+			}
+		}
+	}
+}
+
+// mixedDocs returns 200 seeded documents that mix ASCII runs of 1–20
+// bytes with 2-, 3- and 4-byte runes, invalid bytes, truncated
+// sequences, "\r\n" and lone "\r".
+func mixedDocs() []string {
+	pieces := []string{"é", "日", "😀", "\xff", "\xe2\x80", "\xf0\x9f", "\r\n", "\r", "\n"}
+	rnd := rand.New(rand.NewSource(1))
+	docs := make([]string, 200)
+	for i := range docs {
+		var sb strings.Builder
+		for n := rnd.Intn(12); n > 0; n-- {
+			sb.WriteString("<p a=x>ascii text"[:1+rnd.Intn(17)] + strings.Repeat("z", rnd.Intn(4)))
+			sb.WriteString(pieces[rnd.Intn(len(pieces))])
+		}
+		docs[i] = sb.String()
+	}
+	return docs
+}
+
+// TestToLineEndUTF16AgainstTwoCalls: on the same documents, at every
+// offset, ToLineEndUTF16 equals converting the offset and then its
+// line's end separately, offsets inside a rune, inside "\r\n" and
+// past either end included.
+func TestToLineEndUTF16AgainstTwoCalls(t *testing.T) {
+	for _, src := range mixedDocs() {
+		ix := New(src)
+		for off := -1; off <= len(src)+1; off++ {
+			line, char, end := ix.ToLineEndUTF16(off)
+			wl, wc := ix.OffsetToUTF16(off)
+			el, ec := ix.OffsetToUTF16(ix.LineStart(wl) + len(ix.LineText(wl)))
+			if line != wl || char != wc || el != wl || end != ec {
+				t.Fatalf("%q: ToLineEndUTF16(%d) = (%d,%d,%d), two calls (%d,%d)-(%d,%d)", src, off, line, char, end, wl, wc, el, ec)
 			}
 		}
 	}
