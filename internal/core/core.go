@@ -62,8 +62,9 @@ type Options struct {
 
 // open is one entry on the main or secondary stack.
 type open struct {
-	name    string // lower-case element name
-	display string // upper-case display name for messages
+	name    string        // lower-case element name
+	sym     htmltoken.Sym // name's Sym, NoSym outside the vocabulary
+	display string        // upper-case display name for messages
 	line    int
 	col     int
 	info    *htmlspec.ElementInfo // nil for unknown elements
@@ -71,9 +72,9 @@ type open struct {
 	text    []byte                // accumulated text (TITLE, A); reused
 	// prevSame chains same-named entries: while the entry is on the
 	// main stack it is the stack index of the next-deeper element with
-	// this name (-1 for none; see Checker.openTop), and after a move to
-	// the secondary stack it is rewritten to the analogous pending
-	// index (see Checker.pendingTop).
+	// this name (-1 for none; see docState.openTop), and after a move
+	// to the secondary stack it is rewritten to the analogous pending
+	// index (see docState.pendingTop).
 	prevSame int
 }
 
@@ -108,7 +109,12 @@ type Checker struct {
 	// by Reset; their text buffers survive recycling.
 	slab []open
 
-	attrSeen map[string]*htmltoken.Attr // per-tag duplicate tracking, reused
+	// attrSeen holds, at each attribute's Sym, the first attribute of
+	// that name on the tag being checked, and attrSeenByName the same
+	// for NoSym names: per-tag duplicate tracking, reused. checkAttrs
+	// clears what it set once the tag is checked.
+	attrSeen       []*htmltoken.Attr
+	attrSeenByName map[string]*htmltoken.Attr
 
 	// relocateTok, when non-nil, is the start tag currently being
 	// checked that will be relocated by a meta-in-body fix. Fixes the
@@ -135,18 +141,24 @@ type docState struct {
 	stack   []*open
 	pending []*open // the secondary stack of unresolved tags
 
-	// openTop maps an element name to the stack index of its nearest
-	// open instance, or -1; open.prevSame chains to the instance below.
-	// It makes inElement and the end-tag match lookup O(1) — per-close
-	// stack scans were superlinear on error-dense documents whose
-	// unclosed containers pile the stack deep. Maintained by pushOpen
-	// and truncateStack, which every stack mutation must go through.
-	openTop map[string]int
-	// pendingTop is the same chain over the secondary stack. Resolved
+	// openTop holds, at an element name's Sym, the stack index of its
+	// nearest open instance, or -1; open.prevSame chains to the
+	// instance below. openTopByName is the same for NoSym names, so
+	// two different unknown elements still match only their own close
+	// tags. They make inElement and the end-tag match lookup O(1) —
+	// per-close stack scans were superlinear on error-dense documents
+	// whose unclosed containers pile the stack deep. Maintained by
+	// pushOpen and truncateStack, which every stack mutation must go
+	// through.
+	openTop       []int32
+	openTopByName map[string]int
+	// pendingTop is the same chain over the secondary stack. Only an
+	// element that requires its close tag moves there, which takes a
+	// spec entry and so a Sym: no NoSym name is ever pending. Resolved
 	// entries are nil-marked in pending instead of deleted — the
 	// mid-slice delete per resolved close was quadratic under
 	// close-tag storms.
-	pendingTop map[string]int
+	pendingTop []int32
 	// accum holds the stack indices (ascending) of the open elements
 	// that accumulate text content (TITLE, A, headings), so text
 	// tokens append to the nearest one without scanning the stack.
@@ -230,7 +242,20 @@ type docFlags struct {
 }
 
 // freshState is the state of a checker that has seen nothing yet.
-var freshState = docState{docPositions: docPositions{lastLine: 1, oddQuotesAt: -1, headInsertPos: -1}}
+var freshState = docState{
+	openTop:      noTops(),
+	pendingTop:   noTops(),
+	docPositions: docPositions{lastLine: 1, oddQuotesAt: -1, headInsertPos: -1},
+}
+
+// noTops returns a Sym-indexed chain head table with no element in it.
+func noTops() []int32 {
+	tops := make([]int32, htmltoken.NumSyms())
+	for i := range tops {
+		tops[i] = -1
+	}
+	return tops
+}
 
 // copyFrom makes d an independent copy of src: one struct copy, after
 // which every slice and map field gets storage of its own — d's
@@ -240,8 +265,9 @@ func (d *docState) copyFrom(src *docState) {
 	*d = *src
 	d.stack = copyOpens(old.stack, src.stack)
 	d.pending = copyOpens(old.pending, src.pending)
-	d.openTop = restoreMap(old.openTop, src.openTop)
-	d.pendingTop = restoreMap(old.pendingTop, src.pendingTop)
+	d.openTop = append(old.openTop[:0], src.openTop...)
+	d.openTopByName = restoreMap(old.openTopByName, src.openTopByName)
+	d.pendingTop = append(old.pendingTop[:0], src.pendingTop...)
 	d.accum = append(old.accum[:0], src.accum...)
 	d.seenOnce = restoreMap(old.seenOnce, src.seenOnce)
 	d.ids = restoreMap(old.ids, src.ids)
@@ -251,7 +277,10 @@ func (d *docState) copyFrom(src *docState) {
 
 // New returns a Checker which reports through em.
 func New(em *warn.Emitter, opts Options) *Checker {
-	c := &Checker{attrSeen: map[string]*htmltoken.Attr{}}
+	c := &Checker{
+		attrSeen:       make([]*htmltoken.Attr, htmltoken.NumSyms()),
+		attrSeenByName: map[string]*htmltoken.Attr{},
+	}
 	c.Reset(em, opts)
 	return c
 }
@@ -281,6 +310,7 @@ func (c *Checker) Reset(em *warn.Emitter, opts Options) {
 func (c *Checker) clearScratch() {
 	c.slab = c.slab[:0]
 	clear(c.attrSeen)
+	clear(c.attrSeenByName)
 	c.relocateTok = nil
 	c.relocateFixes = c.relocateFixes[:0]
 }
@@ -302,7 +332,7 @@ func (c *Checker) Release() {
 
 // newOpen allocates a stack entry from the slab, reusing entries (and
 // their text buffers) recycled by Reset.
-func (c *Checker) newOpen(name, display string, line, col int, info *htmlspec.ElementInfo) *open {
+func (c *Checker) newOpen(name string, sym htmltoken.Sym, display string, line, col int, info *htmlspec.ElementInfo) *open {
 	var o *open
 	if n := len(c.slab); n < cap(c.slab) {
 		c.slab = c.slab[:n+1]
@@ -312,7 +342,7 @@ func (c *Checker) newOpen(name, display string, line, col int, info *htmlspec.El
 		o = &c.slab[n]
 	}
 	text := o.text[:0]
-	*o = open{name: name, display: display, line: line, col: col, info: info, text: text}
+	*o = open{name: name, sym: sym, display: display, line: line, col: col, info: info, text: text}
 	return o
 }
 
@@ -506,27 +536,46 @@ func (c *Checker) top() *open {
 	return c.stack[len(c.stack)-1]
 }
 
-// inElement returns the nearest open element with the given lower-case
-// name on the main stack, or nil. One map probe, not a stack scan.
-func (c *Checker) inElement(name string) *open {
-	if i, ok := c.openTop[name]; ok && i >= 0 {
+// inElement returns the nearest open element whose name has Sym sym
+// on the main stack, or nil (always for NoSym). One slice index, not a
+// stack scan.
+func (c *Checker) inElement(sym htmltoken.Sym) *open {
+	if i := c.openTop[sym]; i >= 0 {
 		return c.stack[i]
 	}
 	return nil
+}
+
+// openIndex returns the stack index of the nearest open element with
+// the given name and Sym, or -1: for a NoSym name through
+// openTopByName.
+func (c *Checker) openIndex(sym htmltoken.Sym, name string) int {
+	if sym != htmltoken.NoSym {
+		return int(c.openTop[sym])
+	}
+	if i, ok := c.openTopByName[name]; ok {
+		return i
+	}
+	return -1
+}
+
+// setOpenIndex sets the openTop chain head openIndex reads.
+func (c *Checker) setOpenIndex(sym htmltoken.Sym, name string, i int) {
+	if sym != htmltoken.NoSym {
+		c.openTop[sym] = int32(i)
+	} else {
+		c.openTopByName[name] = i
+	}
 }
 
 // pushOpen pushes an element onto the main stack, threading the
 // openTop same-name chain and the accumulating-element index stack.
 func (c *Checker) pushOpen(o *open) {
 	idx := len(c.stack)
-	prev, ok := c.openTop[o.name]
-	if !ok {
-		prev = -1
-	}
-	o.prevSame = prev
-	c.openTop[o.name] = idx
+	o.prevSame = c.openIndex(o.sym, o.name)
+	c.setOpenIndex(o.sym, o.name, idx)
 	c.stack = append(c.stack, o)
-	if o.name == "title" || o.name == "a" || headingLevel(o.name) > 0 {
+	if o.sym == symTitle || o.sym == symA || headingLevel(o.name) > 0 {
 		c.accum = append(c.accum, idx)
 	}
 }
@@ -536,7 +585,8 @@ func (c *Checker) pushOpen(o *open) {
 // stack truncation must go through here so the indexes stay exact.
 func (c *Checker) truncateStack(n int) {
 	for i := len(c.stack) - 1; i >= n; i-- {
-		c.openTop[c.stack[i].name] = c.stack[i].prevSame
+		o := c.stack[i]
+		c.setOpenIndex(o.sym, o.name, o.prevSame)
 	}
 	c.stack = c.stack[:n]
 	for len(c.accum) > 0 && c.accum[len(c.accum)-1] >= n {
@@ -544,29 +594,26 @@ func (c *Checker) truncateStack(n int) {
 	}
 }
 
-// pushPending moves o to the secondary stack, threading the
-// pendingTop same-name chain (o has already left the main stack, so
-// its prevSame link is free to reuse).
+// pushPending moves o, an element that requires its close tag, to the
+// secondary stack, threading the pendingTop same-name chain (o has
+// already left the main stack, so its prevSame link is free to reuse).
 func (c *Checker) pushPending(o *open) {
-	prev, ok := c.pendingTop[o.name]
-	if !ok {
-		prev = -1
-	}
-	o.prevSame = prev
-	c.pendingTop[o.name] = len(c.pending)
+	o.prevSame = int(c.pendingTop[o.sym])
+	c.pendingTop[o.sym] = int32(len(c.pending))
 	c.pending = append(c.pending, o)
 }
 
 // takePending resolves and returns the most recent secondary-stack
-// entry with the given name, or nil. The slot is nil-marked; order is
-// preserved for Finish without a mid-slice delete.
-func (c *Checker) takePending(name string) *open {
-	i, ok := c.pendingTop[name]
-	if !ok || i < 0 {
+// entry whose name has Sym sym, or nil (always for NoSym). The slot is
+// nil-marked; order is preserved for Finish without a mid-slice
+// delete.
+func (c *Checker) takePending(sym htmltoken.Sym) *open {
+	i := c.pendingTop[sym]
+	if i < 0 {
 		return nil
 	}
 	o := c.pending[i]
-	c.pendingTop[name] = o.prevSame
+	c.pendingTop[sym] = int32(o.prevSame)
 	c.pending[i] = nil
 	return o
 }
@@ -608,7 +655,7 @@ func (c *Checker) Finish() {
 		}
 	}
 	c.pending = c.pending[:0]
-	clear(c.pendingTop)
+	copy(c.pendingTop, freshState.pendingTop)
 
 	if !c.seenHTML {
 		c.emit("html-outer", 1)

@@ -17,9 +17,9 @@ import (
 func (c *Checker) endTag(tok *htmltoken.Token) {
 	c.noteElement(tok.Line)
 
-	name := tok.Lower
-	display := c.spec.Display(name)
-	info := c.spec.Element(name)
+	name, sym := tok.Lower, tok.Sym
+	display := c.spec.DisplaySym(sym, name)
+	info := c.spec.ElementSym(sym)
 
 	if tok.Unterminated {
 		c.emitAt("malformed-tag", tok.Line, tok.Col)
@@ -30,7 +30,7 @@ func (c *Checker) endTag(tok *htmltoken.Token) {
 	} else if len(tok.Attrs) > 0 {
 		c.emitAt("closing-attribute", tok.Line, tok.Col, display)
 	}
-	c.checkTagCase(tok, display, c.willRewriteEndTag(name, info))
+	c.checkTagCase(tok, display, c.willRewriteEndTag(sym, info))
 
 	// Close tags for empty elements are never legal; the fix deletes
 	// the tag (an empty element has no content to un-close).
@@ -41,10 +41,7 @@ func (c *Checker) endTag(tok *htmltoken.Token) {
 
 	// Find the matching open element on the main stack: one openTop
 	// probe instead of a per-close stack scan.
-	idx := -1
-	if i, ok := c.openTop[name]; ok {
-		idx = i
-	}
+	idx := c.openIndex(sym, name)
 
 	if idx < 0 {
 		c.unmatchedClose(tok, name, display, info == nil)
@@ -124,17 +121,18 @@ func (c *Checker) endTag(tok *htmltoken.Token) {
 // tag-case check can withhold its in-span rewrite — a case fix inside
 // a deleted or renamed span would win the conflict and block the real
 // fix. It mirrors the dispatch below with read-only stack scans.
-func (c *Checker) willRewriteEndTag(name string, info *htmlspec.ElementInfo) bool {
+func (c *Checker) willRewriteEndTag(sym htmltoken.Sym, info *htmlspec.ElementInfo) bool {
 	if info == nil {
 		return false // unknown-element path, no deletion fix
 	}
+	// A spec element's name has a Sym, so the Sym tables answer alone.
 	if info.Empty {
 		return true // empty-element-close deletes the tag
 	}
-	if c.inElement(name) != nil {
+	if c.inElement(sym) != nil {
 		return false // matches an open element
 	}
-	if headingLevel(name) > 0 {
+	if headingLevel(info.Name) > 0 {
 		if t := c.top(); t != nil && headingLevel(t.name) > 0 {
 			// heading-mismatch path: a safe rename rewrites the name
 			// span (and restores the configured case along the way);
@@ -142,7 +140,7 @@ func (c *Checker) willRewriteEndTag(name string, info *htmlspec.ElementInfo) boo
 			return headingRenameSafe(t)
 		}
 	}
-	if i, ok := c.pendingTop[name]; ok && i >= 0 {
+	if c.pendingTop[sym] >= 0 {
 		return false // resolves a pending overlap silently
 	}
 	return true // unmatched-close deletes the tag
@@ -184,7 +182,7 @@ func (c *Checker) unmatchedClose(tok *htmltoken.Token, name, display string, unk
 	// text, title length) still run on resolution. takePending
 	// nil-marks the slot — deleting mid-slice here cost a tail copy
 	// per close, quadratic under a close-tag storm.
-	if o := c.takePending(name); o != nil {
+	if o := c.takePending(tok.Sym); o != nil {
 		c.popChecks(o)
 		return
 	}

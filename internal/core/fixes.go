@@ -376,8 +376,8 @@ func (c *Checker) tagFix(tok *htmltoken.Token, fix *warn.Fix) *warn.Fix {
 // tokenized tag, a recorded HEAD insertion point, and no odd-quotes
 // recovery so far — the relocation edits at and before the current
 // token, so a recovery seen later cannot be crossed.
-func (c *Checker) planMetaRelocation(tok *htmltoken.Token, name string, info *htmlspec.ElementInfo) bool {
-	if name != "meta" || info == nil || !info.HeadOnly {
+func (c *Checker) planMetaRelocation(tok *htmltoken.Token, sym htmltoken.Sym, info *htmlspec.ElementInfo) bool {
+	if sym != symMeta || info == nil || !info.HeadOnly {
 		return false
 	}
 	if tok.OddQuotes || tok.Unterminated || attrsGarbled(tok) {
@@ -386,7 +386,7 @@ func (c *Checker) planMetaRelocation(tok *htmltoken.Token, name string, info *ht
 	if c.headInsertPos < 0 || c.oddQuotesAt >= 0 {
 		return false
 	}
-	if c.inElement("head") != nil || !(c.seenBody || c.inElement("body") != nil) {
+	if c.inElement(symHead) != nil || !(c.seenBody || c.inElement(symBody) != nil) {
 		return false // not a meta-in-body site
 	}
 	// The tag counts as its direct parent's content; moving the

@@ -31,7 +31,8 @@ import (
 //   - opts, spec, em, file: fixed for the session (Reset-time).
 //   - slab: an allocation pool; Restore rebuilds entries on the heap
 //     and truncates it, since nothing live points into it any more.
-//   - attrSeen: per-tag scratch, cleared at each use.
+//   - attrSeen, attrSeenByName: per-tag scratch, cleared after each
+//     use.
 //   - relocateTok/relocateFixes: scoped to a single startTag call,
 //     always nil/empty at token boundaries.
 
@@ -76,13 +77,15 @@ func (c *Checker) Snapshot() *Snapshot {
 }
 
 // Bytes estimates the heap the snapshot holds: every stack entry with
-// its text buffer, plus a word per accum index and mapEntryBytes per
-// map entry. A deep page's snapshots copy its whole open stack, so the
-// incremental Session spaces its checkpoints by this.
+// its text buffer, plus a word per accum index, four bytes per Sym
+// slot of the chain head tables and mapEntryBytes per map entry. A
+// deep page's snapshots copy its whole open stack, so the incremental
+// Session spaces its checkpoints by this.
 func (s *Snapshot) Bytes() int {
 	const mapEntryBytes = 32 // a string header and a word of value
-	n := 8*len(s.accum) + mapEntryBytes*(len(s.openTop)+len(s.pendingTop)+
-		len(s.seenOnce)+len(s.ids)+len(s.anchors)+len(s.metaNames)+len(s.overlay))
+	n := 8*len(s.accum) + 4*(len(s.openTop)+len(s.pendingTop)) +
+		mapEntryBytes*(len(s.openTopByName)+len(s.seenOnce)+len(s.ids)+
+			len(s.anchors)+len(s.metaNames)+len(s.overlay))
 	for _, stack := range [][]*open{s.stack, s.pending} {
 		n += 8 * len(stack)
 		for _, o := range stack {
@@ -133,7 +136,7 @@ func openEqualShifted(a, b *open, sh *textpos.Shift) bool {
 	if a == nil || b == nil {
 		return a == nil && b == nil
 	}
-	if a.name != b.name || a.display != b.display || a.info != b.info ||
+	if a.name != b.name || a.sym != b.sym || a.display != b.display || a.info != b.info ||
 		a.content != b.content || a.prevSame != b.prevSame {
 		return false
 	}
@@ -184,8 +187,9 @@ func (s *Snapshot) LiveEquals(c *Checker, sh *textpos.Shift) bool {
 			return false
 		}
 	}
-	if !maps.Equal(s.openTop, c.openTop) || !maps.Equal(s.pendingTop, c.pendingTop) ||
-		!slices.Equal(s.accum, c.accum) || !maps.Equal(s.metaNames, c.metaNames) {
+	if !slices.Equal(s.openTop, c.openTop) || !maps.Equal(s.openTopByName, c.openTopByName) ||
+		!slices.Equal(s.pendingTop, c.pendingTop) || !slices.Equal(s.accum, c.accum) ||
+		!maps.Equal(s.metaNames, c.metaNames) {
 		return false
 	}
 	if !lineMapEqualShifted(s.seenOnce, c.seenOnce, sh) ||

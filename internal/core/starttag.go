@@ -19,9 +19,9 @@ func (c *Checker) startTag(tok *htmltoken.Token) {
 	}
 	c.noteElement(tok.Line)
 
-	name := tok.Lower
-	display := c.spec.Display(name)
-	info := c.spec.Element(name)
+	name, sym := tok.Lower, tok.Sym
+	display := c.spec.DisplaySym(sym, name)
+	info := c.spec.ElementSym(sym)
 
 	if tok.Unterminated {
 		c.emitAt("malformed-tag", tok.Line, tok.Col)
@@ -34,7 +34,7 @@ func (c *Checker) startTag(tok *htmltoken.Token) {
 	// meta-in-body fix: from here on, every fix editing inside the tag
 	// is diverted into the relocation's insertion text instead of the
 	// message stream (two fixes on one span would conflict in fixit).
-	relocating := c.planMetaRelocation(tok, name, info)
+	relocating := c.planMetaRelocation(tok, sym, info)
 	if tok.SlashClose {
 		c.emitFixAt("spurious-slash", tok.Line, tok.Col, c.tagFix(tok, slashFix(tok)), display)
 	}
@@ -57,7 +57,7 @@ func (c *Checker) startTag(tok *htmltoken.Token) {
 	c.applyImpliedClose(name, tok.Line, tok.Offset)
 
 	if info != nil {
-		c.checkStructure(tok, name, display, info)
+		c.checkStructure(tok, sym, display, info)
 	}
 
 	// Mark content on the parent before pushing.
@@ -68,7 +68,7 @@ func (c *Checker) startTag(tok *htmltoken.Token) {
 	// Attribute checks (suppressed wholesale on odd-quote recovery,
 	// since the attribute list is then known to be garbled).
 	if !tok.OddQuotes {
-		c.checkAttrs(tok, name, display, info)
+		c.checkAttrs(tok, sym, display, info)
 	}
 
 	// The meta-in-body message is emitted after the attribute checks
@@ -78,16 +78,16 @@ func (c *Checker) startTag(tok *htmltoken.Token) {
 		c.emitFixAt("meta-in-body", tok.Line, tok.Col, c.guardFix(c.metaRelocationFix(tok)))
 	}
 
-	c.trackDocumentState(name, tok.Line)
+	c.trackDocumentState(sym, tok.Line)
 
 	if info != nil && info.Empty {
 		return // empty elements are never pushed
 	}
-	c.pushOpen(c.newOpen(name, display, tok.Line, tok.Col, info))
+	c.pushOpen(c.newOpen(name, sym, display, tok.Line, tok.Col, info))
 
 	// The tokenizer switches into raw-text mode after this tag; arm the
 	// empty-raw-body compensation (see the pendingRawText field).
-	if htmltoken.RawTextElements[name] {
+	if htmltoken.IsRawText(sym) {
 		c.pendingRawText = true
 	}
 }
@@ -113,8 +113,8 @@ func (c *Checker) applyImpliedClose(name string, line, off int) {
 // checkStructure performs the element-level structure checks: once
 // only elements, head/body placement, required context, self-nesting,
 // heading order.
-func (c *Checker) checkStructure(tok *htmltoken.Token, name, display string, info *htmlspec.ElementInfo) {
-	line, col := tok.Line, tok.Col
+func (c *Checker) checkStructure(tok *htmltoken.Token, sym htmltoken.Sym, display string, info *htmlspec.ElementInfo) {
+	line, col, name := tok.Line, tok.Col, tok.Lower
 	// Once-only elements (HTML, HEAD, BODY, TITLE).
 	if info.OnceOnly {
 		if first, dup := c.seenOnce[name]; dup {
@@ -127,8 +127,8 @@ func (c *Checker) checkStructure(tok *htmltoken.Token, name, display string, inf
 	// HEAD-only elements appearing in the BODY.
 	if info.HeadOnly {
 		c.headContent = true
-		if c.inElement("head") == nil && (c.seenBody || c.inElement("body") != nil) {
-			if name == "meta" {
+		if c.inElement(symHead) == nil && (c.seenBody || c.inElement(symBody) != nil) {
+			if sym == symMeta {
 				// A tag being relocated emits its message after the
 				// attribute checks (see startTag), carrying the fix.
 				if c.relocateTok != tok {
@@ -138,8 +138,8 @@ func (c *Checker) checkStructure(tok *htmltoken.Token, name, display string, inf
 				c.emitAt("head-element", line, col, display)
 			}
 		}
-	} else if !info.Empty && c.inElement("head") != nil &&
-		name != "html" && name != "script" && name != "noscript" && !info.HeadOnly {
+	} else if !info.Empty && c.inElement(symHead) != nil &&
+		sym != symHTML && sym != symScript && sym != symNoscript && !info.HeadOnly {
 		// Rendered markup inside the HEAD.
 		c.emitAt("body-element", line, col, display)
 	}
@@ -156,13 +156,13 @@ func (c *Checker) checkStructure(tok *htmltoken.Token, name, display string, inf
 	}
 
 	// Form fields outside any FORM.
-	if info.FormField && c.inElement("form") == nil {
+	if info.FormField && c.inElement(symForm) == nil {
 		c.emitAt("form-field-context", line, col, display)
 	}
 
 	// Elements which may not nest within themselves.
 	if info.NoSelfNest {
-		if prev := c.inElement(name); prev != nil {
+		if prev := c.inElement(sym); prev != nil {
 			c.emitAt("nested-element", line, col, display, display, display, warn.LineRef(prev.line))
 		}
 	}
@@ -174,39 +174,39 @@ func (c *Checker) checkStructure(tok *htmltoken.Token, name, display string, inf
 		}
 		c.lastHeading = lvl
 		c.lastHeadingName = display
-		if c.inElement("a") != nil {
+		if c.inElement(symA) != nil {
 			c.emitAt("heading-in-anchor", line, col, display)
 		}
 	}
 
 	// BODY and FRAMESET are mutually exclusive document styles.
-	if name == "frameset" {
-		if b := c.inElement("body"); b != nil {
+	if sym == symFrameset {
+		if b := c.inElement(symBody); b != nil {
 			c.emitAt("unexpected-open", line, col, display, "BODY", warn.LineRef(b.line))
 		}
 	}
 
 	// Physical vs. logical markup (style, off by default).
-	if logical, ok := PhysicalToLogical[name]; ok {
+	if logical := physicalToLogical(sym); logical != "" {
 		c.emitAt("physical-font", line, col, logical, display)
 	}
 }
 
 // trackDocumentState records document-level facts used by Finish.
-func (c *Checker) trackDocumentState(name string, line int) {
-	switch name {
-	case "html":
+func (c *Checker) trackDocumentState(sym htmltoken.Sym, line int) {
+	switch sym {
+	case symHTML:
 		c.seenHTML = true
-	case "head":
+	case symHead:
 		c.seenHead = true
-	case "body":
+	case symBody:
 		c.seenBody = true
-	case "title":
+	case symTitle:
 		c.seenTitle = true
 		c.titleLine = line
-	case "frameset":
+	case symFrameset:
 		c.seenFrameset = true
-	case "noframes":
+	case symNoframes:
 		c.seenNoframes = true
 	}
 }
@@ -240,7 +240,7 @@ func (c *Checker) checkTagCase(tok *htmltoken.Token, display string, noFix bool)
 // checkAttrs checks the attribute list of a start tag. The checks run
 // in two passes to match weblint's output order: quoting style first,
 // then attribute identity and value legality.
-func (c *Checker) checkAttrs(tok *htmltoken.Token, name, display string, info *htmlspec.ElementInfo) {
+func (c *Checker) checkAttrs(tok *htmltoken.Token, sym htmltoken.Sym, display string, info *htmlspec.ElementInfo) {
 	// Pass 1: quoting. Quoting fixes are only attached to the first
 	// occurrence of an attribute name (a repeated attribute's fix is
 	// its deletion in pass 2, and two fixes on the same span would
@@ -270,14 +270,11 @@ func (c *Checker) checkAttrs(tok *htmltoken.Token, name, display string, info *h
 		}
 	}
 
-	// Pass 2: identity, duplication, and value legality. The seen map
-	// is owned by the checker and recycled per tag.
-	seen := c.attrSeen
-	clear(seen)
+	// Pass 2: identity, duplication, and value legality. The seen
+	// tables are owned by the checker and recycled per tag.
 	for i := range tok.Attrs {
 		at := &tok.Attrs[i]
-		lower := at.Lower
-		if _, dup := seen[lower]; dup {
+		if c.seenAttr(at) != nil {
 			var fix *warn.Fix
 			if !garbled && deletableAttr(tok, at) {
 				fix = c.tagFix(tok, deleteAttrFix(tok, i))
@@ -285,12 +282,16 @@ func (c *Checker) checkAttrs(tok *htmltoken.Token, name, display string, info *h
 			c.emitFixAt("repeated-attribute", at.Line, at.Col, fix, at.Name, display)
 			continue
 		}
-		seen[lower] = at
+		if at.Sym != htmltoken.NoSym {
+			c.attrSeen[at.Sym] = at
+		} else {
+			c.attrSeenByName[at.Lower] = at
+		}
 
 		if info == nil {
 			continue // unknown element already reported; don't cascade
 		}
-		ai := info.Attr(lower)
+		ai := info.AttrSym(at.Sym)
 		if ai == nil {
 			c.emitAt("unknown-attribute", at.Line, at.Col, at.Name, display)
 			continue
@@ -305,26 +306,46 @@ func (c *Checker) checkAttrs(tok *htmltoken.Token, name, display string, info *h
 		}
 	}
 
-	if info == nil {
-		return
+	if info != nil {
+		c.checkRequiredAttrs(tok, display, info, garbled)
+		c.checkAttrCase(tok, display)
+		c.checkSpecialAttrs(tok, sym)
 	}
 
-	// Required attributes. The fix inserts NAME="" before the tag
-	// terminator — only when the empty value is legal for the
-	// attribute, so the fix cannot trade a required-attribute finding
-	// for an attribute-value one.
-	for _, reqName := range info.RequiredAttrs() {
-		if _, ok := seen[reqName]; !ok {
-			var fix *warn.Fix
-			if ai := info.Attr(reqName); !garbled && ai != nil && ai.ValidValue("") {
-				fix = c.tagFix(tok, insertAttrFix(tok, reqName, c.opts.AttrCase))
-			}
-			c.emitFixAt("required-attribute", tok.Line, tok.Col, fix, strings.ToUpper(reqName), display)
+	// Forget this tag's attributes: their own slots, not the table.
+	for i := range tok.Attrs {
+		c.attrSeen[tok.Attrs[i].Sym] = nil
+	}
+	if len(c.attrSeenByName) > 0 {
+		clear(c.attrSeenByName)
+	}
+}
+
+// seenAttr returns the earlier attribute of the tag being checked that
+// has at's name, or nil.
+func (c *Checker) seenAttr(at *htmltoken.Attr) *htmltoken.Attr {
+	if at.Sym != htmltoken.NoSym {
+		return c.attrSeen[at.Sym]
+	}
+	return c.attrSeenByName[at.Lower]
+}
+
+// checkRequiredAttrs reports the element's required attributes the tag
+// lacks. The fix inserts NAME="" before the tag terminator — only when
+// the empty value is legal for the attribute, so the fix cannot trade
+// a required-attribute finding for an attribute-value one.
+func (c *Checker) checkRequiredAttrs(tok *htmltoken.Token, display string, info *htmlspec.ElementInfo, garbled bool) {
+	for _, req := range info.RequiredSyms() {
+		if c.attrSeen[req] != nil {
+			continue
 		}
+		reqName := htmltoken.SymName(req)
+		var fix *warn.Fix
+		if ai := info.AttrSym(req); !garbled && ai != nil && ai.ValidValue("") {
+			fix = c.tagFix(tok, insertAttrFix(tok, reqName, c.opts.AttrCase))
+		}
+		c.emitFixAt("required-attribute", tok.Line, tok.Col, fix, strings.ToUpper(reqName), display)
 	}
-
-	c.checkAttrCase(tok, display)
-	c.checkSpecialAttrs(tok, name, seen)
 }
 
 // checkAttrValue validates one attribute value against its definition.
@@ -373,35 +394,34 @@ func (c *Checker) checkAttrCase(tok *htmltoken.Token, display string) {
 
 // checkSpecialAttrs holds the per-element attribute checks: IMG's ALT
 // and sizing, duplicate IDs and anchor names, META bookkeeping.
-func (c *Checker) checkSpecialAttrs(tok *htmltoken.Token, name string, seen map[string]*htmltoken.Attr) {
-	switch name {
-	case "img":
-		if _, ok := seen["alt"]; !ok {
+func (c *Checker) checkSpecialAttrs(tok *htmltoken.Token, sym htmltoken.Sym) {
+	seen := c.attrSeen
+	switch sym {
+	case symImg:
+		if seen[symAlt] == nil {
 			var fix *warn.Fix
 			if !attrsGarbled(tok) {
 				fix = c.guardFix(insertAttrFix(tok, "alt", c.opts.AttrCase))
 			}
 			c.emitFixAt("img-alt", tok.Line, tok.Col, fix)
 		}
-		_, w := seen["width"]
-		_, h := seen["height"]
-		if !w || !h {
+		if seen[symWidth] == nil || seen[symHeight] == nil {
 			c.emitAt("img-size", tok.Line, tok.Col)
 		}
-	case "a":
-		if at, ok := seen["name"]; ok && at.HasValue {
+	case symA:
+		if at := seen[symName]; at != nil && at.HasValue {
 			if first, dup := c.anchors[at.Value]; dup {
 				c.emitAt("duplicate-anchor", at.Line, at.Col, at.Value, warn.LineRef(first))
 			} else {
 				c.anchors[at.Value] = at.Line
 			}
 		}
-	case "meta":
-		if at, ok := seen["name"]; ok && at.HasValue {
+	case symMeta:
+		if at := seen[symName]; at != nil && at.HasValue {
 			c.metaNames[ascii.ToLower(at.Value)] = true
 		}
 	}
-	if at, ok := seen["id"]; ok && at.HasValue {
+	if at := seen[symID]; at != nil && at.HasValue {
 		if first, dup := c.ids[at.Value]; dup {
 			c.emitAt("duplicate-id", at.Line, at.Col, at.Value, warn.LineRef(first))
 		} else {

@@ -49,7 +49,8 @@ func identityShift(src string) *textpos.Shift {
 func TestCheckerFieldsArePlaced(t *testing.T) {
 	session := map[string]bool{
 		"opts": true, "spec": true, "em": true, "file": true,
-		"slab": true, "attrSeen": true, "relocateTok": true, "relocateFixes": true,
+		"slab": true, "attrSeen": true, "attrSeenByName": true,
+		"relocateTok": true, "relocateFixes": true,
 	}
 	ct := reflect.TypeOf(Checker{})
 	for i := 0; i < ct.NumField(); i++ {
@@ -142,10 +143,12 @@ func sharedStorage(a, b *docState) []string {
 // a slice or map shared between the snapshot and the checker, so
 // mutating the checker after a Restore — in place, and by checking on
 // — does not change what a second Restore from the snapshot gives.
-// Every slice and map field is compared by LiveEquals.
+// Every slice and map field is compared by LiveEquals. The unknown
+// element (and attribute) keeps the name-keyed fallback for names
+// outside the Sym vocabulary non-empty.
 func TestSnapshotOwnsItsStorage(t *testing.T) {
 	const src = `<HTML><HEAD><TITLE>t</TITLE><META NAME="description" CONTENT="x"></HEAD><BODY>
-<P ID="p1"><A NAME="top">x</A>
+<FooWidget Zap=1><P ID="p1"><A NAME="top">x</A>
 <B><I>overlap</B> <A HREF="z.html">link text
 <P ID="p1">more</A></I><A NAME="top">again</A>
 </BODY></HTML>`
@@ -207,7 +210,8 @@ func TestSnapshotOwnsItsStorage(t *testing.T) {
 			for k := range c.ids {
 				c.ids[k] += 100
 			}
-			c.openTop["mutated"] = 1
+			c.openTop[symBody] = 1
+			c.openTopByName["mutated"] = 1
 		},
 		func() { c.Run(htmltoken.New(rest)) },
 	}

@@ -4,6 +4,33 @@ import (
 	"strings"
 
 	"weblint/internal/ascii"
+	"weblint/internal/htmltoken"
+)
+
+// Syms of the element and attribute names the checks test for. They
+// are fixed once the package is initialised.
+var (
+	symA        = htmltoken.SymOf("a")
+	symB        = htmltoken.SymOf("b")
+	symBody     = htmltoken.SymOf("body")
+	symForm     = htmltoken.SymOf("form")
+	symFrameset = htmltoken.SymOf("frameset")
+	symHead     = htmltoken.SymOf("head")
+	symHTML     = htmltoken.SymOf("html")
+	symI        = htmltoken.SymOf("i")
+	symImg      = htmltoken.SymOf("img")
+	symMeta     = htmltoken.SymOf("meta")
+	symNoframes = htmltoken.SymOf("noframes")
+	symNoscript = htmltoken.SymOf("noscript")
+	symScript   = htmltoken.SymOf("script")
+	symTitle    = htmltoken.SymOf("title")
+	symTT       = htmltoken.SymOf("tt")
+
+	symAlt    = htmltoken.SymOf("alt")
+	symHeight = htmltoken.SymOf("height")
+	symID     = htmltoken.SymOf("id")
+	symName   = htmltoken.SymOf("name")
+	symWidth  = htmltoken.SymOf("width")
 )
 
 // defaultTitleLength is the TITLE length beyond which title-length
@@ -27,12 +54,18 @@ var hereWords = map[string]bool{
 	"go":         true,
 }
 
-// PhysicalToLogical maps physical font markup to the logical markup
-// the physical-font style check suggests.
-var PhysicalToLogical = map[string]string{
-	"b":  "STRONG",
-	"i":  "EM",
-	"tt": "CODE",
+// physicalToLogical returns the logical markup the physical-font style
+// check suggests for physical font markup, or "" for any other element.
+func physicalToLogical(sym htmltoken.Sym) string {
+	switch sym {
+	case symB:
+		return "STRONG"
+	case symI:
+		return "EM"
+	case symTT:
+		return "CODE"
+	}
+	return ""
 }
 
 // knownSchemes are the URL schemes in common use when a link's scheme

@@ -173,6 +173,43 @@ func TestIfNoneMatchAnswers304(t *testing.T) {
 	}
 }
 
+// etagMatchesSplit is etagMatches as it was first written, splitting
+// the header into a fresh slice: the oracle TestETagMatchesOracle
+// compares the in-place walk with.
+func etagMatchesSplit(header, etag string) bool {
+	for _, c := range strings.Split(header, ",") {
+		c = strings.TrimSpace(c)
+		c = strings.TrimPrefix(c, "W/")
+		if c == etag || c == "*" {
+			return true
+		}
+	}
+	return false
+}
+
+// TestETagMatchesOracle: the in-place If-None-Match walk answers what
+// splitting the header does, and allocates nothing with or without
+// the header.
+func TestETagMatchesOracle(t *testing.T) {
+	const etag = `"0123abcd"`
+	headers := []string{
+		"", " ", ",", ",,", "*", " * ", "W/*", etag, "W/" + etag, " W/" + etag + " ",
+		`W/"x"`, `"x"`, `"x", ` + etag, `"x",` + etag + `,"y"`, `"x" , W/` + etag,
+		`"x",,` + etag, `"x", ,"y"`, etag + ",", `"x",`, `"x", *`, "W/", `w/` + etag,
+		etag[:len(etag)-1], etag + etag, `"x" ` + etag,
+	}
+	for _, h := range headers {
+		if got, want := etagMatches(h, etag), etagMatchesSplit(h, etag); got != want {
+			t.Errorf("etagMatches(%q) = %v, want %v", h, got, want)
+		}
+	}
+	for _, h := range []string{"", `"x", W/` + etag, `"x", "y", "z"`} {
+		if n := testing.AllocsPerRun(100, func() { etagMatches(h, etag) }); n != 0 {
+			t.Errorf("etagMatches(%q) allocates %.0f times", h, n)
+		}
+	}
+}
+
 // TestErrorsAreNeverCached: oversize documents, saturation sheds,
 // over-budget lints and cancelled checks must leave no cache entry —
 // an error cached once would replay as truth forever.

@@ -444,17 +444,25 @@ func validFormat(format string) bool {
 }
 
 // etagMatches reports whether an If-None-Match header value matches
-// etag. Weak validators (W/ prefixed) match too: the ETag is a content
-// address, so weak and strong comparison coincide.
+// etag, which is never empty. Weak validators (W/ prefixed) match too:
+// the ETag is a content address, so weak and strong comparison
+// coincide. The list is walked in place, so a submission without the
+// header, or with it, allocates nothing here.
 func etagMatches(header, etag string) bool {
-	for _, c := range strings.Split(header, ",") {
-		c = strings.TrimSpace(c)
-		c = strings.TrimPrefix(c, "W/")
+	if header == "" {
+		return false
+	}
+	for {
+		c, rest, more := strings.Cut(header, ",")
+		c = strings.TrimPrefix(strings.TrimSpace(c), "W/")
 		if c == etag || c == "*" {
 			return true
 		}
+		if !more {
+			return false
+		}
+		header = rest
 	}
-	return false
 }
 
 // serveMachine answers a submission with machine-readable diagnostics:

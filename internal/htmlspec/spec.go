@@ -27,10 +27,12 @@
 package htmlspec
 
 import (
+	"math"
 	"strings"
 	"sync"
 
 	"weblint/internal/ascii"
+	"weblint/internal/htmltoken"
 )
 
 // ValueType classifies how an attribute's value is validated.
@@ -159,27 +161,73 @@ type ElementInfo struct {
 	// standard HTML.
 	Extension string
 
-	// requiredAttrs is the precomputed RequiredAttrs result, filled
-	// by Spec.finalize so the hot path never re-derives it.
+	// The lookup tables below are filled by Spec.finalize, so the
+	// lookups work on ElementInfo values obtained from a Spec.
+	//
+	// attrIdx holds, at the Sym of each attribute in Attrs, one plus
+	// its index in attrList, and 0 at every other Sym. One byte per
+	// Sym keeps it an eighth of the size of a []*AttrInfo indexed by
+	// Sym, for each of a spec's hundred-odd elements.
+	attrIdx  []uint8
+	attrList []*AttrInfo
+	// requiredAttrs is the RequiredAttrs result and requiredSyms the
+	// same attributes' Syms, in the same order.
 	requiredAttrs []string
-	reqDone       bool
+	requiredSyms  []htmltoken.Sym
 }
 
 // Attr returns the definition of the named attribute
 // (case-insensitively), or nil when the attribute is not defined for
-// the element. Lookups with an already lower-case name never allocate.
+// the element. It never allocates.
 func (e *ElementInfo) Attr(name string) *AttrInfo {
-	return foldLookup(e.Attrs, name)
+	return e.AttrSym(htmltoken.SymOf(name))
+}
+
+// AttrSym returns the definition of the attribute whose name has Sym
+// s, or nil when the element does not define it (always for NoSym).
+func (e *ElementInfo) AttrSym(s htmltoken.Sym) *AttrInfo {
+	if i := e.attrIdx[s]; i != 0 {
+		return e.attrList[i-1]
+	}
+	return nil
 }
 
 // RequiredAttrs returns the names of all required attributes, sorted.
-// For specs built by this package the list is precomputed once;
-// callers must treat it as read-only.
-func (e *ElementInfo) RequiredAttrs() []string {
-	if e.reqDone {
-		return e.requiredAttrs
+// The list is precomputed; callers must treat it as read-only.
+func (e *ElementInfo) RequiredAttrs() []string { return e.requiredAttrs }
+
+// RequiredSyms returns the Syms of RequiredAttrs, in the same order.
+// Callers must treat it as read-only.
+func (e *ElementInfo) RequiredSyms() []htmltoken.Sym { return e.requiredSyms }
+
+// index builds e's Sym-indexed attribute table and required-attribute
+// lists (see Spec.finalize).
+func (e *ElementInfo) index() {
+	e.attrIdx = make([]uint8, htmltoken.NumSyms())
+	e.attrList = make([]*AttrInfo, 0, len(e.Attrs))
+	for name, a := range e.Attrs {
+		if len(e.attrList) == math.MaxUint8 {
+			panic("htmlspec: element " + e.Name + " has more attributes than attrIdx can index")
+		}
+		e.attrList = append(e.attrList, a)
+		e.attrIdx[mustSym(name)] = uint8(len(e.attrList))
 	}
-	return requiredAttrsOf(e)
+	e.requiredAttrs = requiredAttrsOf(e)
+	e.requiredSyms = make([]htmltoken.Sym, len(e.requiredAttrs))
+	for i, name := range e.requiredAttrs {
+		e.requiredSyms[i] = htmltoken.SymOf(name)
+	}
+}
+
+// mustSym returns the Sym of a spec table's name. Every name the
+// tables use is in the htmltoken vocabulary (TestEverySpecNameHasSym);
+// one that is not is a bug in the tables.
+func mustSym(name string) htmltoken.Sym {
+	s := htmltoken.SymOf(name)
+	if s == htmltoken.NoSym {
+		panic("htmlspec: " + name + " is outside the htmltoken vocabulary")
+	}
+	return s
 }
 
 // requiredAttrsOf computes the sorted required-attribute list.
@@ -220,14 +268,14 @@ func (e *ElementInfo) InContext(parent string) bool {
 }
 
 // maxFoldKey is the longest name the zero-allocation case-folding map
-// lookups handle on the stack; longer names fall back to
+// lookup handles on the stack; longer names fall back to
 // strings.ToLower.
 const maxFoldKey = 32
 
-// foldLookup is the shared zero-allocation case-insensitive map
-// lookup: exact hit first; no second probe when a miss is already
-// lower-case (folding would produce the same key); a stack-buffer fold
-// for names up to maxFoldKey; strings.ToLower beyond that.
+// foldLookup is a zero-allocation case-insensitive map lookup: exact
+// hit first; no second probe when a miss is already lower-case
+// (folding would produce the same key); a stack-buffer fold for names
+// up to maxFoldKey; strings.ToLower beyond that.
 func foldLookup[V any](m map[string]V, name string) V {
 	if v, ok := m[name]; ok {
 		return v
@@ -260,29 +308,51 @@ type Spec struct {
 	// WithExtensions copies it, never shares it.
 	EnabledExtensions map[string]bool
 
-	// displays maps lower-case element names to their upper-case
-	// display form, precomputed so the checker does not re-uppercase
-	// every tag it reports on.
-	displays map[string]string
+	// elements holds each of Elements at its name's Sym, and nil at
+	// every other Sym; filled by finalize.
+	elements []*ElementInfo
 }
 
 // Element looks up an element by name, case-insensitively. It returns
-// nil for unknown elements. Lookups with an already lower-case name
-// never allocate.
+// nil for unknown elements. It never allocates.
 func (s *Spec) Element(name string) *ElementInfo {
-	return foldLookup(s.Elements, name)
+	return s.ElementSym(htmltoken.SymOf(name))
+}
+
+// ElementSym returns the element whose name has Sym sym, or nil when
+// the spec does not define it (always for NoSym).
+func (s *Spec) ElementSym(sym htmltoken.Sym) *ElementInfo {
+	return s.elements[sym]
 }
 
 // Display returns the upper-case display form of an element name the
 // way weblint prints it in messages (lower-case "img" → "IMG").
-// Known element names resolve from a precomputed table without
+// Vocabulary names resolve from a precomputed table without
 // allocating.
 func (s *Spec) Display(name string) string {
-	if d, ok := s.displays[name]; ok {
-		return d
+	return s.DisplaySym(htmltoken.SymOf(name), name)
+}
+
+// DisplaySym is Display for a name whose Sym the caller already holds,
+// as a token carries it: a vocabulary name is one table index, and
+// only a NoSym name is upper-cased.
+func (s *Spec) DisplaySym(sym htmltoken.Sym, name string) string {
+	if sym != htmltoken.NoSym {
+		return displayNames[sym]
 	}
 	return ascii.ToUpper(name)
 }
+
+// displayNames holds the upper-case display form of every vocabulary
+// name at its Sym. It is one table for every spec: the display form
+// depends on the name alone.
+var displayNames = func() []string {
+	names := make([]string, htmltoken.NumSyms())
+	for i := range names {
+		names[i] = strings.ToUpper(htmltoken.SymName(htmltoken.Sym(i)))
+	}
+	return names
+}()
 
 // WithExtensions returns a spec with the given vendor extensions
 // ("netscape", "microsoft"; case-insensitive) enabled in addition to
@@ -316,15 +386,15 @@ func (s *Spec) ExtensionEnabled(vendor string) bool {
 	return foldLookup(s.EnabledExtensions, vendor)
 }
 
-// finalize precomputes the hot-path caches (required-attribute lists,
-// display names) after a spec's tables are fully built. It must be
-// called before the spec is shared; finalized specs are immutable.
+// finalize builds the lookup tables the hot path indexes by Sym (the
+// elements, each element's attributes and required attributes) after
+// a spec's tables are fully built. It must be called before the spec
+// is shared; finalized specs are immutable.
 func (s *Spec) finalize() *Spec {
-	s.displays = make(map[string]string, len(s.Elements))
+	s.elements = make([]*ElementInfo, htmltoken.NumSyms())
 	for name, e := range s.Elements {
-		e.requiredAttrs = requiredAttrsOf(e)
-		e.reqDone = true
-		s.displays[name] = strings.ToUpper(name)
+		s.elements[mustSym(name)] = e
+		e.index()
 	}
 	return s
 }

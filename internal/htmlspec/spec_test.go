@@ -3,6 +3,8 @@ package htmlspec
 import (
 	"strings"
 	"testing"
+
+	"weblint/internal/htmltoken"
 )
 
 func TestHTML40ElementCoverage(t *testing.T) {
@@ -391,5 +393,80 @@ func TestElementNamesSorted(t *testing.T) {
 		if names[i-1] >= names[i] {
 			t.Fatalf("names not sorted at %d: %s >= %s", i, names[i-1], names[i])
 		}
+	}
+}
+
+// TestEverySpecNameHasSym: every element and attribute name of every
+// version table, vendor extensions included, is in the htmltoken
+// vocabulary, so the checker resolves it by Sym and never through the
+// name-keyed fallback meant for unknown names. The tables are read
+// unfinalized: finalize would panic on a missing name instead of
+// listing them all.
+func TestEverySpecNameHasSym(t *testing.T) {
+	for ver, build := range map[string]func() *Spec{"2.0": buildHTML20, "3.2": buildHTML32, "4.0": buildHTML40} {
+		for name, e := range build().Elements {
+			if htmltoken.SymOf(name) == htmltoken.NoSym {
+				t.Errorf("%s: element %q has no Sym", ver, name)
+			}
+			for attr := range e.Attrs {
+				if htmltoken.SymOf(attr) == htmltoken.NoSym {
+					t.Errorf("%s: attribute %q of %s has no Sym", ver, attr, name)
+				}
+			}
+		}
+	}
+	// Every vocabulary name resolves back to its own Sym in any case.
+	// SymOf folds into a 16-byte stack buffer and reports NoSym for
+	// anything longer, so this also checks that every name fits it.
+	for s := htmltoken.Sym(1); int(s) < htmltoken.NumSyms(); s++ {
+		name := htmltoken.SymName(s)
+		if name == "" || name != strings.ToLower(name) {
+			t.Errorf("Sym %d names %q, want a non-empty lower-case name", s, name)
+		}
+		if htmltoken.SymOf(name) != s || htmltoken.SymOf(strings.ToUpper(name)) != s {
+			t.Errorf("%q (%d bytes) does not resolve back to Sym %d", name, len(name), s)
+		}
+	}
+}
+
+// TestLookupsBySymAndName: the by-name lookups and the Sym lookups the
+// checker uses read the same tables.
+func TestLookupsBySymAndName(t *testing.T) {
+	s := HTML40()
+	for _, name := range s.ElementNames() {
+		e, sym := s.Element(name), htmltoken.SymOf(name)
+		if e == nil || s.ElementSym(sym) != e || s.Element(strings.ToUpper(name)) != e {
+			t.Errorf("element %q: by name %p, by Sym %p", name, e, s.ElementSym(sym))
+		}
+		if got, want := s.Display(name), strings.ToUpper(name); got != want || s.DisplaySym(sym, name) != want {
+			t.Errorf("Display(%q) = %q, DisplaySym = %q, want %q", name, got, s.DisplaySym(sym, name), want)
+		}
+		for attr, ai := range e.Attrs {
+			if e.Attr(attr) != ai || e.AttrSym(htmltoken.SymOf(attr)) != ai || e.Attr(strings.ToUpper(attr)) != ai {
+				t.Errorf("%s attribute %q does not resolve to its definition", name, attr)
+			}
+		}
+		req := e.RequiredSyms()
+		if len(req) != len(e.RequiredAttrs()) {
+			t.Fatalf("%s: %d required Syms for %d required attributes", name, len(req), len(e.RequiredAttrs()))
+		}
+		for i, r := range e.RequiredAttrs() {
+			if htmltoken.SymName(req[i]) != r {
+				t.Errorf("%s required Sym %d names %q, want %q", name, i, htmltoken.SymName(req[i]), r)
+			}
+		}
+	}
+	if s.ElementSym(htmltoken.NoSym) != nil || s.Element("blockqoute") != nil || s.Element(strings.Repeat("x", 40)) != nil {
+		t.Error("a name outside the spec resolved to an element")
+	}
+	if s.Element("img").AttrSym(htmltoken.NoSym) != nil || s.Element("img").Attr("data-thing") != nil {
+		t.Error("an unknown attribute resolved")
+	}
+	if got := s.Display("custom-widget"); got != "CUSTOM-WIDGET" {
+		t.Errorf("Display of an unknown name = %q", got)
+	}
+	// A known Sym that is no element of the spec still displays.
+	if got := s.DisplaySym(htmltoken.SymOf("href"), "href"); got != "HREF" {
+		t.Errorf("DisplaySym(href) = %q", got)
 	}
 }

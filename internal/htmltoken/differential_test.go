@@ -128,6 +128,11 @@ func FuzzDifferential(f *testing.F) {
 	addSuiteSeeds(f)
 	f.Add("<script></script><script>x</scr")
 	f.Add("<a href='x>y</a <b><script>...</scr")
+	// Name-cache seeds: a table row's cells, names of 16 and 17 bytes
+	// (the fold buffer's edge), and a repeated mixed-case unknown name.
+	f.Add("<TABLE><TR><TD>a<TD>b</TD><TH>c</th><TT>d</TT></TR><tr><td>e<th>f<tt>g</tt></TABLE>")
+	f.Add("<TABLE BorderColorLight=x bordercolorlightx=y><bordercolorlight>a</BORDERCOLORLIGHTX>")
+	f.Add("<CustomWidget Zap=1><customwidget ZAP=2><CUSTOMWIDGET zap=3></CustomWidget></customWIDGET>")
 	f.Fuzz(func(t *testing.T, src string) {
 		assertStreamsEqual(t, src)
 	})

@@ -104,7 +104,7 @@ func collectNextInto(src string) []Token {
 
 func assertTokensEqual(t *testing.T, i int, a, b Token) {
 	t.Helper()
-	if a.Type != b.Type || a.Name != b.Name || a.Lower != b.Lower ||
+	if a.Type != b.Type || a.Name != b.Name || a.Lower != b.Lower || a.Sym != b.Sym ||
 		a.Text != b.Text || a.Raw != b.Raw ||
 		a.Line != b.Line || a.Col != b.Col || a.Offset != b.Offset || a.EndLine != b.EndLine ||
 		a.RawText != b.RawText || a.OddQuotes != b.OddQuotes ||

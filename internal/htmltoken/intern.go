@@ -2,24 +2,34 @@ package htmltoken
 
 import "weblint/internal/ascii"
 
-// Tag and attribute name interning.
+// Tag and attribute name symbols.
 //
-// Real documents of the weblint era write markup in upper case (<BODY
-// BGCOLOR=...>), so the tokenizer would otherwise allocate a fresh
-// lower-cased string for every tag and attribute it hands to the
-// checker. internLower resolves any case variant of a known HTML name
-// to one canonical lower-case string without allocating; unknown names
-// fall back to ascii.ToLower (which itself is allocation-free for
-// already-lower input). The table is purely a cache: correctness never
-// depends on a name being present in it.
+// The element and attribute names of every HTML version weblint knows
+// form a closed vocabulary, so each has a Sym: a small dense integer
+// the tokenizer hands out on every tag and attribute, and which the
+// spec tables and the checker's per-element indexes use as a slice
+// index instead of hashing the name. Names outside the vocabulary get
+// NoSym and keep their string, which the few name-keyed paths left
+// (unknown elements and attributes) use instead.
 
-// maxInternLen is the longest name the stack-buffer lookup handles;
-// the longest interned name ("onmousemove") is 11 bytes.
+// Sym identifies a known element or attribute name. NoSym stands for
+// every name outside the vocabulary.
+type Sym uint16
+
+// NoSym is the Sym of every name outside the vocabulary.
+const NoSym Sym = 0
+
+// maxInternLen is the longest name the stack-buffer fold handles; the
+// longest vocabulary name ("bordercolorlight") is 16 bytes. A longer
+// name is never in the vocabulary.
 const maxInternLen = 16
 
 // internNames lists the element names of every HTML version weblint
 // knows (2.0, 3.2, 4.0, Netscape and Microsoft extensions) and the
-// attribute names that appear on them.
+// attribute names that appear on them. It is the Sym vocabulary: the
+// n-th distinct name is Sym n (a name listed twice, as element and as
+// attribute, keeps its first Sym). htmlspec's TestEverySpecNameHasSym
+// fails when a spec table uses a name missing here.
 var internNames = []string{
 	// Elements.
 	"a", "abbr", "acronym", "address", "applet", "area", "b", "base",
@@ -38,16 +48,16 @@ var internNames = []string{
 	"tbody", "td", "textarea", "tfoot", "th", "thead", "title", "tr",
 	"tt", "u", "ul", "var", "wbr", "xmp",
 	// Attributes.
-	"abbr", "accept", "accesskey", "action", "align", "alink", "alt",
-	"archive", "autostart", "axis", "background", "balance",
+	"abbr", "accept", "accept-charset", "accesskey", "action", "align",
+	"alink", "alt", "archive", "autostart", "axis", "background", "balance",
 	"behavior", "bgcolor", "bgproperties", "border", "bordercolor",
 	"bordercolordark", "bordercolorlight", "bottommargin", "cellpadding",
 	"cellspacing", "challenge", "char", "charoff", "charset", "checked",
 	"cite", "class", "classid", "clear", "code", "codebase", "codetype",
 	"color", "cols", "colspan", "compact", "content", "coords", "data",
 	"datetime", "declare", "defer", "dir", "direction", "disabled",
-	"dynsrc", "enctype", "face", "for", "frame", "frameborder",
-	"gutter", "headers", "height", "hidden", "href", "hreflang",
+	"dynsrc", "enctype", "event", "face", "for", "frame",
+	"frameborder", "gutter", "headers", "height", "hidden", "href", "hreflang",
 	"hspace", "http-equiv", "id", "ismap", "label", "lang", "language",
 	"left", "leftmargin", "link", "longdesc", "loop", "lowsrc",
 	"marginheight", "marginwidth", "maxlength", "media", "method",
@@ -66,27 +76,44 @@ var internNames = []string{
 	"vlink", "volume", "vspace", "width", "z-index",
 }
 
-// internTable maps a lower-case name to its canonical string.
-var internTable = func() map[string]string {
-	m := make(map[string]string, len(internNames))
+// symNames[s] is the canonical lower-case name of Sym s; symNames[0]
+// (NoSym) is empty. internTable is its inverse, the one name→Sym map.
+var symNames, internTable = func() ([]string, map[string]Sym) {
+	names := []string{""}
+	m := make(map[string]Sym, len(internNames))
 	for _, n := range internNames {
-		m[n] = n
-	}
-	return m
-}()
-
-// internLower returns the ASCII lower-case form of s, resolving known
-// HTML names to a canonical interned string. It allocates only for
-// unknown mixed- or upper-case names.
-func internLower(s string) string {
-	if ascii.IsLower(s) {
-		return s
-	}
-	if len(s) <= maxInternLen {
-		var buf [maxInternLen]byte
-		if canon, ok := internTable[string(ascii.AppendLower(buf[:0], s))]; ok {
-			return canon
+		if _, dup := m[n]; !dup {
+			m[n] = Sym(len(names))
+			names = append(names, n)
 		}
 	}
-	return ascii.ToLower(s)
+	return names, m
+}()
+
+// NumSyms returns the number of Syms, NoSym included: every Sym is
+// below it, so a table indexed by Sym has NumSyms entries.
+func NumSyms() int { return len(symNames) }
+
+// SymName returns the canonical lower-case name of s, or "" for NoSym.
+func SymName(s Sym) string { return symNames[s] }
+
+// SymOf returns the Sym of name, case-insensitively, or NoSym when the
+// name is outside the vocabulary. It never allocates.
+func SymOf(name string) Sym {
+	if len(name) > maxInternLen {
+		return NoSym
+	}
+	var buf [maxInternLen]byte
+	return internTable[string(ascii.AppendLower(buf[:0], name))]
+}
+
+// lookupName resolves a name of any case to its lower-case form and
+// Sym: a known name to the vocabulary's canonical string, an unknown
+// one to ascii.ToLower(s) — s itself when already lower-case, else a
+// fresh copy. It is the tokenizer's cache-free path.
+func lookupName(s string) (string, Sym) {
+	if sym := SymOf(s); sym != NoSym {
+		return symNames[sym], sym
+	}
+	return ascii.ToLower(s), NoSym
 }

@@ -180,6 +180,29 @@ func TestInternCacheSurvivesBufferReuse(t *testing.T) {
 	}
 }
 
+// TestInternCacheSymSurvivesBufferReuse: lower-case names in a
+// recycled buffer. TABLE and TITLE share a cache slot. Had the cache
+// kept <table>'s name as a substring of the source, rewriting the
+// buffer to <title> in place would turn the entry into "title" with
+// TABLE's Sym, and the title would tokenize with the table's Sym.
+func TestInternCacheSymSurvivesBufferReuse(t *testing.T) {
+	if internSlot("table") != internSlot("title") {
+		t.Fatal("table and title no longer share a cache slot; pick two names that do")
+	}
+	buf := []byte("<table>x</table>")
+	tk := New("")
+	tk.Reset(bytestr.String(buf))
+	var tok Token
+	for tk.NextInto(&tok) {
+	}
+	copy(buf, "<title>x</title>")
+	tk.Reset(bytestr.String(buf))
+	if !tk.NextInto(&tok) || tok.Lower != "title" || tok.Sym != SymOf("title") {
+		t.Fatalf("rewritten buffer's first tag: Lower %q Sym %d (%q), want title/%d",
+			tok.Lower, tok.Sym, SymName(tok.Sym), SymOf("title"))
+	}
+}
+
 // TestStartsMarkupAtEOF: a lone '<' as the document's final byte is
 // text, not markup.
 func TestStartsMarkupAtEOF(t *testing.T) {

@@ -244,7 +244,7 @@ func (t *ReferenceTokenizer) nextTag(tok *Token, start, line, col int, closing b
 		nameEnd++
 	}
 	name := t.src[nameStart:nameEnd]
-	lower := internLower(name)
+	lower, sym := lookupName(name)
 
 	end, odd, unterminated := t.scanToGT(nameEnd)
 	body := t.src[nameEnd:end]
@@ -253,7 +253,7 @@ func (t *ReferenceTokenizer) nextTag(tok *Token, start, line, col int, closing b
 		t.pos = end + 1
 	}
 
-	tok.Type, tok.Name, tok.Lower = StartTag, name, lower
+	tok.Type, tok.Name, tok.Lower, tok.Sym = StartTag, name, lower, sym
 	tok.Raw = t.src[start:t.pos]
 	tok.Line, tok.Col, tok.EndLine = line, col, t.lineAt(max(start, t.pos-1))
 	tok.OddQuotes, tok.Unterminated = odd, unterminated
@@ -349,7 +349,8 @@ func (t *ReferenceTokenizer) parseAttrs(body string, base int) []Attr {
 			continue
 		}
 		line, col := t.position(base + nameStart)
-		attr := Attr{Name: name, Lower: internLower(name), Line: line, Col: col, Offset: base + nameStart}
+		attr := Attr{Name: name, Line: line, Col: col, Offset: base + nameStart}
+		attr.Lower, attr.Sym = lookupName(name)
 
 		j := i
 		for j < len(body) && refIsSpace(body[j]) {

@@ -19,6 +19,16 @@
 // contract this imposes on streaming callers: a Token's Attrs slice is
 // only valid until the next call to Next. Tokenize returns fully
 // independent tokens.
+//
+// Every tag and attribute also carries a Sym: a small dense integer
+// naming one of the known HTML element and attribute names (NoSym for
+// any other name), which the spec tables and the checker index slices
+// with instead of hashing the name. Names resolve through a small
+// direct-mapped cache per tokenizer, so a repeated spelling costs one
+// case-folding compare. A cache entry holds a canonical vocabulary
+// name or a lower-case copy the tokenizer allocated itself, never a
+// substring of the source: the next document may arrive in the same,
+// overwritten buffer.
 package htmltoken
 
 import "strings"
@@ -82,6 +92,10 @@ type Attr struct {
 	// Quote is the quoting character used: '"', '\'', or 0 for an
 	// unquoted value.
 	Quote byte
+	// Sym is the name's symbol, or NoSym for a name outside the
+	// vocabulary; checkers index their attribute tables with it. (It
+	// sits among the small fields, so an Attr takes no extra word.)
+	Sym Sym
 	// Line and Col give the 1-based position of the attribute name.
 	Line, Col int
 	// Offset is the byte offset of the attribute name in the source
@@ -105,7 +119,7 @@ type Token struct {
 	Name string
 	// Lower is the ASCII lower-case form of Name for start and end
 	// tags, interned for known HTML element names. It is the form
-	// spec lookups key on.
+	// name-keyed lookups use.
 	Lower string
 	// Text is the content for Text and Comment tokens, and the full
 	// declaration body for Doctype/Declaration tokens.
@@ -122,6 +136,12 @@ type Token struct {
 	Offset int
 	// EndLine is the line on which the token's last byte falls.
 	EndLine int
+
+	// Sym is the tag name's symbol for start and end tags, or NoSym
+	// for a name outside the vocabulary; spec lookups and the
+	// checker's element indexes use it. (It sits among the flags, so a
+	// Token takes no extra word.)
+	Sym Sym
 
 	// RawText marks Text tokens produced in raw-text mode (SCRIPT,
 	// STYLE and friends).
@@ -159,3 +179,6 @@ var RawTextElements = map[string]bool{
 	"listing":   true,
 	"plaintext": true,
 }
+
+// IsRawText reports whether s names one of RawTextElements.
+func IsRawText(s Sym) bool { return rawNeedles[s] != "" }

@@ -416,6 +416,62 @@ func TestTokenLowerInterned(t *testing.T) {
 	}
 }
 
+// TestTokenSym: tags and attributes carry the Sym of their name in
+// every case, through the tokenizer's name cache and without it, and
+// names outside the vocabulary carry NoSym with their own lower-case
+// form. The unknown names repeat in mixed case and past the 16-byte
+// fold buffer, and ZAAAZ/zbbbz share a cache slot, so hits, misses and
+// evictions all run.
+func TestTokenSym(t *testing.T) {
+	src := strings.Repeat(`<TR><TD Width=1>a<td>b<TH>c<tt>d</TT></tr>`+
+		`<CustomWidget DATA-Thing=1 data-thing=2><ZAAAZ><zbbbz><Custom-Element-Longer-Than-Sixteen>`, 3)
+	toks := Tokenize(src)
+	for i, tok := range toks {
+		if tok.Type != StartTag && tok.Type != EndTag {
+			continue
+		}
+		names := []struct {
+			name, lower string
+			sym         Sym
+		}{{tok.Name, tok.Lower, tok.Sym}}
+		for _, a := range tok.Attrs {
+			names = append(names, struct {
+				name, lower string
+				sym         Sym
+			}{a.Name, a.Lower, a.Sym})
+		}
+		for _, n := range names {
+			wantLower, wantSym := lookupName(n.name)
+			if n.lower != wantLower || n.sym != wantSym || n.lower != strings.ToLower(n.name) {
+				t.Fatalf("token %d: %q resolved to %q/%d, want %q/%d", i, n.name, n.lower, n.sym, wantLower, wantSym)
+			}
+			if known := n.sym != NoSym; known != (SymOf(n.name) != NoSym) || known && SymName(n.sym) != n.lower {
+				t.Fatalf("token %d: %q has Sym %d naming %q", i, n.name, n.sym, SymName(n.sym))
+			}
+		}
+	}
+	if toks[0].Sym != SymOf("tr") || toks[1].Attrs[0].Sym != SymOf("width") || SymOf("customwidget") != NoSym {
+		t.Errorf("Syms: TR %d, WIDTH %d, CustomWidget %d", toks[0].Sym, toks[1].Attrs[0].Sym, SymOf("customwidget"))
+	}
+}
+
+// TestInternSlotTableRow: the cells of a table row keep their own
+// cache slots, so a row of TD, TH and TT under TR resolves from the
+// cache, and every case variant of a name shares its slot.
+func TestInternSlotTableRow(t *testing.T) {
+	slots := map[uint]string{}
+	for _, name := range []string{"td", "tr", "th", "tt"} {
+		slot := internSlot(name)
+		if other, ok := slots[slot]; ok {
+			t.Errorf("%s and %s share cache slot %d", name, other, slot)
+		}
+		slots[slot] = name
+		if internSlot(strings.ToUpper(name)) != slot || internSlot(name[:1]+strings.ToUpper(name[1:])) != slot {
+			t.Errorf("case variants of %s use different slots", name)
+		}
+	}
+}
+
 // TestRawTextMixedCaseCloseAtEOF exercises the indexFold scan edges:
 // a mixed-case closing tag, and raw text whose closing tag sits at the
 // very end of the input.

@@ -115,8 +115,13 @@ type jsonRenderer struct {
 // the renderer is the emitter's sink (directly or behind forwarding
 // wrappers like Summary.Sink), per-rule suppression stats.
 func NewJSON(w io.Writer) Renderer {
-	return &jsonRenderer{w: w}
+	return &jsonRenderer{w: w, buf: make([]byte, 0, jsonLineCap)}
 }
+
+// jsonLineCap is the line buffer a JSON Lines stream starts with, one
+// allocation: a finding's line is about 120 bytes, and one carrying a
+// fix up to about 400, so the buffer rarely grows after that.
+const jsonLineCap = 512
 
 func (r *jsonRenderer) Write(m warn.Message) bool {
 	if r.err != nil {
