@@ -178,8 +178,6 @@ type docState struct {
 // docPositions are the document positions in docState: 1-based lines
 // and byte offsets, which an edit before them moves.
 type docPositions struct {
-	titleLine int // 0 = no TITLE seen
-
 	lastLine int
 	// lastOffset is one past the last byte of the last token seen.
 	// Tokens partition the document, so at Finish it is the document
@@ -488,7 +486,7 @@ func (c *Checker) comment(tok *htmltoken.Token) {
 
 // inlineDirective applies one "weblint:" comment directive. The
 // mutation is scoped to this check run: it goes into the emitter's
-// copy-on-write overlay, never into the shared enablement set.
+// Overrides, never into the shared enablement set.
 func (c *Checker) inlineDirective(text string, line int) {
 	fields := strings.Fields(text)
 	if len(fields) < 2 {

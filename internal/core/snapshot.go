@@ -8,6 +8,7 @@ import (
 
 	"weblint/internal/htmltoken"
 	"weblint/internal/textpos"
+	"weblint/internal/warn"
 )
 
 // This file implements checkpointing for the incremental re-lint: a
@@ -41,7 +42,7 @@ import (
 // Restore never aliases the snapshot's own storage.
 type Snapshot struct {
 	docState
-	overlay map[string]bool // emitter inline-directive overlay
+	over warn.Overrides // the emitter's inline-directive overrides
 }
 
 func cloneOpen(o *open) *open {
@@ -68,10 +69,10 @@ func copyOpens(dst, src []*open) []*open {
 }
 
 // Snapshot deep-copies the checker's document-dependent state,
-// including the emitter's inline-directive overlay. It must be called
+// including the emitter's inline-directive overrides. It must be called
 // only at a token boundary (never from inside a token callback).
 func (c *Checker) Snapshot() *Snapshot {
-	s := &Snapshot{overlay: c.em.CloneOverlay()}
+	s := &Snapshot{over: c.em.Overrides()}
 	s.copyFrom(&c.docState)
 	return s
 }
@@ -85,7 +86,7 @@ func (s *Snapshot) Bytes() int {
 	const mapEntryBytes = 32 // a string header and a word of value
 	n := 8*len(s.accum) + 4*(len(s.openTop)+len(s.pendingTop)) +
 		mapEntryBytes*(len(s.openTopByName)+len(s.seenOnce)+len(s.ids)+
-			len(s.anchors)+len(s.metaNames)+len(s.overlay))
+			len(s.anchors)+len(s.metaNames))
 	for _, stack := range [][]*open{s.stack, s.pending} {
 		n += 8 * len(stack)
 		for _, o := range stack {
@@ -112,7 +113,7 @@ func restoreMap[V any](dst, src map[string]V) map[string]V {
 // Restore rewinds the checker to the snapshotted state. The snapshot
 // is not consumed: stack entries are deep-copied back out, so the same
 // snapshot can seed any number of re-lints. The emitter the checker
-// reports through has its inline-directive overlay restored too.
+// reports through has its inline-directive overrides restored too.
 // Scratch state scoped to a single token (attrSeen, relocation
 // diversion) is cleared.
 //
@@ -123,7 +124,7 @@ func restoreMap[V any](dst, src map[string]V) map[string]V {
 func (c *Checker) Restore(s *Snapshot) {
 	c.docState.copyFrom(&s.docState)
 	c.clearScratch()
-	c.em.RestoreOverlay(s.overlay)
+	c.em.SetOverrides(s.over)
 }
 
 // openEqualShifted reports whether live open entry b (new-document
@@ -198,7 +199,7 @@ func (s *Snapshot) LiveEquals(c *Checker, sh *textpos.Shift) bool {
 		return false
 	}
 	pos, ok := s.docPositions.shift(sh)
-	return ok && pos == c.docPositions && c.em.OverlayEquals(s.overlay)
+	return ok && pos == c.docPositions && c.em.Overrides() == s.over
 }
 
 // shift maps every position from old-document to new-document
@@ -206,13 +207,12 @@ func (s *Snapshot) LiveEquals(c *Checker, sh *textpos.Shift) bool {
 // markers need no special case: an edit starts on a line >= 1 and at
 // an offset >= 0, so Line(0) and Off(-1) always map to themselves.
 func (p docPositions) shift(sh *textpos.Shift) (docPositions, bool) {
-	var okT, okL, okO, okQ, okH bool
-	p.titleLine, okT = sh.Line(p.titleLine)
+	var okL, okO, okQ, okH bool
 	p.lastLine, okL = sh.Line(p.lastLine)
 	p.lastOffset, okO = sh.Off(p.lastOffset)
 	p.oddQuotesAt, okQ = sh.Off(p.oddQuotesAt)
 	p.headInsertPos, okH = sh.Off(p.headInsertPos)
-	return p, okT && okL && okO && okQ && okH
+	return p, okL && okO && okQ && okH
 }
 
 // Rebase shifts every position in the snapshot (in place) from

@@ -54,7 +54,7 @@ func (c *Checker) startTag(tok *htmltoken.Token) {
 
 	// Implied closes: opening this element legally ends some open
 	// elements (LI ends LI, a block element ends P, ...).
-	c.applyImpliedClose(name, tok.Line, tok.Offset)
+	c.applyImpliedClose(sym, tok.Line, tok.Offset)
 
 	if info != nil {
 		c.checkStructure(tok, sym, display, info)
@@ -78,7 +78,7 @@ func (c *Checker) startTag(tok *htmltoken.Token) {
 		c.emitFixAt("meta-in-body", tok.Line, tok.Col, c.guardFix(c.metaRelocationFix(tok)))
 	}
 
-	c.trackDocumentState(sym, tok.Line)
+	c.trackDocumentState(sym)
 
 	if info != nil && info.Empty {
 		return // empty elements are never pushed
@@ -93,11 +93,12 @@ func (c *Checker) startTag(tok *htmltoken.Token) {
 }
 
 // applyImpliedClose pops open elements whose end is implied by the
-// arrival of a start tag for name at byte offset off.
-func (c *Checker) applyImpliedClose(name string, line, off int) {
+// arrival of a start tag for the element with Sym sym at byte offset
+// off.
+func (c *Checker) applyImpliedClose(sym htmltoken.Sym, line, off int) {
 	for {
 		t := c.top()
-		if t == nil || t.info == nil || !t.info.ImpliedEndedBy(name) {
+		if t == nil || t.info == nil || !t.info.ImpliedEndedBy(sym) {
 			return
 		}
 		c.truncateStack(len(c.stack) - 1)
@@ -146,9 +147,9 @@ func (c *Checker) checkStructure(tok *htmltoken.Token, sym htmltoken.Sym, displa
 
 	// Required parent context (LI in lists, TD in TR, ...).
 	if len(info.Context) > 0 {
-		parent := ""
+		parent := htmltoken.NoSym
 		if t := c.top(); t != nil {
-			parent = t.name
+			parent = t.sym
 		}
 		if !info.InContext(parent) {
 			c.emitAt("required-context", line, col, display, contextList(info.Context))
@@ -193,7 +194,7 @@ func (c *Checker) checkStructure(tok *htmltoken.Token, sym htmltoken.Sym, displa
 }
 
 // trackDocumentState records document-level facts used by Finish.
-func (c *Checker) trackDocumentState(sym htmltoken.Sym, line int) {
+func (c *Checker) trackDocumentState(sym htmltoken.Sym) {
 	switch sym {
 	case symHTML:
 		c.seenHTML = true
@@ -203,7 +204,6 @@ func (c *Checker) trackDocumentState(sym htmltoken.Sym, line int) {
 		c.seenBody = true
 	case symTitle:
 		c.seenTitle = true
-		c.titleLine = line
 	case symFrameset:
 		c.seenFrameset = true
 	case symNoframes:

@@ -117,10 +117,10 @@ func headingLevel(name string) int {
 
 // contextList renders an element's legal-context list for messages,
 // e.g. "UL, OL, DIR or MENU".
-func contextList(ctx []string) string {
+func contextList(ctx []htmltoken.Sym) string {
 	upper := make([]string, len(ctx))
 	for i, c := range ctx {
-		upper[i] = strings.ToUpper(c)
+		upper[i] = strings.ToUpper(htmltoken.SymName(c))
 	}
 	switch len(upper) {
 	case 0:

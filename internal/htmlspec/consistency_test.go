@@ -1,6 +1,10 @@
 package htmlspec
 
-import "testing"
+import (
+	"testing"
+
+	"weblint/internal/htmltoken"
+)
 
 // Cross-version consistency invariants over the hand-written tables.
 // These guard against table typos: every name a table references must
@@ -18,8 +22,8 @@ func TestContextTargetsExist(t *testing.T) {
 	for ver, s := range allSpecs() {
 		for _, e := range s.Elements {
 			for _, parent := range e.Context {
-				if s.Element(parent) == nil {
-					t.Errorf("%s: %s lists unknown context parent %q", ver, e.Name, parent)
+				if s.ElementSym(parent) == nil {
+					t.Errorf("%s: %s lists unknown context parent %q", ver, e.Name, htmltoken.SymName(parent))
 				}
 			}
 		}
@@ -30,8 +34,8 @@ func TestImpliedEndTargetsExist(t *testing.T) {
 	for ver, s := range allSpecs() {
 		for _, e := range s.Elements {
 			for _, sib := range e.ImpliedEndBy {
-				if s.Element(sib) == nil {
-					t.Errorf("%s: %s lists unknown implied-end trigger %q", ver, e.Name, sib)
+				if s.ElementSym(sib) == nil {
+					t.Errorf("%s: %s lists unknown implied-end trigger %q", ver, e.Name, htmltoken.SymName(sib))
 				}
 			}
 		}

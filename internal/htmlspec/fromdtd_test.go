@@ -183,7 +183,7 @@ func deriveContexts(d *dtd.DTD, m map[string]*ElementInfo) {
 		}
 		if constrained {
 			sortStrings(ps)
-			e.Context = ps
+			e.Context = syms(ps)
 		}
 	}
 }

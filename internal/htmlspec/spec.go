@@ -28,6 +28,7 @@ package htmlspec
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"sync"
 
@@ -143,12 +144,13 @@ type ElementInfo struct {
 	Deprecated  bool
 	Obsolete    bool
 	Replacement string
-	// Context lists the only parents (lower-case element names) the
-	// element may directly appear in; empty means unconstrained.
-	Context []string
-	// ImpliedEndBy lists sibling elements whose start tag implies
-	// this element's end (LI ends LI, DT/DD end each other, ...).
-	ImpliedEndBy []string
+	// Context lists the Syms of the only parents the element may
+	// directly appear in; empty means unconstrained.
+	Context []htmltoken.Sym
+	// ImpliedEndBy lists the Syms of sibling elements whose start tag
+	// implies this element's end (LI ends LI, DT/DD end each other,
+	// ...).
+	ImpliedEndBy []htmltoken.Sym
 	// NoSelfNest reports elements which may not be nested within
 	// themselves (A, FORM, LABEL).
 	NoSelfNest bool
@@ -230,6 +232,15 @@ func mustSym(name string) htmltoken.Sym {
 	return s
 }
 
+// syms returns the Syms of a table's element names.
+func syms(names []string) []htmltoken.Sym {
+	out := make([]htmltoken.Sym, len(names))
+	for i, name := range names {
+		out[i] = mustSym(name)
+	}
+	return out
+}
+
 // requiredAttrsOf computes the sorted required-attribute list.
 func requiredAttrsOf(e *ElementInfo) []string {
 	var out []string
@@ -242,29 +253,17 @@ func requiredAttrsOf(e *ElementInfo) []string {
 	return out
 }
 
-// ImpliedEndedBy reports whether an opening tag for other implies the
-// end of this element.
-func (e *ElementInfo) ImpliedEndedBy(other string) bool {
-	for _, n := range e.ImpliedEndBy {
-		if n == other {
-			return true
-		}
-	}
-	return false
+// ImpliedEndedBy reports whether an opening tag for the element with
+// Sym other implies the end of this element (never for NoSym).
+func (e *ElementInfo) ImpliedEndedBy(other htmltoken.Sym) bool {
+	return slices.Contains(e.ImpliedEndBy, other)
 }
 
-// InContext reports whether parent is a legal direct parent. It is
-// always true for elements with unconstrained context.
-func (e *ElementInfo) InContext(parent string) bool {
-	if len(e.Context) == 0 {
-		return true
-	}
-	for _, p := range e.Context {
-		if p == parent {
-			return true
-		}
-	}
-	return false
+// InContext reports whether the element with Sym parent is a legal
+// direct parent (never NoSym). It is always true for elements with
+// unconstrained context.
+func (e *ElementInfo) InContext(parent htmltoken.Sym) bool {
+	return len(e.Context) == 0 || slices.Contains(e.Context, parent)
 }
 
 // maxFoldKey is the longest name the zero-allocation case-folding map
@@ -482,11 +481,11 @@ func (x *eb) noSelfNest() *eb     { x.e.NoSelfNest = true; return x }
 func (x *eb) emptyOK() *eb        { x.e.EmptyOK = true; return x }
 func (x *eb) vendor(v string) *eb { x.e.Extension = v; return x }
 func (x *eb) context(p ...string) *eb {
-	x.e.Context = p
+	x.e.Context = syms(p)
 	return x
 }
 func (x *eb) impliedEnd(names ...string) *eb {
-	x.e.ImpliedEndBy = names
+	x.e.ImpliedEndBy = syms(names)
 	return x
 }
 func (x *eb) deprecated(repl string) *eb {
@@ -518,19 +517,13 @@ func add(m map[string]*ElementInfo, builders ...*eb) {
 
 // pruneImpliedEnds drops implied-end triggers that the version does
 // not define (the shared blockLevel list is written for HTML 4.0;
-// earlier versions lack some of its members).
+// earlier versions lack some of its members). Each element's list is
+// its own, built by impliedEnd, so it is pruned in place.
 func pruneImpliedEnds(m map[string]*ElementInfo) {
 	for _, e := range m {
-		if len(e.ImpliedEndBy) == 0 {
-			continue
-		}
-		kept := e.ImpliedEndBy[:0:0]
-		for _, name := range e.ImpliedEndBy {
-			if _, ok := m[name]; ok {
-				kept = append(kept, name)
-			}
-		}
-		e.ImpliedEndBy = kept
+		e.ImpliedEndBy = slices.DeleteFunc(e.ImpliedEndBy, func(sym htmltoken.Sym) bool {
+			return m[htmltoken.SymName(sym)] == nil
+		})
 	}
 }
 

@@ -127,35 +127,39 @@ func TestContextTables(t *testing.T) {
 	for name, want := range cases {
 		e := s.Element(name)
 		for _, p := range want {
-			if !e.InContext(p) {
+			if !e.InContext(htmltoken.SymOf(p)) {
 				t.Errorf("%s should be legal in %s", name, p)
 			}
 		}
-		if e.InContext("body") {
-			t.Errorf("%s should not be legal directly in body", name)
+		if e.InContext(htmltoken.SymOf("body")) || e.InContext(htmltoken.NoSym) {
+			t.Errorf("%s should not be legal directly in body or at the top", name)
 		}
 	}
 	// Unconstrained elements accept any context.
-	if !s.Element("p").InContext("body") || !s.Element("p").InContext("td") {
+	p := s.Element("p")
+	if !p.InContext(htmltoken.SymOf("body")) || !p.InContext(htmltoken.SymOf("td")) || !p.InContext(htmltoken.NoSym) {
 		t.Error("p should be context-unconstrained")
 	}
 }
 
 func TestImpliedEnd(t *testing.T) {
 	s := HTML40()
-	if !s.Element("li").ImpliedEndedBy("li") {
+	endedBy := func(name, other string) bool {
+		return s.Element(name).ImpliedEndedBy(htmltoken.SymOf(other))
+	}
+	if !endedBy("li", "li") {
 		t.Error("li should imply end of li")
 	}
-	if !s.Element("p").ImpliedEndedBy("table") || !s.Element("p").ImpliedEndedBy("h1") {
+	if !endedBy("p", "table") || !endedBy("p", "h1") {
 		t.Error("block elements should imply end of p")
 	}
-	if s.Element("p").ImpliedEndedBy("b") {
-		t.Error("inline element must not imply end of p")
+	if endedBy("p", "b") || s.Element("p").ImpliedEndedBy(htmltoken.NoSym) {
+		t.Error("inline and unknown elements must not imply end of p")
 	}
-	if !s.Element("dt").ImpliedEndedBy("dd") || !s.Element("dd").ImpliedEndedBy("dt") {
+	if !endedBy("dt", "dd") || !endedBy("dd", "dt") {
 		t.Error("dt/dd should imply each other's end")
 	}
-	if !s.Element("head").ImpliedEndedBy("body") {
+	if !endedBy("head", "body") {
 		t.Error("body should imply end of head")
 	}
 }

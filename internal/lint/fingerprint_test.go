@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"strings"
 	"testing"
 
 	"weblint/internal/config"
@@ -88,5 +89,43 @@ func TestConfigFingerprintStableAndSensitive(t *testing.T) {
 	b.Settings.Extensions = []string{"microsoft", "netscape"}
 	if fp(a) != fp(b) {
 		t.Error("extension order changed the fingerprint")
+	}
+}
+
+// TestConfigFingerprintPinned pins the fingerprints of a default, a
+// pedantic and an rc-configured linter. The gateway's ETags and cached
+// results are keyed by them, so a change in how the warning selection
+// is stored must leave them as they are; a deliberate change of the
+// fingerprint updates these values and says why.
+func TestConfigFingerprintPinned(t *testing.T) {
+	const rc = `# a site style guide
+enable style
+disable img-alt, mailto-link
+disable errors
+enable unknown-element required-attribute
+extension netscape
+set tag-case upper
+set title-length 48
+add here-words "more info"
+`
+	cfg, err := config.Parse(strings.NewReader(rc), "weblintrc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	settings := config.NewSettings()
+	if err := settings.Apply(cfg); err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct {
+		o    Options
+		want string
+	}{
+		"default":  {Options{}, "1a824bf889cd8c062522ec60bea2227435179e846a63089cedd7b176b55e7944"},
+		"pedantic": {Options{Pedantic: true}, "1b17c51c1eb2260b0997dcc94f127a32039d49dae48605df1f100a606757d046"},
+		"rc":       {Options{Settings: settings}, "750fddf6776453ed8e1ad91716eeec0939f743157ac9b987b00dc709fb70b60d"},
+	} {
+		if got := MustNew(c.o).ConfigFingerprint(); got != c.want {
+			t.Errorf("%s fingerprint = %s, want %s", name, got, c.want)
+		}
 	}
 }

@@ -285,8 +285,8 @@ func (l *Linter) release(st *checkState, srcLen int) {
 //
 // The emitter, checker and tokenizer driving the check come from a
 // per-linter pool: the emitter reads the linter's warning set through
-// a read-only view (in-document "weblint:" directives land in a
-// per-check overlay, not in the shared set), and all per-document
+// a read-only view (in-document "weblint:" directives land in the
+// emitter's own overrides, not in the shared set), and all per-document
 // state is recycled across calls.
 func (l *Linter) Check(ctx context.Context, name string, src []byte, sink warn.Sink) error {
 	st, err := l.run(ctx, name, bytestr.String(src), sink)

@@ -220,6 +220,46 @@ func TestSessionDirectiveEdits(t *testing.T) {
 	checkEquivalent(t, l, s, "delete disable directive")
 }
 
+// TestSessionDirectiveCategoryEdits inserts, rewrites and deletes
+// directives that name a category or "all" across checkpoints: each
+// sets many messages' overrides at once, so the overrides a checkpoint
+// holds differ from the live ones in many bits. After every edit the
+// findings must be byte-identical to a from-scratch lint.
+func TestSessionDirectiveCategoryEdits(t *testing.T) {
+	l := MustNew(Options{})
+	var b strings.Builder
+	b.WriteString("<html><head><title>t</title></head><body>\n")
+	for i := 0; i < 30; i++ {
+		fmt.Fprintf(&b, "<p id=b%d><img src=\"%d.gif\"> <b>bold</b> <a href=\"mailto:x@y\">here</a> <blink>x</blink></p>\n", i, i)
+	}
+	b.WriteString("</body></html>\n")
+	s := newSession(l, "categories.html", b.String(), 128)
+	checkEquivalent(t, l, s, "initial")
+
+	insert := func(before, directive string) {
+		t.Helper()
+		at := strings.Index(s.Text(), before)
+		s.Apply([]Edit{{Start: at, End: at, Text: directive}})
+		checkEquivalent(t, l, s, "insert "+directive)
+	}
+	replace := func(old, with string) {
+		t.Helper()
+		at := strings.Index(s.Text(), old)
+		s.Apply([]Edit{{Start: at, End: at + len(old), Text: with}})
+		checkEquivalent(t, l, s, "replace "+old+" with "+with)
+	}
+	insert("<p id=b5>", "<!-- weblint: enable all -->\n")
+	insert("<p id=b12>", "<!-- weblint: disable style -->\n")
+	insert("<p id=b18>", "<!-- weblint: disable errors -->\n")
+	insert("<p id=b24>", "<!-- weblint: enable errors, img-alt -->\n")
+	replace("disable style", "disable all")
+	replace("<!-- weblint: enable all -->\n", "")
+	replace("disable errors", "disable warnings")
+	replace("<!-- weblint: disable all -->\n", "")
+	replace("<!-- weblint: disable warnings -->\n", "")
+	replace("enable errors, img-alt", "enable no-such-rule")
+}
+
 // FuzzIncremental applies fuzzer-chosen edit pairs at fuzzer-chosen
 // checkpoint spacings and requires byte-identical equivalence with a
 // from-scratch lint after each edit.
@@ -227,6 +267,10 @@ func FuzzIncremental(f *testing.F) {
 	addSuiteSeeds(f)
 	f.Add("<html><head><title>t</title></head><body><p>a & b</p></body></html>\n")
 	f.Add("<p ALIGN='a' align=\"b\"><a name=x><h3>x</h3><script>var a=1;</script>")
+	f.Add("<html><head><title>t</title></head><body>\n<!-- weblint: disable style -->\n<p><b>x</b><img src=a.gif>\n" +
+		"<!-- weblint: enable all -->\n<p><b>y</b><a href=\"mailto:x@y\">here</a>\n</body></html>\n")
+	f.Add("<p><blink>x</blink>\n<!-- weblint: disable errors -->\n<p><blink>y</blink><img src=b.gif>\n" +
+		"<!-- weblint: enable errors, style -->\n<p><blink>z</blink><i>w</i></p>\n")
 	l := MustNew(Options{})
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 1<<16 {

@@ -1,9 +1,6 @@
 package warn
 
-import (
-	"maps"
-	"strings"
-)
+import "strings"
 
 // LineRef is an int argument that is a 1-based line number in the
 // checked document. Emission sites wrap line-valued arguments in it so
@@ -114,35 +111,10 @@ func cloneFix(f *Fix) *Fix {
 	return cp
 }
 
-// CloneOverlay returns an independent copy of the emitter's runtime
-// enable/disable overlay (the in-document "weblint:" directive state),
-// nil when no overrides are active. Checker snapshots capture it so an
-// incremental re-lint resumes with the directive state the original
-// pass had at that point.
-func (e *Emitter) CloneOverlay() map[string]bool {
-	if len(e.overlay) == 0 {
-		return nil
-	}
-	return maps.Clone(e.overlay)
-}
+// Overrides returns the emitter's inline-directive overrides. Checker
+// snapshots capture them, so an incremental re-lint resumes with the
+// directive state the original pass had at that point.
+func (e *Emitter) Overrides() Overrides { return e.over }
 
-// RestoreOverlay replaces the emitter's runtime overlay with a copy of
-// m (nil or empty clears it).
-func (e *Emitter) RestoreOverlay(m map[string]bool) {
-	if len(e.overlay) > 0 {
-		clear(e.overlay)
-	}
-	if len(m) == 0 {
-		return
-	}
-	if e.overlay == nil {
-		e.overlay = make(map[string]bool, len(m)+8)
-	}
-	maps.Copy(e.overlay, m)
-}
-
-// OverlayEquals reports whether the emitter's current runtime overlay
-// equals m (empty and nil are equal).
-func (e *Emitter) OverlayEquals(m map[string]bool) bool {
-	return maps.Equal(e.overlay, m)
-}
+// SetOverrides replaces the emitter's inline-directive overrides.
+func (e *Emitter) SetOverrides(o Overrides) { e.over = o }

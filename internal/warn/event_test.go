@@ -78,37 +78,43 @@ func TestStaticLine(t *testing.T) {
 	}
 }
 
-// TestOverlayCloneRestore: the in-document directive overlay round-trips
-// through CloneOverlay/RestoreOverlay, and the clone is independent.
-func TestOverlayCloneRestore(t *testing.T) {
+// TestOverridesRoundTrip: the in-document directive overrides
+// round-trip through Overrides/SetOverrides, and a captured value is
+// independent of later directives.
+func TestOverridesRoundTrip(t *testing.T) {
 	e := NewEmitter(NewSet())
-	if e.CloneOverlay() != nil || !e.OverlayEquals(nil) {
-		t.Fatal("fresh emitter has an overlay")
+	if e.Overrides() != (Overrides{}) {
+		t.Fatal("fresh emitter has overrides")
 	}
 	if err := e.Disable("img-alt"); err != nil {
 		t.Fatal(err)
 	}
-	snap := e.CloneOverlay()
-	if !e.OverlayEquals(snap) {
-		t.Fatal("overlay differs from its own clone")
+	snap := e.Overrides()
+	if e.Overrides() != snap || snap == (Overrides{}) {
+		t.Fatal("overrides differ from their own capture")
 	}
 	if err := e.Enable("here-anchor"); err != nil {
 		t.Fatal(err)
 	}
-	if e.OverlayEquals(snap) || len(snap) != 1 {
-		t.Fatalf("clone %v tracks later overrides", snap)
+	if e.Overrides() == snap || !e.Enabled("here-anchor") {
+		t.Fatal("the capture tracks later overrides")
 	}
-	e.RestoreOverlay(snap)
-	if !e.OverlayEquals(snap) || e.Enabled("img-alt") {
-		t.Fatal("RestoreOverlay did not bring back the snapshot")
+	e.SetOverrides(snap)
+	if e.Overrides() != snap || e.Enabled("img-alt") || e.Enabled("here-anchor") {
+		t.Fatal("SetOverrides did not bring back the capture")
 	}
-	e.RestoreOverlay(nil)
-	if !e.OverlayEquals(nil) || !e.Enabled("img-alt") {
-		t.Fatal("RestoreOverlay(nil) did not clear the overlay")
+	e.SetOverrides(Overrides{})
+	if !e.Enabled("img-alt") {
+		t.Fatal("SetOverrides(Overrides{}) did not clear the overrides")
 	}
 	fresh := NewEmitter(NewSet())
-	fresh.RestoreOverlay(snap)
-	if !fresh.OverlayEquals(snap) {
-		t.Fatal("RestoreOverlay into an emitter without an overlay")
+	fresh.SetOverrides(snap)
+	if fresh.Enabled("img-alt") || fresh.Overrides() != snap {
+		t.Fatal("SetOverrides into another emitter")
+	}
+	e.SetOverrides(snap)
+	e.Reset()
+	if e.Overrides() != (Overrides{}) || !e.Enabled("img-alt") {
+		t.Fatal("Reset kept the overrides")
 	}
 }

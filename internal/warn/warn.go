@@ -8,6 +8,12 @@
 // three categories: errors identify things you should fix, warnings
 // identify things you should think about fixing, and style comments can
 // be configured to match local guidelines.
+//
+// The messages are a closed vocabulary: each takes the next dense index
+// when it is registered, at most maxRules (256) of them, and a Set or
+// an emitter's Overrides is a fixed-size bit array over those indexes.
+// A Set built before a registration has that message off until it is
+// enabled, whatever its Default.
 package warn
 
 import (
@@ -79,6 +85,10 @@ type Def struct {
 	// Explain is a longer human explanation used by verbose output
 	// and by the gateway.
 	Explain string
+
+	// index is the registration order: the message's bit in a Set and
+	// in an Overrides.
+	index int
 }
 
 // Message is a single emitted diagnostic, positioned in a source
@@ -131,27 +141,39 @@ type Fix struct {
 	Edits []Edit `json:"edits"`
 }
 
-// registry holds all known message definitions, keyed by ID.
-var registry = map[string]*Def{}
+// maxRules is the most messages the registry holds: a Set and an
+// Overrides are fixed-size bit arrays over the messages' indexes.
+const maxRules = 256
 
-// order preserves registration order for deterministic listings.
-var order []string
+// registry holds all known message definitions, keyed by ID; defs holds
+// the same definitions at their index, which is registration order.
+var (
+	registry = map[string]*Def{}
+	defs     []*Def
+)
 
-// register adds a definition to the package registry. It panics on
-// duplicate IDs, which would be a programming error in the tables.
+// register adds a definition to the package registry at the next
+// index. It panics on duplicate IDs, which would be a programming error
+// in the tables, and beyond maxRules messages.
 func register(d Def) {
 	if _, dup := registry[d.ID]; dup {
 		panic("warn: duplicate message id " + d.ID)
 	}
-	def := d
-	registry[d.ID] = &def
-	order = append(order, d.ID)
+	if len(defs) == maxRules {
+		panic("warn: more than 256 (maxRules) message ids registered")
+	}
+	d.index = len(defs)
+	registry[d.ID] = &d
+	defs = append(defs, &d)
 }
 
 // Register adds a message definition from outside the package. It is
 // the extension point content plugins use to contribute their own
 // messages (the paper's Section 6.1 plugin idea); it must be called
-// during init, before any Set is constructed.
+// during init, before any Set is constructed. At most maxRules (256)
+// messages can be registered, the built-in ones included; Register
+// panics beyond that. A Set built before the registration has the new
+// message off until it is enabled.
 func Register(d Def) {
 	register(d)
 }
@@ -164,19 +186,21 @@ func Lookup(id string) *Def {
 
 // IDs returns all registered message IDs in registration order.
 func IDs() []string {
-	out := make([]string, len(order))
-	copy(out, order)
+	out := make([]string, len(defs))
+	for i, d := range defs {
+		out[i] = d.ID
+	}
 	return out
 }
 
 // Count returns the total number of registered messages.
-func Count() int { return len(registry) }
+func Count() int { return len(defs) }
 
 // DefaultEnabledCount returns how many registered messages are enabled
 // by default.
 func DefaultEnabledCount() int {
 	n := 0
-	for _, d := range registry {
+	for _, d := range defs {
 		if d.Default {
 			n++
 		}
@@ -188,30 +212,65 @@ func DefaultEnabledCount() int {
 // category.
 func CountByCategory() map[Category]int {
 	m := map[Category]int{}
-	for _, d := range registry {
+	for _, d := range defs {
 		m[d.Category]++
 	}
 	return m
 }
 
-// setEntry pairs a message definition with its enablement, so the hot
-// path resolves both with one map lookup.
-type setEntry struct {
-	def *Def
-	on  bool
+// ruleBits holds one bit per registered message, at its index.
+type ruleBits [maxRules / 64]uint64
+
+func (b *ruleBits) has(i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
+
+func (b *ruleBits) add(i int) { b[i/64] |= 1 << (i % 64) }
+
+// assign sets every bit of mask in b to v.
+func (b *ruleBits) assign(mask *ruleBits, v bool) {
+	for i := range b {
+		if v {
+			b[i] |= mask[i]
+		} else {
+			b[i] &^= mask[i]
+		}
+	}
 }
 
-// Set is an enable/disable selection over the registry. The zero value
-// is not useful; construct with NewSet.
+// resolve returns the messages an enable/disable identifier names:
+// "all", else a category ("errors", "style", ...), else a message ID.
+// It returns an error for unknown identifiers so that configuration
+// typos are surfaced to the user.
+func resolve(id string) (ruleBits, error) {
+	var rules ruleBits
+	if cat, isCat := ParseCategory(id); id == "all" || isCat {
+		for _, d := range defs {
+			if id == "all" || d.Category == cat {
+				rules.add(d.index)
+			}
+		}
+		return rules, nil
+	}
+	d := registry[id]
+	if d == nil {
+		return rules, fmt.Errorf("warn: unknown warning identifier %q", id)
+	}
+	rules.add(d.index)
+	return rules, nil
+}
+
+// Set is an enable/disable selection over the registry: one bit per
+// message. The zero value enables nothing; construct with NewSet.
 type Set struct {
-	entries map[string]*setEntry
+	on ruleBits
 }
 
 // NewSet returns a Set with every message at its registered default.
 func NewSet() *Set {
-	s := &Set{entries: make(map[string]*setEntry, len(registry))}
-	for id, d := range registry {
-		s.entries[id] = &setEntry{def: d, on: d.Default}
+	s := &Set{}
+	for _, d := range defs {
+		if d.Default {
+			s.on.add(d.index)
+		}
 	}
 	return s
 }
@@ -219,85 +278,61 @@ func NewSet() *Set {
 // AllEnabled returns a Set with every registered message enabled,
 // including those disabled by default (the CLI's -pedantic mode).
 func AllEnabled() *Set {
-	s := NewSet()
-	for _, e := range s.entries {
-		e.on = true
-	}
-	return s
-}
-
-// Clone returns an independent copy of the set.
-func (s *Set) Clone() *Set {
-	c := &Set{entries: make(map[string]*setEntry, len(s.entries))}
-	for k, e := range s.entries {
-		cp := *e
-		c.entries[k] = &cp
-	}
-	return c
+	all, _ := resolve("all")
+	return &Set{on: all}
 }
 
 // Enable turns on the message with the given ID, or every message in a
-// category when id names a category ("errors", "style", ...). It
-// returns an error for unknown identifiers so that configuration typos
-// are surfaced to the user.
+// category when id names a category ("errors", "style", ...), or every
+// message for "all". It returns an error for unknown identifiers.
 func (s *Set) Enable(id string) error { return s.set(id, true) }
 
 // Disable turns off the message with the given ID or category.
 func (s *Set) Disable(id string) error { return s.set(id, false) }
 
 func (s *Set) set(id string, v bool) error {
-	if id == "all" {
-		for _, e := range s.entries {
-			e.on = v
-		}
-		return nil
+	rules, err := resolve(id)
+	if err != nil {
+		return err
 	}
-	if cat, ok := ParseCategory(id); ok {
-		for rid, d := range registry {
-			if d.Category == cat {
-				s.entry(rid, d).on = v
-			}
-		}
-		return nil
-	}
-	d := registry[id]
-	if d == nil {
-		return fmt.Errorf("warn: unknown warning identifier %q", id)
-	}
-	s.entry(id, d).on = v
+	s.on.assign(&rules, v)
 	return nil
-}
-
-// entry returns the set's entry for id, materialising one (at the
-// registered default) for a message registered after the Set was
-// built — plugin registrations must remain configurable through any
-// existing Set, as they were when the set was a plain id→bool map.
-func (s *Set) entry(id string, d *Def) *setEntry {
-	if e, ok := s.entries[id]; ok {
-		return e
-	}
-	e := &setEntry{def: d, on: d.Default}
-	s.entries[id] = e
-	return e
 }
 
 // Enabled reports whether the message with the given ID is currently
 // enabled. Unknown IDs report false.
 func (s *Set) Enabled(id string) bool {
-	e := s.entries[id]
-	return e != nil && e.on
+	d := registry[id]
+	return d != nil && s.on.has(d.index)
 }
 
 // EnabledIDs returns the identifiers of all enabled messages, sorted.
 func (s *Set) EnabledIDs() []string {
 	var out []string
-	for id, e := range s.entries {
-		if e.on {
-			out = append(out, id)
+	for _, d := range defs {
+		if s.on.has(d.index) {
+			out = append(out, d.ID)
 		}
 	}
 	slices.Sort(out)
 	return out
+}
+
+// Overrides records which messages a page's inline "weblint:"
+// directives have set, and to what: a message whose bit is in set is
+// enabled when its bit in on is, and every other message as the base
+// Set has it. It is a plain value, copied with = and compared with ==;
+// the zero value overrides nothing.
+type Overrides struct {
+	set, on ruleBits
+}
+
+// enabled reports whether message index i is enabled under o over base.
+func (o *Overrides) enabled(base *Set, i int) bool {
+	if o.set.has(i) {
+		return o.on.has(i)
+	}
+	return base.on.has(i)
 }
 
 // Emitter streams messages, subject to an enablement Set, into a Sink.
@@ -315,11 +350,11 @@ func (s *Set) EnabledIDs() []string {
 // set it was constructed with, so one Set can back any number of
 // emitters (and checks) concurrently. Runtime enablement changes — the
 // in-document "weblint:" directives — go through the emitter's own
-// Enable/Disable, which record the change in a private copy-on-write
-// overlay scoped to this emitter.
+// Enable/Disable, which record the change in Overrides private to this
+// emitter.
 type Emitter struct {
-	base      *Set            // read-only enablement baseline
-	overlay   map[string]bool // copy-on-write runtime overrides
+	base      *Set      // read-only enablement baseline
+	over      Overrides // the in-document directives' overrides
 	catalog   Catalog
 	collect   Collector    // default destination: accumulate in order
 	sink      Sink         // current destination; &collect unless SetSink
@@ -378,18 +413,14 @@ func (e *Emitter) SetCancelFlag(f *atomic.Bool) { e.extCancel = f }
 func (e *Emitter) SetCatalog(c Catalog) { e.catalog = c }
 
 // Enabled reports whether the message id is enabled for this emitter:
-// the runtime overlay wins, then the base set.
+// its override when a directive set one, else the base set.
 func (e *Emitter) Enabled(id string) bool {
-	if e.overlay != nil {
-		if v, ok := e.overlay[id]; ok {
-			return v
-		}
-	}
-	return e.base.Enabled(id)
+	d := registry[id]
+	return d != nil && e.over.enabled(e.base, d.index)
 }
 
 // Enable turns on a message ID or category for this emitter only. The
-// base set is untouched — the change lives in the emitter's overlay
+// base set is untouched — the change lives in the emitter's Overrides
 // and is dropped by Reset.
 func (e *Emitter) Enable(id string) error { return e.override(id, true) }
 
@@ -397,33 +428,12 @@ func (e *Emitter) Enable(id string) error { return e.override(id, true) }
 func (e *Emitter) Disable(id string) error { return e.override(id, false) }
 
 func (e *Emitter) override(id string, v bool) error {
-	if id != "all" {
-		if cat, ok := ParseCategory(id); ok {
-			if e.overlay == nil {
-				e.overlay = make(map[string]bool, 16)
-			}
-			for k, d := range registry {
-				if d.Category == cat {
-					e.overlay[k] = v
-				}
-			}
-			return nil
-		}
-		if _, ok := registry[id]; !ok {
-			return fmt.Errorf("warn: unknown warning identifier %q", id)
-		}
-		if e.overlay == nil {
-			e.overlay = make(map[string]bool, 16)
-		}
-		e.overlay[id] = v
-		return nil
+	rules, err := resolve(id)
+	if err != nil {
+		return err
 	}
-	if e.overlay == nil {
-		e.overlay = make(map[string]bool, len(registry))
-	}
-	for k := range registry {
-		e.overlay[k] = v
-	}
+	e.over.set.assign(&rules, true)
+	e.over.on.assign(&rules, v)
 	return nil
 }
 
@@ -455,27 +465,11 @@ func (e *Emitter) emit(id, file string, line, col int, fix *Fix, args []any) {
 	if e.Cancelled() {
 		return
 	}
-	var (
-		on bool
-		d  *Def
-	)
-	if ent := e.base.entries[id]; ent != nil {
-		on, d = ent.on, ent.def
-	} else {
-		// The id was registered after the base set was built. It is
-		// disabled until explicitly enabled — the behaviour a plain
-		// id→bool set always had for ids it doesn't know.
-		d = registry[id]
-		if d == nil {
-			panic("warn: emit of unregistered message id " + id)
-		}
+	d := registry[id]
+	if d == nil {
+		panic("warn: emit of unregistered message id " + id)
 	}
-	if e.overlay != nil {
-		if v, ok := e.overlay[id]; ok {
-			on = v
-		}
-	}
-	if !on {
+	if !e.over.enabled(e.base, d.index) {
 		// Suppressed: tell interested sinks so per-rule suppression
 		// stats can be surfaced. The type assertion only runs on this
 		// cold path; enabled emissions never pay for it. An event sink
@@ -620,9 +614,7 @@ func (e *Emitter) Reset() {
 	e.cancelled = false
 	e.extCancel = nil
 	e.eventSink = nil
-	if len(e.overlay) > 0 {
-		clear(e.overlay)
-	}
+	e.over = Overrides{}
 }
 
 // Set returns the base enablement set the emitter filters through.

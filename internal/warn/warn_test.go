@@ -1,6 +1,8 @@
 package warn
 
 import (
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -171,14 +173,62 @@ func TestAllEnabled(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	a := NewSet()
-	b := a.Clone()
-	if err := b.Disable("all"); err != nil {
-		t.Fatal(err)
+// TestSetAndEmitterResolveAlike: Set.Enable/Disable and the emitter's
+// directive Enable/Disable resolve every identifier form to the same
+// messages — a message ID, each category spelling ParseCategory
+// accepts, and "all" — starting from the defaults. An unknown
+// identifier is an error from both and changes nothing.
+func TestSetAndEmitterResolveAlike(t *testing.T) {
+	names := func(id string) func(*Def) bool {
+		if id == "all" {
+			return func(*Def) bool { return true }
+		}
+		if cat, ok := ParseCategory(id); ok {
+			return func(d *Def) bool { return d.Category == cat }
+		}
+		return func(d *Def) bool { return d.ID == id }
 	}
-	if !a.Enabled("doctype-first") {
-		t.Error("mutating clone affected original")
+	ids := []string{"img-alt", "here-anchor", "error", "errors", "warning", "warnings", "style", "all"}
+	for _, id := range ids {
+		for _, on := range []bool{true, false} {
+			s, e := NewSet(), NewEmitter(NewSet())
+			var errS, errE error
+			if on {
+				errS, errE = s.Enable(id), e.Enable(id)
+			} else {
+				errS, errE = s.Disable(id), e.Disable(id)
+			}
+			if errS != nil || errE != nil {
+				t.Fatalf("%s (enable %v): Set error %v, Emitter error %v", id, on, errS, errE)
+			}
+			named, n := names(id), 0
+			for _, d := range defs {
+				want := d.Default
+				if named(d) {
+					want = on
+					n++
+				}
+				if s.Enabled(d.ID) != want || e.Enabled(d.ID) != want {
+					t.Errorf("%s (enable %v): %s is %v in the Set and %v in the Emitter, want %v",
+						id, on, d.ID, s.Enabled(d.ID), e.Enabled(d.ID), want)
+				}
+			}
+			if n == 0 {
+				t.Errorf("%s names no message", id)
+			}
+		}
+	}
+
+	s, e := NewSet(), NewEmitter(NewSet())
+	before := s.EnabledIDs()
+	for _, err := range []error{s.Enable("no-such-rule"), s.Disable("no-such-rule"),
+		e.Enable("no-such-rule"), e.Disable("no-such-rule")} {
+		if err == nil || !strings.Contains(err.Error(), `unknown warning identifier "no-such-rule"`) {
+			t.Errorf("unknown identifier: error %v", err)
+		}
+	}
+	if !slices.Equal(s.EnabledIDs(), before) || e.Overrides() != (Overrides{}) {
+		t.Error("an unknown identifier changed the Set or the Emitter's overrides")
 	}
 }
 
@@ -342,6 +392,30 @@ func TestLateRegistrationConfigurable(t *testing.T) {
 	if s.Enabled("late-test-check") {
 		t.Error("still enabled after Disable")
 	}
+}
+
+// TestRegisterCap: the registry takes maxRules messages, each at its
+// registration index, and register panics on one more. It runs on an
+// empty registry and puts the real one back.
+func TestRegisterCap(t *testing.T) {
+	savedRegistry, savedDefs := registry, defs
+	defer func() { registry, defs = savedRegistry, savedDefs }()
+	registry, defs = map[string]*Def{}, nil
+	for i := 0; i < maxRules; i++ {
+		register(Def{ID: strconv.Itoa(i)})
+	}
+	if Lookup("0").index != 0 || Lookup(strconv.Itoa(maxRules-1)).index != maxRules-1 {
+		t.Error("a message's index is not its registration order")
+	}
+	if got := len(AllEnabled().EnabledIDs()); got != maxRules {
+		t.Errorf("AllEnabled enables %d of %d messages", got, maxRules)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("no panic registering one message past the cap")
+		}
+	}()
+	register(Def{ID: "one-too-many"})
 }
 
 // TestEmitterSetIsPrivate verifies NewEmitter(nil) emitters do not
